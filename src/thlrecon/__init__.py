@@ -35,7 +35,7 @@ from .errors import (
     ThlreconError,
 )
 from .gf2 import FieldElement, FieldSpec, ff_frob, ff_inv, ff_make, ff_mul
-from .linalg import BinaryMatrix, full_rank_completion, mat_solve
+from .linalg import BinaryMatrix, full_rank_completion
 from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from .params import Params, cond4_violation_prob, params_build, params_from_text
@@ -43,6 +43,8 @@ from .protocol import (
     MemoryTransport,
     SessionStats,
     TcpTransport,
+    decode_digests,
+    encode_digest,
     parse_digest,
     serialize_digest,
     session_run,
@@ -55,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BitVector", "hamming", "weight", "project", "place",
     "FieldSpec", "FieldElement", "ff_make", "ff_mul", "ff_inv", "ff_frob",
-    "BinaryMatrix", "mat_solve", "full_rank_completion",
+    "BinaryMatrix", "full_rank_completion",
     "BchCode", "RsCode", "BhSequence", "Syndrome",
     "bch_build", "rs_code", "bh_sequence", "syndrome", "decode_syndrome",
     "Params", "params_build", "params_from_text", "cond4_violation_prob",
@@ -64,6 +66,7 @@ __all__ = [
     "map_M", "map_E", "map_f", "f_inverse", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",
     "baseline_bits",
+    "encode_digest", "decode_digests",
     "serialize_digest", "parse_digest", "session_run",
     "MemoryTransport", "TcpTransport", "SessionStats",
     "oracle_symdiff", "oracle_is_thl", "gen_instance",

@@ -10,10 +10,11 @@ Two code families are built here:
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
   bounded-distance decoder returning symbol positions and values.
 
-Decoding is Berlekamp-Massey for the locator polynomial.  Short codes
-find roots by Chien search; long codes split the locator with
-gcd/trace-map factoring and map roots back to positions by discrete
-log, which stays cheap at any length.
+Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
+chain: power sums, Berlekamp-Massey for the locator polynomial
+(:func:`locate`), roots by gcd/trace-map splitting, then a re-encode
+check.  BCH positions come from the roots by discrete log, which stays
+cheap at any length.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .errors import DecodingError
 from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, row_reduce
 
-# Above this length a BCH code skips parity rank reduction (it would
-# require touching all columns) and uses Chien search no longer.
+# Up to this length a BCH code rank-reduces its parity matrix, which
+# narrows the syndrome (and so the digest); longer codes keep the raw
+# odd-power map, as reduction would touch every column.
 _DENSE_LIMIT = 4096
 
 
@@ -166,6 +168,33 @@ def find_roots(spec: FieldSpec, poly):
     return roots
 
 
+def power_sums(spec: FieldSpec, odd):
+    """Power sums S_1 .. S_2k from the odd ones S_1, S_3, .., S_(2k-1):
+    in characteristic two S_2i = S_i^2."""
+    sums = [0] * (2 * len(odd))
+    sums[0::2] = odd
+    for i in range(1, len(sums), 2):  # sums[i] holds S_(i+1)
+        sums[i] = spec.sqr(sums[i // 2])
+    return sums
+
+
+def locate(spec: FieldSpec, sums, bound: int):
+    """Locator polynomial of the power sums S_1 .. S_2bound and its
+    roots.
+
+    Returns (locator, roots) when the locator has degree L <= bound and
+    L distinct nonzero roots in the field; raises :class:`DecodingError`
+    otherwise.
+    """
+    loc, L = berlekamp_massey(spec, sums)
+    if L > bound or len(loc) - 1 != L:
+        raise DecodingError("uncorrectable syndrome")
+    roots = find_roots(spec, loc)
+    if len(set(roots)) != L or 0 in roots:
+        raise DecodingError("uncorrectable syndrome")
+    return loc, roots
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -288,23 +317,13 @@ class BchCode:
 
     def _power_sums(self, synd: int):
         """Full power sums S_1 .. S_2e from a packed syndrome."""
-        spec, s = self.field, self.locator_degree
-        if self._reduced:
-            fullbits = [(r & synd).bit_count() & 1 for r in self._lift]
-            odd = []
-            for k in range(len(self.powers)):
-                v = 0
-                for b in range(s):
-                    v |= fullbits[k * s + b] << b
-                odd.append(v)
-        else:
-            odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(len(self.powers))]
-        out = [0] * (2 * self.design_errors + 1)
-        for k, p in enumerate(self.powers):
-            out[p] = odd[k]
-        for p in range(2, 2 * self.design_errors + 1, 2):
-            out[p] = spec.sqr(out[p // 2])
-        return out[1:]
+        s = self.locator_degree
+        if self._reduced:  # lift to the full odd-power syndrome
+            synd = sum(
+                ((r & synd).bit_count() & 1) << k for k, r in enumerate(self._lift)
+            )
+        odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(len(self.powers))]
+        return power_sums(self.field, odd)
 
     # -- decoding --------------------------------------------------------
 
@@ -314,36 +333,12 @@ class BchCode:
         if synd == 0:
             return []
         spec = self.field
-        S = self._power_sums(synd)
-        loc, L = berlekamp_massey(spec, S)
-        if L > self.design_errors or len(loc) - 1 != L:
+        _, roots = locate(spec, self._power_sums(synd), self.design_errors)
+        positions = sorted(spec.dlog(spec.inv(root)) for root in roots)
+        if (positions and positions[-1] >= self.length) or (
+            self.syndrome_from_positions(positions) != synd
+        ):
             raise DecodingError("uncorrectable syndrome")
-        if self._reduced:
-            positions = self._chien(loc)
-        else:
-            positions = []
-            for root in find_roots(spec, loc):
-                if root == 0:
-                    raise DecodingError("uncorrectable syndrome")
-                j = spec.dlog(spec.inv(root))
-                if j >= self.length:
-                    raise DecodingError("uncorrectable syndrome")
-                positions.append(j)
-        if len(set(positions)) != L:
-            raise DecodingError("uncorrectable syndrome")
-        if self.syndrome_from_positions(positions) != synd:
-            raise DecodingError("uncorrectable syndrome")
-        return sorted(positions)
-
-    def _chien(self, loc):
-        spec = self.field
-        ginv = spec.inv(self._g)
-        positions = []
-        x = 1
-        for j in range(self.length):
-            if poly_eval(spec, loc, x) == 0:
-                positions.append(j)
-            x = spec.mul(x, ginv)
         return positions
 
     def __repr__(self):
@@ -402,29 +397,20 @@ class RsCode:
         if not any(syndromes):
             return {}
         spec = self.field
-        loc, L = berlekamp_massey(spec, syndromes)
-        if L > self.max_errors or len(loc) - 1 != L:
-            raise DecodingError("uncorrectable syndrome")
-        # error evaluator, for syndromes starting at power one
+        loc, roots = locate(spec, syndromes, self.max_errors)
+        # Forney: error evaluator for syndromes starting at power one,
+        # over the formal derivative, which in characteristic two keeps
+        # the odd terms; it is nonzero at the locator's simple roots
         omega = poly_mul_ff(spec, syndromes, loc)[: self.redundancy]
-        roots = find_roots(spec, loc)
-        if len(set(roots)) != L or 0 in roots:
-            raise DecodingError("uncorrectable syndrome")
+        dloc = loc[1::2]
         errors = {}
-        dloc = loc[1::2]  # formal derivative in characteristic two
         for root in roots:
-            xj = spec.inv(root)
-            j = spec.dlog(xj)
+            j = spec.dlog(spec.inv(root))
             if j >= self.length:
                 raise DecodingError("uncorrectable syndrome")
             num = poly_eval(spec, omega, root)
-            den = poly_eval(spec, dloc, spec.sqr(root))
-            if den == 0:
-                raise DecodingError("uncorrectable syndrome")
-            errors[j] = spec.div(num, den)
-        if any(v == 0 for v in errors.values()):
-            raise DecodingError("uncorrectable syndrome")
-        if self.syndrome_sparse(errors) != tuple(syndromes):
+            errors[j] = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
+        if 0 in errors.values() or self.syndrome_sparse(errors) != tuple(syndromes):
             raise DecodingError("uncorrectable syndrome")
         return errors
 

@@ -19,9 +19,10 @@ class ParamsError(ThlreconError):
 
 
 class LinAlgError(ThlreconError):
-    """A binary linear system could not be solved.
+    """A binary matrix could not be inverted or completed.
 
-    ``reason`` is "inconsistent" or "underdetermined".
+    ``reason`` names the failure ("inconsistent": the rows are
+    dependent).
     """
 
     def __init__(self, reason):

@@ -116,39 +116,6 @@ def row_reduce(rows, cols):
     return [pivots[i] for i in order], [reduced[i] for i in order]
 
 
-def mat_solve(a: BinaryMatrix, y: int) -> int:
-    """Solve A x = y over F_2 for the unique x.
-
-    ``y`` holds component i in bit i.  Raises :class:`LinAlgError` with
-    reason "inconsistent" or "underdetermined" otherwise.
-    """
-    if y < 0 or y >> a.rows:
-        raise ValueError("right-hand side length mismatch")
-    # eliminate on [A | y] rows
-    aug = [r | (((y >> i) & 1) << a.cols) for i, r in enumerate(a.row_data)]
-    pivots = []
-    reduced = []
-    for r in aug:
-        for p, pr in zip(pivots, reduced):
-            if (r >> p) & 1:
-                r ^= pr
-        if r == 0:
-            continue
-        p = (r & -r).bit_length() - 1
-        if p == a.cols:
-            raise LinAlgError("inconsistent")
-        reduced = [pr ^ r if (pr >> p) & 1 else pr for pr in reduced]
-        reduced.append(r)
-        pivots.append(p)
-    if len(pivots) < a.cols:
-        raise LinAlgError("underdetermined")
-    x = 0
-    for p, r in zip(pivots, reduced):
-        if (r >> a.cols) & 1:
-            x |= 1 << p
-    return x
-
-
 def invert(m: BinaryMatrix) -> BinaryMatrix:
     """Inverse of a square matrix (Gauss-Jordan on [M | I])."""
     if m.rows != m.cols:

@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from .bits import BitVector
-from .codes import berlekamp_massey, find_roots
+from .codes import locate, power_sums
 from .errors import DecodingError
 from .params import Params
 
@@ -74,9 +74,8 @@ def f_sum_decompose(params: Params, zeta: int, tmax: int):
     """The unique set of T <= tmax distinct valid f-values xoring to
     ``zeta`` (power-sum decoding over the beta field).
 
-    Raises :class:`DecodingError` ("undecodable") when none exists;
-    in particular zeta = 0 is undecodable (empty sums are handled
-    upstream).
+    Raises :class:`DecodingError` when none exists; in particular
+    zeta = 0 is undecodable (empty sums are handled upstream).
     """
     if not 1 <= tmax <= params.t:
         raise ValueError("tmax outside [1, t]")
@@ -84,25 +83,12 @@ def f_sum_decompose(params: Params, zeta: int, tmax: int):
         raise DecodingError("undecodable")
     m = len(params.I)
     spec = params.beta_field
-    width = m + 1
-    mask = (1 << width) - 1
-    sums = [0] * (2 * params.t + 1)
-    for k in range(params.t):
-        sums[2 * k + 1] = (zeta >> (k * width)) & mask
-    for i in range(2, 2 * params.t + 1, 2):
-        sums[i] = spec.sqr(sums[i // 2])
-    loc, L = berlekamp_massey(spec, sums[1 : 2 * tmax + 1])
-    if L > tmax or len(loc) - 1 != L:
-        raise DecodingError("undecodable")
-    betas = []
-    for root in find_roots(spec, loc):
-        if root == 0:
-            raise DecodingError("undecodable")
-        betas.append(spec.inv(root))
-    if len(set(betas)) != L:
-        raise DecodingError("undecodable")
+    mask = (1 << (m + 1)) - 1
+    odd = [(zeta >> (k * (m + 1))) & mask for k in range(tmax)]
+    _, roots = locate(spec, power_sums(spec, odd), tmax)
     values = []
-    for beta in betas:
+    for root in roots:
+        beta = spec.inv(root)
         if not (beta >> m) & 1:
             raise DecodingError("undecodable")
         values.append(map_f(params, beta & ((1 << m) - 1)))

@@ -28,6 +28,9 @@ MSG_DIGEST = 0x02
 MSG_RESULT = 0x03
 MSG_ERROR = 0x7F
 FRAME_OVERHEAD = 10  # magic(4) + version(1) + type(1) + length(4)
+# MSG_ERROR payload for a fingerprint mismatch; any other MSG_ERROR
+# answering a DIGEST reports a failed decode.
+MISMATCH = b"parameter fingerprint mismatch"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +201,10 @@ class MemoryTransport(Transport):
 
     def _recv_raw(self, n: int) -> bytes:
         while len(self._buf) < n:
-            chunk = self._inbox.get(timeout=10)
+            try:
+                chunk = self._inbox.get(timeout=10)
+            except queue.Empty:
+                raise FrameError("timed out waiting for the peer") from None
             self._buf.extend(chunk)
         out = bytes(self._buf[:n])
         del self._buf[:n]
@@ -258,11 +264,11 @@ def session_run(transport: Transport, params: Params, local_set):
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO")
     if payload != params.fingerprint:
-        transport.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
+        transport.send_frame(MSG_ERROR, MISMATCH)
         stats.outcome = "param_mismatch"
         stats.bytes_sent = transport.bytes_sent
         stats.bytes_received = transport.bytes_received
-        err = ParamMismatch("parameter fingerprint mismatch")
+        err = ParamMismatch(MISMATCH.decode())
         err.stats = stats
         raise err
 
@@ -293,7 +299,9 @@ def session_push(transport: Transport, params: Params, local_set):
     )
     msg_type, payload = transport.recv_frame()
     if msg_type == MSG_ERROR:
-        raise ParamMismatch(payload.decode("utf-8", "replace"))
+        if payload == MISMATCH:
+            raise ParamMismatch(MISMATCH.decode())
+        raise InconsistentDigests(payload.decode("utf-8", "replace"))
     if msg_type != MSG_RESULT:
         raise FrameError("expected RESULT")
     return parse_result(params, payload)
@@ -301,18 +309,22 @@ def session_push(transport: Transport, params: Params, local_set):
 
 def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
-    decoded difference."""
+    decoded difference, or with an error frame when decoding fails."""
     msg_type, payload = transport.recv_frame()
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO")
     if payload != params.fingerprint:
-        transport.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
-        raise ParamMismatch("parameter fingerprint mismatch")
+        transport.send_frame(MSG_ERROR, MISMATCH)
+        raise ParamMismatch(MISMATCH.decode())
     msg_type, payload = transport.recv_frame()
     if msg_type != MSG_DIGEST:
         raise FrameError("expected DIGEST")
     peer_digest = parse_digest(params, payload)
-    delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
+    try:
+        delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
+    except InconsistentDigests as exc:
+        transport.send_frame(MSG_ERROR, str(exc).encode("utf-8"))
+        raise
     transport.send_frame(MSG_RESULT, serialize_result(params, delta))
     return delta
 

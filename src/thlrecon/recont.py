@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import BitVector, hamming, place, project
-from .errors import DecodingError, InconsistentDigests, LinAlgError
-from .linalg import BinaryMatrix, mat_solve
+from .errors import DecodingError, InconsistentDigests
 from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
 from .params import Params
 
@@ -190,75 +189,20 @@ def _decode_blocks(params: Params, dA: DigestT, dB: DigestT) -> BlockDecompositi
 def _solve_centers(params: Params, sigmas, gsums, grid):
     """Recover each block center's Ibar-part from the collapsed grid.
 
-    The row-0 equations form a Moore system in the signatures, solved
-    over GF(2^nbar); the remaining rows verify the solution.  On any
-    failure, fall back to the F_2-expanded full system.
+    Row 0 of the grid is a Moore system in the signatures over
+    GF(2^nbar), with unknowns gamma-sum times center.  On a valid
+    instance it is nonsingular, since any <= 2t distinct f-values are
+    F_2-linearly independent, and every gamma sum is nonzero, since a
+    block's <= h <= 2s' gamma columns are independent too.  The other
+    rows need no check here: :func:`_revalidate` re-encodes the whole
+    digest.
     """
     spec = params.nbar_field
-    t = params.t
-    T = len(sigmas)
-    rows = [[spec.frob(s, k) for s in sigmas] for k in range(t)]
-    rhs = [grid[0][k] for k in range(t)]
-    sol = _field_solve(spec, rows, rhs, T)
-    if sol is not None:
-        cbars = {}
-        for s, d in zip(sigmas, sol):
-            g = gsums[s]
-            if g == 0:
-                sol = None
-                break
-            cbars[s] = spec.div(d, g)
-        if sol is not None and _grid_consistent(params, sigmas, gsums, cbars, grid):
-            return cbars
-    return _solve_centers_expanded(params, sigmas, gsums, grid)
-
-
-def _grid_consistent(params, sigmas, gsums, cbars, grid):
-    spec = params.nbar_field
-    for row in range(params.t):
-        for k in range(params.t):
-            acc = 0
-            for s in sigmas:
-                coef = spec.mul(spec.frob(gsums[s], row), spec.frob(s, k))
-                acc ^= spec.mul(coef, cbars[s])
-            if acc != grid[row][k]:
-                return False
-    return True
-
-
-def _solve_centers_expanded(params, sigmas, gsums, grid):
-    """F_2-expanded solve: t^2 * nbar binary equations in T * nbar
-    unknown center bits; unique on valid instances."""
-    spec = params.nbar_field
-    t, nbar = params.t, params.nbar
-    T = len(sigmas)
-    mat_rows = []
-    rhs_bits = 0
-    eq = 0
-    for row in range(t):
-        for k in range(t):
-            shifted = []
-            for s in sigmas:
-                coef = spec.mul(spec.frob(gsums[s], row), spec.frob(s, k))
-                shifted.append([spec.mul(coef, 1 << b) for b in range(nbar)])
-            for b_out in range(nbar):
-                rbits = 0
-                for si in range(T):
-                    sh = shifted[si]
-                    base = si * nbar
-                    for b_in in range(nbar):
-                        if (sh[b_in] >> b_out) & 1:
-                            rbits |= 1 << (base + b_in)
-                mat_rows.append(rbits)
-                if (grid[row][k] >> b_out) & 1:
-                    rhs_bits |= 1 << eq
-                eq += 1
-    try:
-        x = mat_solve(BinaryMatrix(len(mat_rows), T * nbar, mat_rows), rhs_bits)
-    except LinAlgError as exc:
-        raise InconsistentDigests("center recovery failed") from exc
-    mask = (1 << nbar) - 1
-    return {s: (x >> (si * nbar)) & mask for si, s in enumerate(sigmas)}
+    rows = [[spec.frob(s, k) for s in sigmas] for k in range(params.t)]
+    sol = _field_solve(spec, rows, list(grid[0]), len(sigmas))
+    if sol is None or not all(gsums[s] for s in sigmas):
+        raise InconsistentDigests("center recovery failed")
+    return {s: spec.div(d, gsums[s]) for s, d in zip(sigmas, sol)}
 
 
 def _field_solve(spec, rows, rhs, ncols):

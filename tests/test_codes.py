@@ -69,7 +69,12 @@ def test_decode_zero():
     assert code.decode_positions(0) == []
 
 
-@pytest.mark.parametrize("n,e", [(63, 3), (127, 2), (200, 2)])
+# (4096, 4) is the longest rank-reduced code; with (63, 2) and (127, 1) it
+# covers the BCH codes that the t1-limit and tT-limit benchmark workloads
+# decode.
+@pytest.mark.parametrize(
+    "n,e", [(63, 3), (127, 2), (200, 2), (4096, 4), (63, 2), (127, 1)]
+)
 def test_bch_random_roundtrip(n, e):
     code = bch_build(n, e)
     rng = random.Random(n * e)

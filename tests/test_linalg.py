@@ -7,43 +7,9 @@ from thlrecon.linalg import (
     BinaryMatrix,
     full_rank_completion,
     invert,
-    mat_solve,
     nullspace,
     rank,
 )
-
-
-def test_mat_solve_identity():
-    a = BinaryMatrix.from_lists([[1, 0], [0, 1]])
-    assert mat_solve(a, 0b01) == 0b01
-
-
-def test_mat_solve_inconsistent():
-    a = BinaryMatrix.from_lists([[1, 1], [1, 1]])
-    with pytest.raises(LinAlgError) as e:
-        mat_solve(a, 0b01)
-    assert e.value.reason == "inconsistent"
-
-
-def test_mat_solve_underdetermined():
-    a = BinaryMatrix.from_lists([[1, 1]])
-    with pytest.raises(LinAlgError) as e:
-        mat_solve(a, 0b1)
-    assert e.value.reason == "underdetermined"
-
-
-def test_mat_solve_random_square():
-    rng = random.Random(7)
-    n = 12
-    while True:
-        rows = [rng.getrandbits(n) for _ in range(n)]
-        m = BinaryMatrix(n, n, rows)
-        if rank(m) == n:
-            break
-    for _ in range(20):
-        x = rng.getrandbits(n)
-        y = m.mul_vec(x)
-        assert mat_solve(m, y) == x
 
 
 def test_full_rank_completion_examples():

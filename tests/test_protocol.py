@@ -1,10 +1,13 @@
+import queue
+import random
 import socket
 import threading
+import time
 
 import pytest
 
 from thlrecon.bits import BitVector
-from thlrecon.errors import FrameError, ParamMismatch
+from thlrecon.errors import FrameError, InconsistentDigests, ParamMismatch
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import params_build
 from thlrecon.protocol import (
@@ -152,6 +155,42 @@ def test_asymmetric_session(pt):
         lambda: session_push(ea, pt, SA), lambda: session_serve(eb, pt, SB)
     )
     assert ra == rb == delta
+
+
+def test_asymmetric_failed_decode_sends_error(p1):
+    # unrelated sets break the promise; the server must answer with an
+    # error frame instead of leaving the client to time out
+    rng = random.Random(20)
+    SA = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
+    SB = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
+    ea, eb = MemoryTransport.pair()
+    start = time.monotonic()
+    ra, rb = _run_pair(
+        lambda: session_push(ea, p1, SA), lambda: session_serve(eb, p1, SB)
+    )
+    assert time.monotonic() - start < 5
+    assert isinstance(rb, InconsistentDigests)
+    assert isinstance(ra, InconsistentDigests)
+
+
+def test_asymmetric_param_mismatch(p1):
+    other = params_build(63, 1, 3, 1)
+    ea, eb = MemoryTransport.pair()
+    ra, rb = _run_pair(
+        lambda: session_push(ea, p1, set()), lambda: session_serve(eb, other, set())
+    )
+    assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
+
+
+def test_memory_transport_timeout_is_frame_error(monkeypatch):
+    ea, _ = MemoryTransport.pair()
+    monkeypatch.setattr(ea._inbox, "get", _raise_empty)
+    with pytest.raises(FrameError):
+        ea.recv_frame()
+
+
+def _raise_empty(timeout=None):
+    raise queue.Empty
 
 
 def test_set_file_roundtrip(p1):

@@ -133,3 +133,21 @@ def test_stage1_recovery_matches_direct(p63):
         j = map_M(p63, x)
         direct[j] = direct.get(j, 0) ^ map_f(p63, project(x, p63.I))
     assert zdot == {j: v for j, v in direct.items() if v}
+
+
+def test_grid_bit_flips_rejected():
+    # a flipped bit in any grid cell (row, k) must be rejected, whether
+    # it moves a recovered center (row 0) or only breaks the rows that
+    # the re-encode check compares
+    p = params_build(63, 3, 2, 1)
+    SA, SB, delta = gen_instance(p, 4, 10)
+    dA, dB = encode_t(p, SA), encode_t(p, SB)
+    assert decode_t(p, dA, dB) == delta
+    rng = random.Random(11)
+    for row in range(p.t):
+        for k in range(p.t):
+            w2 = [list(r) for r in dA.w2]
+            w2[row][k] ^= 1 << rng.randrange(p.nbar)
+            bad = DigestT(dA.w1, tuple(tuple(r) for r in w2))
+            with pytest.raises(InconsistentDigests):
+                decode_t(p, bad, dB)
