@@ -14,17 +14,7 @@ from .bounds import (
     entropy_q,
     sphere_size,
 )
-from .codes import (
-    BchCode,
-    BhSequence,
-    RsCode,
-    Syndrome,
-    bch_build,
-    bh_sequence,
-    decode_syndrome,
-    rs_code,
-    syndrome,
-)
+from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
 from .errors import (
     DecodingError,
     FrameError,
@@ -34,7 +24,7 @@ from .errors import (
     ParamsError,
     ThlreconError,
 )
-from .gf2 import FieldElement, FieldSpec, ff_frob, ff_inv, ff_make, ff_mul
+from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion
 from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
@@ -49,19 +39,18 @@ from .protocol import (
     serialize_digest,
     session_run,
 )
-from .recon1 import Digest1, decode1, digest1_cost_bits, encode1, indicator
+from .recon1 import Digest1, decode1, digest1_cost_bits, encode1
 from .recont import DigestT, decode_t, digestT_cost_bits, encode_t
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitVector", "hamming", "weight", "project", "place",
-    "FieldSpec", "FieldElement", "ff_make", "ff_mul", "ff_inv", "ff_frob",
+    "FieldSpec", "ff_make",
     "BinaryMatrix", "full_rank_completion",
-    "BchCode", "RsCode", "BhSequence", "Syndrome",
-    "bch_build", "rs_code", "bh_sequence", "syndrome", "decode_syndrome",
+    "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",
     "Params", "params_build", "params_from_text", "cond4_violation_prob",
-    "Digest1", "encode1", "decode1", "digest1_cost_bits", "indicator",
+    "Digest1", "encode1", "decode1", "digest1_cost_bits",
     "DigestT", "encode_t", "decode_t", "digestT_cost_bits",
     "map_M", "map_E", "map_f", "f_inverse", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",

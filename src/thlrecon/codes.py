@@ -19,7 +19,6 @@ cheap at any length.
 
 from __future__ import annotations
 
-from .bits import BitVector
 from .errors import DecodingError
 from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, row_reduce
@@ -198,37 +197,6 @@ def locate(spec: FieldSpec, sums, bound: int):
 # ---------------------------------------------------------------------------
 
 
-class Syndrome:
-    """Syndrome values of a vector under a code's parity map.
-
-    ``values`` is a tuple of ints: single bits for binary codes, field
-    elements (polynomial basis ints) for extension-field codes.
-    """
-
-    __slots__ = ("code", "values")
-
-    def __init__(self, code, values):
-        self.code = code
-        self.values = tuple(values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Syndrome)
-            and other.code is self.code
-            and other.values == self.values
-        )
-
-    def __xor__(self, other):
-        if other.code is not self.code:
-            raise ValueError("syndromes from different codes")
-        return Syndrome(self.code, [a ^ b for a, b in zip(self.values, other.values)])
-
-    __add__ = __xor__
-
-    def __repr__(self):
-        return f"Syndrome({self.values})"
-
-
 class BchCode:
     """Binary BCH code, shortened to length ``n``, designed distance
     2e + 1."""
@@ -364,14 +332,6 @@ class RsCode:
     def locator(self, j: int) -> int:
         return self.field.pow(self._g, j)
 
-    @property
-    def parity(self):
-        """Parity rows (g^j)^i for i = 1..d-1, as lists of field ints."""
-        return [
-            [self.field.pow(self._g, i * j) for j in range(self.length)]
-            for i in range(1, self.distance)
-        ]
-
     def syndrome_sparse(self, values: dict) -> tuple:
         """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector."""
         spec = self.field
@@ -430,53 +390,6 @@ def rs_code(field: FieldSpec, length: int, d: int) -> RsCode:
     return RsCode(field, length, d)
 
 
-def syndrome(code, x: BitVector) -> Syndrome:
-    if x.n != code.length:
-        raise ValueError("vector length does not match code length")
-    if isinstance(code, RsCode):
-        vals = code.syndrome_sparse(
-            {i: 1 for i in range(code.length) if (x.value >> i) & 1}
-        )
-        return Syndrome(code, vals)
-    packed = code.syndrome_bits(x.value)
-    return Syndrome(code, [(packed >> i) & 1 for i in range(code.redundancy)])
-
-
-def decode_syndrome(code: BchCode, s: Syndrome) -> BitVector:
-    if s.code is not code:
-        raise ValueError("syndrome does not belong to this code")
-    packed = 0
-    for i, b in enumerate(s.values):
-        if b:
-            packed |= 1 << i
-    positions = code.decode_positions(packed)
-    v = 0
-    for i in positions:
-        v |= 1 << i
-    return BitVector(v, code.length)
-
-
-def decode_syndrome_exhaustive(code: BchCode, s: Syndrome, max_weight=2) -> BitVector:
-    """Brute-force reference decoder for cross-checks (weight <= 2)."""
-    packed = 0
-    for i, b in enumerate(s.values):
-        if b:
-            packed |= 1 << i
-    if packed == 0:
-        return BitVector(0, code.length)
-    n = code.length
-    for i in range(n):
-        if code.syndrome_from_positions([i]) == packed:
-            return BitVector(1 << i, n)
-    if max_weight >= 2:
-        for i in range(n):
-            si = code.syndrome_from_positions([i])
-            for j in range(i + 1, n):
-                if si ^ code.syndrome_from_positions([j]) == packed:
-                    return BitVector((1 << i) | (1 << j), n)
-    raise DecodingError("uncorrectable syndrome")
-
-
 # ---------------------------------------------------------------------------
 # B_h sequences
 
@@ -530,13 +443,6 @@ class BhSequence:
             p = spec.mul(p, x)
             packed |= p << (k * self.width)
         return packed
-
-    def element(self, i: int):
-        return self.target.element(self.element_value(i))
-
-    @property
-    def elems(self):
-        return [self.element(i) for i in range(self.m)]
 
 
 def bh_sequence(m: int, h: int, target: FieldSpec) -> BhSequence:

@@ -6,11 +6,10 @@ holding the degree and the reduction modulus; the modulus is always the
 lexicographically smallest irreducible polynomial of that degree, so two
 hosts derive identical fields from the degree alone.
 
-Elements are plain ints at the computational layer (every ``FieldSpec``
-method takes and returns ints); :class:`FieldElement` is a thin wrapper
-used at API boundaries.  Fields of small degree lazily build exp/log
-tables which also make discrete logarithms O(1); larger fields fall back
-to shift-xor multiplication and Pohlig-Hellman logs.
+Elements are plain ints: every ``FieldSpec`` method takes and returns
+ints.  Fields of small degree lazily build exp/log tables which also
+make discrete logarithms O(1); larger fields fall back to shift-xor
+multiplication and Pohlig-Hellman logs.
 """
 
 from __future__ import annotations
@@ -330,65 +329,6 @@ class FieldSpec:
             cur = self.mul(cur, giant)
         raise ValueError("element not in subgroup")
 
-    # -- wrapper helpers -------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-
-class FieldElement:
-    """A GF(2^m) element in polynomial basis, low degree first."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        if value < 0 or value >> spec.degree:
-            raise ValueError("coefficient vector wider than field degree")
-        self.spec = spec
-        self.value = value
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec is not self.spec:
-            raise ValueError("mismatched field specs")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.div(self.value, other.value))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec is self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.spec!r}, {self.value:#x})"
-
 
 # ---------------------------------------------------------------------------
 # spec-level operations
@@ -398,20 +338,3 @@ def ff_make(m: int) -> FieldSpec:
     """Deterministic GF(2^m): modulus is the lex-least irreducible
     polynomial of degree m, identical on every host."""
     return FieldSpec.get(m)
-
-
-def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    if a.value == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return FieldElement(a.spec, a.spec.inv(a.value))
-
-
-def ff_frob(a: FieldElement, k: int) -> FieldElement:
-    """a^(2^k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return FieldElement(a.spec, a.spec.frob(a.value, k))

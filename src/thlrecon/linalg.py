@@ -27,38 +27,6 @@ class BinaryMatrix:
         self.cols = cols
         self.row_data = tuple(row_data)
 
-    @classmethod
-    def from_lists(cls, entries) -> "BinaryMatrix":
-        entries = [list(r) for r in entries]
-        cols = len(entries[0]) if entries else 0
-        rows = []
-        for r in entries:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            v = 0
-            for j, b in enumerate(r):
-                if b:
-                    v |= 1 << j
-            rows.append(v)
-        return cls(len(entries), cols, rows)
-
-    def to_lists(self):
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_data]
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_data[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        """Column j packed into an int, row 0 in bit 0."""
-        v = 0
-        for i, r in enumerate(self.row_data):
-            if (r >> j) & 1:
-                v |= 1 << i
-        return v
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product; x holds component j in bit j."""
         v = 0
@@ -134,22 +102,6 @@ def invert(m: BinaryMatrix) -> BinaryMatrix:
             if i != col and (aug[i] >> col) & 1:
                 aug[i] ^= aug[col]
     return BinaryMatrix(n, n, [r >> n for r in aug])
-
-
-def nullspace(m: BinaryMatrix):
-    """Basis of the right nullspace, one int per basis vector."""
-    pivots, reduced = row_reduce(list(m.row_data), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for p, r in zip(pivots, reduced):
-            if (r >> free) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return basis
 
 
 def full_rank_completion(h: BinaryMatrix) -> BinaryMatrix:

@@ -1,9 +1,14 @@
-"""Support maps for the multi-cluster scheme.
+"""Support maps for the reconciliation schemes.
 
 * ``map_M``: position index of an element (its C_l syndrome value);
-  distinct elements within Hamming distance ell never collide.
+  distinct elements within Hamming distance ell never collide.  Both
+  schemes place elements by it.
 * ``map_E``: recovers x1 xor x2 from two position indices when the
-  elements are within distance ell (bounded-distance C_l decoding).
+  elements are within distance ell (bounded-distance C_l decoding);
+  both decoders peel cluster offsets with it.
+
+The rest serve the multi-cluster scheme:
+
 * ``map_f``: injective map from I-projections into GF(Q) whose values
   have the property that any 1..2t distinct values xor to nonzero
   (odd-power packing, the binary BCH designed-distance argument).
@@ -98,22 +103,6 @@ def f_sum_decompose(params: Params, zeta: int, tmax: int):
     if acc != zeta:
         raise DecodingError("undecodable")
     return sorted(values)
-
-
-def f_sum_decompose_exhaustive(params: Params, zeta: int, tmax: int):
-    """Brute-force reference for small |I| and tmax <= 2 (tests only)."""
-    m = len(params.I)
-    if zeta == 0:
-        raise DecodingError("undecodable")
-    all_values = {map_f(params, x): x for x in range(1 << m)}
-    if zeta in all_values:
-        return [zeta]
-    if tmax >= 2:
-        for v in all_values:
-            w = zeta ^ v
-            if w > v and w in all_values:
-                return sorted([v, w])
-    raise DecodingError("undecodable")
 
 
 def gamma(params: Params, i: int) -> int:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
+from .bits import hamming, project
 from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
-from .errors import ParamsError
+from .errors import InconsistentDigests, ParamsError
 from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
 
@@ -183,6 +184,38 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         nbar_field=nbar_field, delta_field=delta_field,
         s_prime=s_prime,
     )
+
+
+def accept(params: Params, blocks, d, encode) -> frozenset:
+    """The difference made of ``blocks`` (tuples of elements), if it
+    meets the (t, h, ell) promise and ``encode`` maps it to the digest
+    sum ``d``.
+
+    Digests are linear, so a candidate is correct exactly when both
+    hold.  Raises :class:`InconsistentDigests` otherwise.
+    """
+    if len(blocks) > params.t:
+        raise InconsistentDigests("more blocks than t")
+    delta = frozenset(x for b in blocks for x in b)
+    if len(delta) != sum(len(b) for b in blocks):
+        raise InconsistentDigests("reconstructed difference has repeats")
+    seen = set()
+    for b in blocks:
+        if len(b) > params.h:
+            raise InconsistentDigests("block larger than h")
+        for i, x in enumerate(b):
+            for y in b[:i]:
+                if hamming(x, y) > params.ell:
+                    raise InconsistentDigests("cluster distance bound violated")
+        proj = {project(x, params.I) for x in b}
+        if len(proj) != 1:
+            raise InconsistentDigests("block not constant on I")
+        if proj <= seen:
+            raise InconsistentDigests("blocks share an I-projection")
+        seen |= proj
+    if encode(params, delta) != d:
+        raise InconsistentDigests("digest re-encoding mismatch")
+    return delta
 
 
 def cond4_violation_prob(params: Params) -> float:

@@ -29,8 +29,10 @@ MSG_RESULT = 0x03
 MSG_ERROR = 0x7F
 FRAME_OVERHEAD = 10  # magic(4) + version(1) + type(1) + length(4)
 # MSG_ERROR payload for a fingerprint mismatch; any other MSG_ERROR
-# answering a DIGEST reports a failed decode.
+# reports a failed decode.
 MISMATCH = b"parameter fingerprint mismatch"
+# Longest MSG_ERROR text a session sends or accepts.
+ERROR_ALLOWANCE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +130,17 @@ def digest_cost_bits(params: Params) -> int:
     return digestT_cost_bits(params)
 
 
+def max_payload(params: Params) -> int:
+    """Longest frame payload a session accepts: the fingerprint, the
+    serialized digest, t*h result elements or the error text."""
+    if params.t == 1:  # the two digest parts are padded separately
+        digest = (params.comp.redundancy + 7) // 8 + (params.n - params.r + 7) // 8
+    else:
+        digest = (digestT_cost_bits(params) + 7) // 8
+    result = params.t * params.h * ((params.n + 7) // 8)
+    return max(len(params.fingerprint), digest, result, ERROR_ALLOWANCE)
+
+
 def encode_digest(params: Params, S):
     return encode1(params, S) if params.t == 1 else encode_t(params, S)
 
@@ -169,7 +182,9 @@ class Transport:
         self._send_raw(data)
         self.bytes_sent += len(data)
 
-    def recv_frame(self):
+    def recv_frame(self, limit: int):
+        """(message type, payload); raises :class:`FrameError` before
+        reading a payload longer than ``limit`` bytes."""
         header = self._recv_raw(FRAME_OVERHEAD)
         self.bytes_received += len(header)
         if header[:4] != MAGIC:
@@ -177,6 +192,8 @@ class Transport:
         if header[4] != VERSION:
             raise FrameError("unsupported version %d" % header[4])
         length = int.from_bytes(header[6:10], "big")
+        if length > limit:
+            raise FrameError(f"payload of {length} bytes exceeds {limit}")
         payload = self._recv_raw(length) if length else b""
         self.bytes_received += len(payload)
         return header[5], payload
@@ -236,6 +253,13 @@ class TcpTransport(Transport):
 # sessions
 
 
+def _peer_error(payload: bytes):
+    """The exception a MSG_ERROR payload from the peer stands for."""
+    if payload == MISMATCH:
+        return ParamMismatch(MISMATCH.decode())
+    return InconsistentDigests(payload.decode("utf-8", "replace"))
+
+
 @dataclass
 class SessionStats:
     bytes_sent: int = 0
@@ -257,10 +281,11 @@ def session_run(transport: Transport, params: Params, local_set):
         digest_bits=digest_cost_bits(params),
         baseline_bits=bounds.baseline_bits(params),
     )
+    limit = max_payload(params)
     transport.send_frame(MSG_HELLO, params.fingerprint)
-    msg_type, payload = transport.recv_frame()
+    msg_type, payload = transport.recv_frame(limit)
     if msg_type == MSG_ERROR:
-        raise ParamMismatch(payload.decode("utf-8", "replace"))
+        raise _peer_error(payload)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO")
     if payload != params.fingerprint:
@@ -274,9 +299,9 @@ def session_run(transport: Transport, params: Params, local_set):
 
     local_digest = encode_digest(params, local_set)
     transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
-    msg_type, payload = transport.recv_frame()
+    msg_type, payload = transport.recv_frame(limit)
     if msg_type == MSG_ERROR:
-        raise ParamMismatch(payload.decode("utf-8", "replace"))
+        raise _peer_error(payload)
     if msg_type != MSG_DIGEST:
         raise FrameError("expected DIGEST")
     peer_digest = parse_digest(params, payload)
@@ -297,11 +322,9 @@ def session_push(transport: Transport, params: Params, local_set):
     transport.send_frame(
         MSG_DIGEST, serialize_digest(params, encode_digest(params, local_set))
     )
-    msg_type, payload = transport.recv_frame()
+    msg_type, payload = transport.recv_frame(max_payload(params))
     if msg_type == MSG_ERROR:
-        if payload == MISMATCH:
-            raise ParamMismatch(MISMATCH.decode())
-        raise InconsistentDigests(payload.decode("utf-8", "replace"))
+        raise _peer_error(payload)
     if msg_type != MSG_RESULT:
         raise FrameError("expected RESULT")
     return parse_result(params, payload)
@@ -310,20 +333,21 @@ def session_push(transport: Transport, params: Params, local_set):
 def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
     decoded difference, or with an error frame when decoding fails."""
-    msg_type, payload = transport.recv_frame()
+    limit = max_payload(params)
+    msg_type, payload = transport.recv_frame(limit)
     if msg_type != MSG_HELLO:
         raise FrameError("expected HELLO")
     if payload != params.fingerprint:
         transport.send_frame(MSG_ERROR, MISMATCH)
         raise ParamMismatch(MISMATCH.decode())
-    msg_type, payload = transport.recv_frame()
+    msg_type, payload = transport.recv_frame(limit)
     if msg_type != MSG_DIGEST:
         raise FrameError("expected DIGEST")
     peer_digest = parse_digest(params, payload)
     try:
         delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
     except InconsistentDigests as exc:
-        transport.send_frame(MSG_ERROR, str(exc).encode("utf-8"))
+        transport.send_frame(MSG_ERROR, str(exc).encode("utf-8")[:ERROR_ALLOWANCE])
         raise
     transport.send_frame(MSG_RESULT, serialize_result(params, delta))
     return delta

@@ -2,29 +2,29 @@
 whose symmetric difference is one cluster of at most h strings,
 pairwise within Hamming distance ell.
 
-Encoding (per host):
+Encoding (per host) is one pass over the set.  Each element x has a
+position j = M(x), its syndrome under the distance-(2*ell+1) code C_l,
+and a tail Hbar * x in GF(2^(n-r)).
 
-1. z = indicator of the host's set: position j of a length-2^r vector
-   holds the parity of how many elements have syndrome index j under
-   the distance-(2*ell+1) code C_l.
-2. w1 = syndrome of z under a distance-(2h+1) binary code over the
-   2^r positions.
-3. w2 = sum over elements x of b_idx(x) * embed(Hbar * x) in
-   GF(2^(n-r)), where b is a B_h sequence over the position space.
+1. w1 = syndrome, under a distance-(2h+1) binary code over the 2^r
+   positions, of the multiset of positions (duplicates cancel mod 2).
+2. w2 = sum over elements of b_j * tail, where b is a B_h sequence
+   over the position space.
 
-Decoding xors the two hosts' digests (common elements cancel), recovers
-the indicator support of the difference, peels cluster offsets with the
-C_l decoder, and divides by the B_h subset sum to recover the anchor
-element exactly.
+Both parts are linear in the set, so xoring the two hosts' digests
+gives the digest of the difference.  Decoding recovers the difference's
+positions from w1, peels cluster offsets with the C_l decoder, and
+divides by the B_h subset sum to recover the anchor element exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitVector, hamming
+from .bits import BitVector
 from .errors import DecodingError, InconsistentDigests
-from .params import Params
+from .maps_t import map_E, map_M
+from .params import Params, accept
 
 
 @dataclass(frozen=True)
@@ -35,60 +35,25 @@ class Digest1:
     w1: int
     w2: int
 
-
-class IndicatorVector:
-    """Mod-2 occupancy of syndrome indices: bit j = parity of the
-    number of set elements whose C_l syndrome index is j."""
-
-    __slots__ = ("length", "support")
-
-    def __init__(self, length: int, support):
-        self.length = length
-        self.support = tuple(sorted(support))
-
-    def bit(self, j: int) -> int:
-        return 1 if j in set(self.support) else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IndicatorVector)
-            and other.length == self.length
-            and other.support == self.support
-        )
-
-    def __repr__(self):
-        return f"IndicatorVector(length={self.length}, support={self.support})"
+    def __xor__(self, other: "Digest1") -> "Digest1":
+        return Digest1(self.w1 ^ other.w1, self.w2 ^ other.w2)
 
 
-def syndrome_index(params: Params, x: BitVector) -> int:
-    """Integer value of the C_l syndrome of x (the position label)."""
-    if x.n != params.n:
-        raise ValueError("element length does not match params")
-    return params.cl.syndrome_bits(x.value)
-
-
-def indicator(params: Params, S) -> IndicatorVector:
-    odd = set()
-    for x in S:
-        odd.symmetric_difference_update((syndrome_index(params, x),))
-    return IndicatorVector(params.N, odd)
-
-
-def _w2_term(params: Params, x: BitVector) -> int:
-    """b_idx(x) * embed(Hbar * x) over GF(2^(n-r))."""
-    idx = syndrome_index(params, x)
-    tail = params.h_bar.mul_vec(x.value)
-    return params.digest_field.mul(params.bh.element_value(idx), tail)
+def _w2_term(params: Params, j: int, tail: int) -> int:
+    """b_j * tail over GF(2^(n-r))."""
+    return params.digest_field.mul(params.bh.element_value(j), tail)
 
 
 def encode1(params: Params, S) -> Digest1:
     if params.t != 1:
         raise ValueError("encode1 requires a t=1 configuration")
-    w1 = params.comp.syndrome_from_positions(indicator(params, S).support)
+    positions = []
     w2 = 0
     for x in S:
-        w2 ^= _w2_term(params, x)
-    return Digest1(w1, w2)
+        j = map_M(params, x)
+        positions.append(j)
+        w2 ^= _w2_term(params, j, params.h_bar.mul_vec(x.value))
+    return Digest1(params.comp.syndrome_from_positions(positions), w2)
 
 
 def decode1(params: Params, dA: Digest1, dB: Digest1):
@@ -99,62 +64,33 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
     """
     if params.t != 1:
         raise ValueError("decode1 requires a t=1 configuration")
-    w1 = dA.w1 ^ dB.w1
-    w2 = dA.w2 ^ dB.w2
+    d = dA ^ dB
     try:
-        support = params.comp.decode_positions(w1)
+        support = params.comp.decode_positions(d.w1)
     except DecodingError as exc:
-        raise InconsistentDigests("indicator recovery failed") from exc
+        raise InconsistentDigests("position recovery failed") from exc
     if not support:
-        if w2:
-            raise InconsistentDigests("empty indicator with nonzero w2")
-        return frozenset()
+        return accept(params, (), d, encode1)
 
     k1 = support[0]
-    spec = params.digest_field
     offsets = [0]  # anchor's offset to itself
-    z_prime = w2
+    z = d.w2
     denom = params.bh.element_value(k1)
     for ki in support[1:]:
         try:
-            positions = params.cl.decode_positions(k1 ^ ki)
+            e = map_E(params, k1, ki).value
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
-        e = 0
-        for p in positions:
-            e |= 1 << p
         offsets.append(e)
-        z_prime ^= spec.mul(
-            params.bh.element_value(ki), params.h_bar.mul_vec(e)
-        )
+        z ^= _w2_term(params, ki, params.h_bar.mul_vec(e))
         denom ^= params.bh.element_value(ki)
     if denom == 0:
         raise InconsistentDigests("zero B_h subset sum")
-    s2 = spec.div(z_prime, denom)
+    s2 = params.digest_field.div(z, denom)
 
     anchor = params.hf_inv.mul_vec(k1 | (s2 << params.r))
-    delta = [BitVector(anchor ^ e, params.n) for e in offsets]
-
-    _revalidate(params, delta, support, w1, w2)
-    return frozenset(delta)
-
-
-def _revalidate(params: Params, delta, support, w1: int, w2: int):
-    if len(set(delta)) != len(delta) or len(delta) > params.h:
-        raise InconsistentDigests("reconstructed difference malformed")
-    for i, x in enumerate(delta):
-        for y in delta[:i]:
-            if hamming(x, y) > params.ell:
-                raise InconsistentDigests("cluster distance bound violated")
-    if tuple(sorted(syndrome_index(params, x) for x in delta)) != tuple(support):
-        raise InconsistentDigests("syndrome indices do not match indicator")
-    w2_check = 0
-    for x in delta:
-        w2_check ^= _w2_term(params, x)
-    if w2_check != w2:
-        raise InconsistentDigests("digest re-encoding mismatch")
-    if params.comp.syndrome_from_positions(support) != w1:
-        raise InconsistentDigests("digest re-encoding mismatch")
+    block = tuple(BitVector(anchor ^ e, params.n) for e in offsets)
+    return accept(params, (block,), d, encode1)
 
 
 def digest1_cost_bits(params: Params) -> int:

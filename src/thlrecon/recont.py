@@ -15,18 +15,19 @@ Decoding xors the digests, recovers the per-position f-value sums
 (stage 1), decomposes each into block signatures, collapses every
 non-center position onto its block center (the known offsets cancel
 out of the grid), solves a Moore system over GF(2^nbar) for the center
-Ibar-parts, and reassembles the difference, re-validating everything
-before returning.
+Ibar-parts, and reassembles the blocks.  Both digest parts are linear
+in the set, so the blocks are the difference exactly when they meet
+the promise and re-encode to the xor (:func:`params.accept`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitVector, hamming, place, project
+from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
 from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Params
+from .params import Params, accept
 
 
 @dataclass(frozen=True)
@@ -49,24 +50,15 @@ class DigestT:
         return DigestT(w1, w2)
 
 
-@dataclass(frozen=True)
-class Block:
-    center: BitVector
-    offsets: tuple  # BitVector offsets (zero first, one per element)
-    sigma: int  # f-value signature of the block
-    center_position: int
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    blocks: tuple
-
-    def elements(self):
-        out = []
-        for b in self.blocks:
-            for e in b.offsets:
-                out.append(b.center ^ e)
-        return out
+def _add_column(params: Params, grid, j: int, z):
+    """grid[row][k] ^= gamma_j^(2^row) * z[k] over GF(2^nbar)."""
+    spec = params.nbar_field
+    g = gamma(params, j)
+    for row in grid:
+        for k, v in enumerate(z):
+            if v:
+                row[k] ^= spec.mul(g, v)
+        g = spec.sqr(g)
 
 
 def encode_t(params: Params, S) -> DigestT:
@@ -74,28 +66,23 @@ def encode_t(params: Params, S) -> DigestT:
         raise ValueError("encode_t requires a t>1 configuration")
     spec = params.nbar_field
     t = params.t
+    # Stage per position first: one grid column per occupied position
+    # costs less than one per element.
     z1 = {}
-    z2 = [dict() for _ in range(t)]
+    z2 = {}  # position -> [f^(2^k) * embed(x_Ibar) summed, k < t]
     for x in S:
         j = map_M(params, x)
         fx = map_f(params, project(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
         xibar = project(x, params.ibar)
-        fk = fx  # embedded into GF(2^nbar) by zero-padding
-        for k in range(t):
-            z2[k][j] = z2[k].get(j, 0) ^ spec.mul(fk, xibar)
-            fk = spec.sqr(fk)
-    w1 = params.comp_rs.syndrome_sparse({j: v for j, v in z1.items() if v})
+        col = z2.setdefault(j, [0] * t)
+        for k in range(t):  # fx is embedded into GF(2^nbar) by zero-padding
+            col[k] ^= spec.mul(fx, xibar)
+            fx = spec.sqr(fx)
     grid = [[0] * t for _ in range(t)]
-    for j in set().union(*[zk.keys() for zk in z2]) if any(z2) else ():
-        g = gamma(params, j)
-        for row in range(t):
-            for k in range(t):
-                v = z2[k].get(j, 0)
-                if v:
-                    grid[row][k] ^= spec.mul(g, v)
-            g = spec.sqr(g)
-    return DigestT(tuple(w1), tuple(tuple(r) for r in grid))
+    for j, col in z2.items():
+        _add_column(params, grid, j, col)
+    return DigestT(params.comp_rs.syndrome_sparse(z1), tuple(tuple(r) for r in grid))
 
 
 def decode_t(params: Params, dA: DigestT, dB: DigestT):
@@ -104,26 +91,20 @@ def decode_t(params: Params, dA: DigestT, dB: DigestT):
     Raises :class:`InconsistentDigests` when the digests do not
     describe a valid multi-cluster instance.
     """
-    decomp = _decode_blocks(params, dA, dB)
-    delta = decomp.elements()
-    _revalidate(params, decomp, delta, dA ^ dB)
-    return frozenset(delta)
+    d = dA ^ dB
+    return accept(params, _decode_blocks(params, d), d, encode_t)
 
 
-def _decode_blocks(params: Params, dA: DigestT, dB: DigestT) -> BlockDecomposition:
+def _decode_blocks(params: Params, d: DigestT):
+    """Candidate blocks (tuples of elements) for the digest sum d."""
     spec = params.nbar_field
     t = params.t
-    d = dA ^ dB
 
     # step 1: per-position f-value sums of the difference
     try:
         zdot = params.comp_rs.decode(d.w1)
     except DecodingError as exc:
         raise InconsistentDigests("stage-1 recovery failed") from exc
-    if not zdot:
-        if any(any(row) for row in d.w2):
-            raise InconsistentDigests("empty stage 1 with nonzero grid")
-        return BlockDecomposition(())
 
     # step 2: decompose each position's sum into block signatures
     try:
@@ -135,32 +116,24 @@ def _decode_blocks(params: Params, dA: DigestT, dB: DigestT) -> BlockDecompositi
 
     # steps 3-5: center-collapse, cancelling known offsets from the grid
     grid = [list(row) for row in d.w2]
-    centers = {}  # sigma -> center position
-    members = {}  # sigma -> [(position, offset BitVector)]
+    members = {}  # sigma -> [(position, offset)], center first
     for i in sorted(decomposed):
         for sigma in decomposed[i]:
-            if sigma not in centers:
-                centers[sigma] = i
-                members[sigma] = [(i, None)]
+            block = members.setdefault(sigma, [])
+            if not block:
+                block.append((i, BitVector(0, params.n)))
                 continue
-            p = centers[sigma]
             try:
-                e = map_E(params, p, i)
+                e = map_E(params, block[0][0], i)
             except DecodingError as exc:
                 raise InconsistentDigests("offset recovery failed") from exc
-            members[sigma].append((i, e))
+            block.append((i, e))
             ebar = project(e, params.ibar)
             if ebar:
-                gi = gamma(params, i)
-                for row in range(t):
-                    sk = spec.mul(gi, ebar)
-                    for k in range(t):
-                        grid[row][k] ^= spec.mul(spec.frob(sigma, k), sk)
-                    gi = spec.sqr(gi)
+                z = [spec.mul(spec.frob(sigma, k), ebar) for k in range(t)]
+                _add_column(params, grid, i, z)
 
-    sigmas = sorted(centers)
-    if len(sigmas) > t:
-        raise InconsistentDigests("more blocks than t")
+    sigmas = sorted(members)
     gsums = {}
     for sigma in sigmas:
         g = 0
@@ -179,11 +152,8 @@ def _decode_blocks(params: Params, dA: DigestT, dB: DigestT) -> BlockDecompositi
         except DecodingError as exc:
             raise InconsistentDigests("block signature not in image") from exc
         center = place(params.n, params.I, xI, params.ibar, cbars[sigma])
-        offsets = tuple(
-            BitVector(0, params.n) if e is None else e for _, e in members[sigma]
-        )
-        blocks.append(Block(center, offsets, sigma, centers[sigma]))
-    return BlockDecomposition(tuple(blocks))
+        blocks.append(tuple(center ^ e for _, e in members[sigma]))
+    return tuple(blocks)
 
 
 def _solve_centers(params: Params, sigmas, gsums, grid):
@@ -193,9 +163,10 @@ def _solve_centers(params: Params, sigmas, gsums, grid):
     GF(2^nbar), with unknowns gamma-sum times center.  On a valid
     instance it is nonsingular, since any <= 2t distinct f-values are
     F_2-linearly independent, and every gamma sum is nonzero, since a
-    block's <= h <= 2s' gamma columns are independent too.  The other
-    rows need no check here: :func:`_revalidate` re-encodes the whole
-    digest.
+    block's <= h <= 2s' gamma columns are independent too.  More than
+    t signatures give more unknowns than rows, which the solve rejects.
+    The other rows need no check here: :func:`params.accept`
+    re-encodes the whole digest.
     """
     spec = params.nbar_field
     rows = [[spec.frob(s, k) for s in sigmas] for k in range(params.t)]
@@ -227,32 +198,6 @@ def _field_solve(spec, rows, rhs, ncols):
         if aug[i][ncols]:
             return None
     return [aug[i][ncols] for i in range(ncols)]
-
-
-def _revalidate(params: Params, decomp: BlockDecomposition, delta, dsum: DigestT):
-    if len(decomp.blocks) > params.t:
-        raise InconsistentDigests("more blocks than t")
-    if len(set(delta)) != len(delta):
-        raise InconsistentDigests("reconstructed difference has repeats")
-    proj_seen = set()
-    for b in decomp.blocks:
-        elems = [b.center ^ e for e in b.offsets]
-        if len(elems) > params.h:
-            raise InconsistentDigests("block larger than h")
-        for i, x in enumerate(elems):
-            for y in elems[:i]:
-                if hamming(x, y) > params.ell:
-                    raise InconsistentDigests("cluster distance bound violated")
-        pI = project(b.center, params.I)
-        if pI in proj_seen:
-            raise InconsistentDigests("blocks share an I-projection")
-        proj_seen.add(pI)
-        for e in b.offsets:
-            if project(e, params.I):
-                raise InconsistentDigests("offset not constant on I")
-    if delta:
-        if encode_t(params, delta) != dsum:
-            raise InconsistentDigests("digest re-encoding mismatch")
 
 
 def digestT_cost_bits(params: Params) -> int:

@@ -1,7 +1,9 @@
 import pytest
 
-from thlrecon.errors import ParamsError
+from thlrecon.bits import BitVector
+from thlrecon.errors import InconsistentDigests, ParamsError
 from thlrecon.params import (
+    accept,
     cond4_violation_prob,
     default_index_set,
     params_build,
@@ -98,3 +100,31 @@ def test_t_grid_builds(n, t, h, ell):
     assert p.s_prime >= (h + 1) // 2
     assert p.s_prime * (p.r + 1) <= p.nbar
     assert (1 << p.comp_field.degree) > p.N
+
+
+@pytest.mark.parametrize(
+    "blocks,reason",
+    [
+        # I = (1, 2): bits 0 and 1 hold an element's I-projection
+        (((0b100,), (0b101,), (0b110,)), "more blocks than t"),
+        (((0b100, 0b1000), (0b100,)), "repeats"),
+        (((0b100, 0b1000, 0b10000),), "larger than h"),
+        (((0b100, 0b11000),), "distance"),
+        (((0b100, 0b101),), "not constant on I"),
+        (((0b100,), (0b1000,)), "share an I-projection"),
+    ],
+)
+def test_accept_rejects_broken_promise(blocks, reason):
+    p = params_build(15, 2, 2, 1, I=(1, 2))
+    blocks = tuple(tuple(BitVector(v, 15) for v in b) for b in blocks)
+    with pytest.raises(InconsistentDigests, match=reason):
+        accept(p, blocks, None, lambda params, delta: None)
+
+
+def test_accept_requires_re_encoding():
+    p = params_build(15, 2, 2, 1, I=(1, 2))
+    blocks = ((BitVector(0b100, 15), BitVector(0b1100, 15)), (BitVector(0b101, 15),))
+    encode = lambda params, delta: len(delta)  # noqa: E731
+    assert accept(p, blocks, 3, encode) == {x for b in blocks for x in b}
+    with pytest.raises(InconsistentDigests, match="re-encoding"):
+        accept(p, blocks, 2, encode)

@@ -9,14 +9,22 @@ import pytest
 from thlrecon.bits import BitVector
 from thlrecon.errors import FrameError, InconsistentDigests, ParamMismatch
 from thlrecon.oracle import gen_instance, oracle_symdiff
+from thlrecon import protocol
 from thlrecon.params import params_build
 from thlrecon.protocol import (
+    ERROR_ALLOWANCE,
     FRAME_OVERHEAD,
+    MAGIC,
+    MSG_DIGEST,
+    MSG_ERROR,
+    MSG_HELLO,
+    VERSION,
     MemoryTransport,
     TcpTransport,
     digest_cost_bits,
     encode_digest,
     encode_frame,
+    max_payload,
     parse_digest,
     read_set_text,
     serialize_digest,
@@ -54,6 +62,12 @@ def test_digest_serialization_roundtrip(p1, pt):
     data = serialize_digest(p1, d)
     u, tail = p1.comp.redundancy, p1.n - p1.r
     assert len(data) == (u + 7) // 8 + (tail + 7) // 8
+
+
+def test_encode_reads_set_once(p1, pt):
+    for params in (p1, pt):
+        SA, _, _ = gen_instance(params, 8, 10)
+        assert encode_digest(params, iter(SA)) == encode_digest(params, SA)
 
 
 def test_parse_digest_rejects_garbage(p1):
@@ -182,11 +196,52 @@ def test_asymmetric_param_mismatch(p1):
     assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
 
 
+def test_session_run_peer_decode_error(p1):
+    # a failed decode reported after DIGEST is not a parameter mismatch
+    SA, _, _ = gen_instance(p1, 9, 5)
+    ea, eb = MemoryTransport.pair()
+    eb.send_frame(MSG_HELLO, p1.fingerprint)
+    eb.send_frame(MSG_ERROR, b"stage-1 recovery failed")
+    with pytest.raises(InconsistentDigests, match="stage-1"):
+        session_run(ea, p1, SA)
+    eb.send_frame(MSG_HELLO, p1.fingerprint)
+    eb.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
+    with pytest.raises(ParamMismatch):
+        session_run(ea, p1, SA)
+
+
+def test_hostile_frame_length_rejected_before_read(p1, pt):
+    for params in (p1, pt):
+        limit = max_payload(params)
+        digest = len(serialize_digest(params, encode_digest(params, [])))
+        assert limit == max(32, digest, params.t * params.h * 8, ERROR_ALLOWANCE)
+    ea, eb = MemoryTransport.pair()
+    eb.send_frame(MSG_HELLO, p1.fingerprint)
+    eb._send_raw(MAGIC + bytes((VERSION, MSG_DIGEST)) + (2**32 - 1).to_bytes(4, "big"))
+    start = time.monotonic()
+    with pytest.raises(FrameError, match="exceeds"):
+        session_run(ea, p1, set())
+    assert time.monotonic() - start < 5  # never waited for the payload
+
+
+def test_server_error_text_truncated(p1, monkeypatch):
+    def fail(*_):
+        raise InconsistentDigests("x" * 1000)
+
+    monkeypatch.setattr(protocol, "decode_digests", fail)
+    ea, eb = MemoryTransport.pair()
+    ea.send_frame(MSG_HELLO, p1.fingerprint)
+    ea.send_frame(MSG_DIGEST, serialize_digest(p1, encode_digest(p1, [])))
+    with pytest.raises(InconsistentDigests):
+        session_serve(eb, p1, set())
+    assert ea.recv_frame(max_payload(p1)) == (MSG_ERROR, b"x" * ERROR_ALLOWANCE)
+
+
 def test_memory_transport_timeout_is_frame_error(monkeypatch):
     ea, _ = MemoryTransport.pair()
     monkeypatch.setattr(ea._inbox, "get", _raise_empty)
     with pytest.raises(FrameError):
-        ea.recv_frame()
+        ea.recv_frame(100)
 
 
 def _raise_empty(timeout=None):

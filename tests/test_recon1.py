@@ -2,19 +2,13 @@ import random
 
 import pytest
 
-from thlrecon.bits import BitVector, hamming
+from reference import from_lists
+from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests
-from thlrecon.linalg import BinaryMatrix
-from thlrecon.oracle import gen_instance, oracle_symdiff
+from thlrecon.maps_t import map_M
+from thlrecon.oracle import gen_instance
 from thlrecon.params import params_build
-from thlrecon.recon1 import (
-    Digest1,
-    decode1,
-    digest1_cost_bits,
-    encode1,
-    indicator,
-    syndrome_index,
-)
+from thlrecon.recon1 import Digest1, decode1, digest1_cost_bits, encode1
 
 
 def pad(bits, n):
@@ -31,7 +25,7 @@ def test_indicator_counts_convention():
     # occupancy counts under a 2x3 parity map, by direct computation:
     # S = {000, 110, 101, 001} has counts 1,0,1,2 on syndrome values
     # 00,01,10,11 - i.e. the multiset (1,2,0,1) of the four classes
-    h = BinaryMatrix.from_lists([[1, 0, 1], [0, 1, 1]])
+    h = from_lists([[1, 0, 1], [0, 1, 1]])
     counts = [0, 0, 0, 0]
     for x in (0b000, 0b011, 0b101, 0b100):  # 000,110,101,001 pos-1-first
         counts[h.mul_vec(x)] += 1
@@ -42,13 +36,14 @@ def test_indicator_counts_convention():
 
 
 def test_indicator_empty_and_cancel(p63):
-    assert indicator(p63, []).support == ()
+    # w1 is the syndrome of the positions' mod-2 occupancy (indicator)
+    assert encode1(p63, []).w1 == 0
     x = BitVector(123, 63)
     y = x ^ BitVector(0b101, 63)  # within distance ell of x is not required
     # same element twice cancels
-    assert indicator(p63, [x, x]).support == ()
-    s = indicator(p63, [x, y]).support
-    assert len(s) == 2
+    assert encode1(p63, [x, x]) == Digest1(0, 0)
+    s = p63.comp.decode_positions(encode1(p63, [x, y]).w1)
+    assert len(s) == 2 and s == sorted({map_M(p63, x), map_M(p63, y)})
 
 
 def test_encode_empty_and_deterministic(p63):
@@ -92,7 +87,7 @@ def test_shift_cancellation(p63):
 def test_indicator_of_difference_recovered(p63):
     SA, SB, delta = gen_instance(p63, 11, 10)
     w1 = encode1(p63, SA).w1 ^ encode1(p63, SB).w1
-    assert tuple(p63.comp.decode_positions(w1)) == indicator(p63, delta).support
+    assert p63.comp.decode_positions(w1) == sorted(map_M(p63, x) for x in delta)
 
 
 @pytest.mark.parametrize("n,h,ell", [(31, 4, 1), (63, 3, 2), (127, 2, 3)])
@@ -132,4 +127,4 @@ def test_syndrome_index_matches_parity(p63):
     rng = random.Random(9)
     for _ in range(20):
         x = BitVector(rng.getrandbits(63), 63)
-        assert syndrome_index(p63, x) == p63.h_l.mul_vec(x.value)
+        assert map_M(p63, x) == p63.h_l.mul_vec(x.value)

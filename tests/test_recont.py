@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from reference import nullspace
 from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests
-from thlrecon.linalg import nullspace
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import params_build
