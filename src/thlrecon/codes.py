@@ -3,10 +3,12 @@
 Two code families are built here:
 
 * :class:`BchCode` -- binary BCH codes of natural length 2^s - 1
-  shortened to any length n, with odd-power syndrome maps.  Short codes
-  keep a rank-reduced parity matrix (smaller syndromes, hence smaller
-  position spaces); long codes (length up to 2^21) keep the raw
-  odd-power map and never materialize a dense matrix.
+  shortened to any length n, whose parity-check columns are the packed
+  odd powers of :func:`odd_powers` (the packer behind the f-values and
+  gamma columns of :mod:`maps_t` too).  Short codes keep a rank-reduced
+  parity matrix (smaller syndromes, hence smaller position spaces);
+  long codes keep the raw odd-power map, with or without exp/log
+  tables, and never materialize a dense matrix.
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
   bounded-distance decoder returning symbol positions and values.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from .errors import DecodingError
 from .gf2 import FieldSpec, ff_make
-from .linalg import BinaryMatrix, row_reduce
+from .linalg import BinaryMatrix, row_reduce, transpose
 
 # Up to this length a BCH code rank-reduces its parity matrix, which
 # narrows the syndrome (and so the digest); longer codes keep the raw
@@ -194,6 +196,18 @@ def locate(spec: FieldSpec, sums, bound: int):
     return loc, roots
 
 
+def odd_powers(spec: FieldSpec, x: int, k: int) -> int:
+    """(x, x^3, .., x^(2k-1)) packed at ``spec.degree`` bits apiece: the
+    column of x in a binary BCH parity check.  Any 2k distinct nonzero
+    x give F_2-independent columns."""
+    x2 = spec.sqr(x)
+    packed = p = x
+    for i in range(1, k):
+        p = spec.mul(p, x2)  # next odd power
+        packed |= p << (i * spec.degree)
+    return packed
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -214,29 +228,22 @@ class BchCode:
         self.locator_degree = s
         self.field = ff_make(s)
         self.field.ensure_tables()
-        self.powers = tuple(2 * i + 1 for i in range(e))
         self._g = self.field.generator()
+        self.redundancy = e * s  # rank reduction narrows it
         self._reduced = n <= _DENSE_LIMIT
+        self._cols = None
         if self._reduced:
             self._build_reduced()
-        else:
-            self.redundancy = e * s
-            self._cols = None
+
+    def _column(self, i: int) -> int:
+        """Column i of the full odd-power parity check."""
+        spec = self.field
+        return odd_powers(spec, spec.pow(self._g, i), self.design_errors)
 
     def _build_reduced(self):
-        spec, s, n = self.field, self.locator_degree, self.length
-        full = []
-        glog_rows = []
-        for p in self.powers:
-            vals = [spec.pow(self._g, p * i) for i in range(n)]
-            glog_rows.append(vals)
-            for b in range(s):
-                row = 0
-                for i, v in enumerate(vals):
-                    if (v >> b) & 1:
-                        row |= 1 << i
-                full.append(row)
-        pivots, reduced = row_reduce(full, n)
+        n = self.length
+        full = transpose([self._column(i) for i in range(n)], self.redundancy)
+        pivots, reduced = row_reduce(full)
         self.redundancy = len(reduced)
         self._reduced_rows = reduced
         # lift matrix: full row i as combination of reduced rows (rref
@@ -244,10 +251,7 @@ class BchCode:
         self._lift = [
             sum(((row >> p) & 1) << k for k, p in enumerate(pivots)) for row in full
         ]
-        self._cols = [
-            sum(((row >> i) & 1) << k for k, row in enumerate(reduced))
-            for i in range(n)
-        ]
+        self._cols = transpose(reduced, n)
 
     @property
     def parity(self) -> BinaryMatrix:
@@ -266,16 +270,9 @@ class BchCode:
             for i in positions:
                 v ^= self._cols[i]
             return v
-        spec = self.field
-        exp, order = spec._exp, spec.order
-        acc = [0] * len(self.powers)
-        for i in positions:
-            for k, p in enumerate(self.powers):
-                acc[k] ^= exp[(i * p) % order] if i else 1
-        s = self.locator_degree
         v = 0
-        for k, a in enumerate(acc):
-            v |= a << (k * s)
+        for i in positions:
+            v ^= self._column(i)
         return v
 
     def syndrome_bits(self, x: int) -> int:
@@ -290,7 +287,7 @@ class BchCode:
             synd = sum(
                 ((r & synd).bit_count() & 1) << k for k, r in enumerate(self._lift)
             )
-        odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(len(self.powers))]
+        odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(self.design_errors)]
         return power_sums(self.field, odd)
 
     # -- decoding --------------------------------------------------------

@@ -11,17 +11,18 @@ The rest serve the multi-cluster scheme:
 
 * ``map_f``: injective map from I-projections into GF(Q) whose values
   have the property that any 1..2t distinct values xor to nonzero
-  (odd-power packing, the binary BCH designed-distance argument).
+  (odd-power packing by ``codes.odd_powers``, the binary BCH
+  designed-distance argument).
 * ``f_sum_decompose``: inverts an xor of up to t distinct f-values
   (power-sum decoding).
 * ``gamma``: per-position columns over GF(2^nbar), any <= 2*s' of
-  which are F_2-linearly independent (same odd-power construction).
+  which are F_2-linearly independent (the same packer).
 """
 
 from __future__ import annotations
 
 from .bits import BitVector
-from .codes import locate, power_sums
+from .codes import locate, odd_powers, power_sums
 from .errors import DecodingError
 from .params import Params
 
@@ -52,15 +53,7 @@ def map_f(params: Params, xI: int) -> int:
     m = len(params.I)
     if xI < 0 or xI >> m:
         raise ValueError("I-projection wider than |I| bits")
-    spec = params.beta_field
-    beta = xI | (1 << m)
-    bsq = spec.sqr(beta)
-    packed = beta
-    p = beta
-    for k in range(1, params.t):
-        p = spec.mul(p, bsq)  # next odd power
-        packed |= p << (k * (m + 1))
-    return packed
+    return odd_powers(params.beta_field, xI | (1 << m), params.t)
 
 
 def f_inverse(params: Params, v: int) -> int:
@@ -111,13 +104,4 @@ def gamma(params: Params, i: int) -> int:
     leading bit in GF(2^(r+1))."""
     if not 0 <= i < params.N:
         raise IndexError("position index out of range")
-    spec = params.delta_field
-    width = params.r + 1
-    delta = i | (1 << params.r)
-    dsq = spec.sqr(delta)
-    packed = delta
-    p = delta
-    for k in range(1, params.s_prime):
-        p = spec.mul(p, dsq)
-        packed |= p << (k * width)
-    return packed
+    return odd_powers(params.delta_field, i | (1 << params.r), params.s_prime)

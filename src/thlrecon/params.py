@@ -18,8 +18,10 @@ from .errors import InconsistentDigests, ParamsError
 from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
 
-# Discrete logs in the stage-1 symbol field need its multiplicative
-# group order factored; trial division covers degrees up to 26.
+# Discrete logs in the comp code's field (the stage-1 symbol field for
+# t > 1, the locator field GF(2^(r+1)) for t = 1) need its
+# multiplicative group order factored; trial division covers degrees up
+# to 26.
 _COMP_FIELD_MAX_DEGREE = 26
 
 
@@ -117,6 +119,12 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     h_l = cl.parity
 
     if t == 1:
+        if r + 1 > _COMP_FIELD_MAX_DEGREE:
+            raise ParamsError(
+                "comp_field_degree",
+                f"comp code locator field degree {r + 1} exceeds "
+                f"{_COMP_FIELD_MAX_DEGREE}",
+            )
         if n - r < 1:
             raise ParamsError("digest_width", "C_l leaves no free coordinates")
         width = BhSequence.packed_width(N, h)

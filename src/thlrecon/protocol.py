@@ -260,6 +260,20 @@ def _peer_error(payload: bytes):
     return InconsistentDigests(payload.decode("utf-8", "replace"))
 
 
+_NAMES = {MSG_HELLO: "HELLO", MSG_DIGEST: "DIGEST", MSG_RESULT: "RESULT"}
+
+
+def _expect(transport: Transport, limit: int, msg_type: int) -> bytes:
+    """Payload of the peer's next frame, which must be ``msg_type``; a
+    MSG_ERROR frame raises the error it reports."""
+    got, payload = transport.recv_frame(limit)
+    if got == MSG_ERROR:
+        raise _peer_error(payload)
+    if got != msg_type:
+        raise FrameError(f"expected {_NAMES[msg_type]}")
+    return payload
+
+
 @dataclass
 class SessionStats:
     bytes_sent: int = 0
@@ -283,12 +297,7 @@ def session_run(transport: Transport, params: Params, local_set):
     )
     limit = max_payload(params)
     transport.send_frame(MSG_HELLO, params.fingerprint)
-    msg_type, payload = transport.recv_frame(limit)
-    if msg_type == MSG_ERROR:
-        raise _peer_error(payload)
-    if msg_type != MSG_HELLO:
-        raise FrameError("expected HELLO")
-    if payload != params.fingerprint:
+    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
         transport.send_frame(MSG_ERROR, MISMATCH)
         stats.outcome = "param_mismatch"
         stats.bytes_sent = transport.bytes_sent
@@ -299,12 +308,7 @@ def session_run(transport: Transport, params: Params, local_set):
 
     local_digest = encode_digest(params, local_set)
     transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
-    msg_type, payload = transport.recv_frame(limit)
-    if msg_type == MSG_ERROR:
-        raise _peer_error(payload)
-    if msg_type != MSG_DIGEST:
-        raise FrameError("expected DIGEST")
-    peer_digest = parse_digest(params, payload)
+    peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
 
     stats.bytes_sent = transport.bytes_sent
     stats.bytes_received = transport.bytes_received
@@ -322,28 +326,17 @@ def session_push(transport: Transport, params: Params, local_set):
     transport.send_frame(
         MSG_DIGEST, serialize_digest(params, encode_digest(params, local_set))
     )
-    msg_type, payload = transport.recv_frame(max_payload(params))
-    if msg_type == MSG_ERROR:
-        raise _peer_error(payload)
-    if msg_type != MSG_RESULT:
-        raise FrameError("expected RESULT")
-    return parse_result(params, payload)
+    return parse_result(params, _expect(transport, max_payload(params), MSG_RESULT))
 
 
 def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
     decoded difference, or with an error frame when decoding fails."""
     limit = max_payload(params)
-    msg_type, payload = transport.recv_frame(limit)
-    if msg_type != MSG_HELLO:
-        raise FrameError("expected HELLO")
-    if payload != params.fingerprint:
+    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
         transport.send_frame(MSG_ERROR, MISMATCH)
         raise ParamMismatch(MISMATCH.decode())
-    msg_type, payload = transport.recv_frame(limit)
-    if msg_type != MSG_DIGEST:
-        raise FrameError("expected DIGEST")
-    peer_digest = parse_digest(params, payload)
+    peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
     try:
         delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
     except InconsistentDigests as exc:

@@ -1,6 +1,6 @@
 """Brute-force references and matrix helpers that only tests use."""
 
-from thlrecon.errors import DecodingError
+from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import map_f
 
@@ -17,9 +17,47 @@ def from_lists(entries) -> BinaryMatrix:
     return BinaryMatrix(len(entries), cols, rows)
 
 
+def rank(m: BinaryMatrix) -> int:
+    rows = [r for r in m.row_data if r]
+    rk = 0
+    while rows:
+        pivot = rows.pop()
+        rk += 1
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+    return rk
+
+
+def greedy_completion(h: BinaryMatrix) -> BinaryMatrix:
+    """full_rank_completion by its definition: scan e_n down to e_1 and
+    keep each unit row outside the span of ``h`` and the rows kept."""
+    basis = []  # each row is clear at the lowest bits of the rows before it
+
+    def reduce(v):
+        for b in basis:
+            if v & b & -b:
+                v ^= b
+        return v
+
+    for r in h.row_data:
+        r = reduce(r)
+        if not r:
+            raise LinAlgError("row-deficient matrix")
+        basis.append(r)
+    chosen = []
+    for j in range(h.cols - 1, -1, -1):
+        v = reduce(1 << j)
+        if v:
+            basis.append(v)
+            chosen.append(1 << j)
+    chosen.sort()
+    return BinaryMatrix(len(chosen), h.cols, chosen)
+
+
 def nullspace(m: BinaryMatrix):
     """Basis of the right nullspace, one int per basis vector."""
-    pivots, reduced = row_reduce(list(m.row_data), m.cols)
+    pivots, reduced = row_reduce(m.row_data)
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):

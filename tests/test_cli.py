@@ -149,6 +149,16 @@ def test_bounds_grid_csv(capsys):
         assert float(cells[4]) <= float(cells[5])
 
 
+def test_bounds_reports_comp_field_limit(capsys):
+    rc = main(["bounds", "--n", "255,511", "--t", "1", "--h", "1", "--ell", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + 2
+    assert lines[1].startswith("255,") and lines[1].split(",")[-1].isdigit()
+    assert lines[2].startswith("511,")
+    assert lines[2].endswith(",infeasible(comp_field_degree)")
+
+
 def test_bounds_curve_csv(capsys):
     rc = main(["bounds", "--curve", "--eta", "0.0,0.05", "--steps", "10"])
     assert rc == 0

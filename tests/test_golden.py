@@ -1,10 +1,12 @@
 """Golden vectors: field moduli, parameter fingerprints, serialized
-digests and decoded differences at four fixed configurations.
+digests and decoded differences at five fixed configurations.
 
-The values were recorded from the implementation before the decoders
-were merged onto one shared locator step; a refactor of the codes or
-the decoders must leave every one of them unchanged.  Digests and
-differences are pinned by SHA-256 over fixed seeded instances.
+The first four were recorded from the implementation before the
+decoders were merged onto one shared locator step, and (511, 1, 4, 2)
+before the completion became one row reduction; it pins H_bar above
+n = 127.  A refactor of the codes, the decoders or the set-up must
+leave every one of them unchanged.  Digests and differences are pinned
+by SHA-256 over fixed seeded instances.
 """
 
 import hashlib
@@ -34,6 +36,12 @@ GOLDEN = {
         "fingerprint": "f459fe42bb00ba666384495b34e54fb85942f26239df5bf048825843c0a8cd0f",
         "digests": "e25cd45015a71dfbc284b076b372c851e3753cf83471a6d5ac9aa6d69c8c4d5d",
         "deltas": "4a3e576d55f9fc7ba4a5df338a6f62d7310724e51a0bfc351643806bc66f5384",
+    },
+    (511, 1, 4, 2): {
+        "moduli": {"cl": 0x203, "digest": (1 << 493) | 0x24F, "comp": 0x80027},
+        "fingerprint": "b9b6c8ec8f4bb6c3b3989c8b8f8372902be6aa051b905125c501d1027474bbce",
+        "digests": "77c34d75664a6ba092a36f32279ffd179cef1ea7a236f4a69432ffc1d9a55926",
+        "deltas": "2a2bfec56c86a4831221251b5d7aad5fc50439db117fc67378108fbf604972a3",
     },
     (63, 2, 2, 1): {
         "moduli": {

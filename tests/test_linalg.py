@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from reference import from_lists, nullspace
+from reference import from_lists, greedy_completion, nullspace, rank
+from thlrecon.codes import bch_build
 from thlrecon.errors import LinAlgError
-from thlrecon.linalg import BinaryMatrix, full_rank_completion, invert, rank
+from thlrecon.linalg import BinaryMatrix, full_rank_completion, invert, transpose
 
 
 def test_full_rank_completion_examples():
@@ -40,6 +41,47 @@ def test_full_rank_completion_random():
         assert rank(h.stack(comp)) == n
 
 
+def _random_matrix(rng):
+    """Random rows of up to 40 columns, dense or sparse; a quarter of
+    those with two or more rows get a zero row or a row that is the sum
+    of two others."""
+    n = rng.randint(1, 40)
+    r = rng.randint(0, n)
+    sparse = rng.random() < 0.5
+    rows = [
+        rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1) for _ in range(r)
+    ]
+    if r >= 2 and rng.random() < 0.25:
+        i, j, k = (rng.randrange(r) for _ in range(3))
+        rows[i] = rows[j] ^ rows[k] if j != k and i not in (j, k) else 0
+    return BinaryMatrix(r, n, rows)
+
+
+def test_full_rank_completion_matches_greedy_scan():
+    rng = random.Random(5)
+    deficient = 0
+    for _ in range(1200):
+        h = _random_matrix(rng)
+        try:
+            want = greedy_completion(h)
+        except LinAlgError:
+            deficient += 1
+            with pytest.raises(LinAlgError):
+                full_rank_completion(h)
+            continue
+        assert full_rank_completion(h) == want
+    assert 100 < deficient < 1100
+
+
+@pytest.mark.parametrize("n,e", [(63, 2), (127, 1), (255, 3), (511, 2)])
+def test_full_rank_completion_of_bch_parity(n, e):
+    h = bch_build(n, e).parity
+    comp = full_rank_completion(h)
+    assert comp == greedy_completion(h)
+    assert comp.rows == n - h.rows
+    invert(h.stack(comp))
+
+
 def test_invert_roundtrip():
     rng = random.Random(11)
     n = 10
@@ -51,6 +93,31 @@ def test_invert_roundtrip():
     for _ in range(20):
         x = rng.getrandbits(n)
         assert inv.mul_vec(m.mul_vec(x)) == x
+
+
+def test_invert_singular():
+    with pytest.raises(LinAlgError):
+        invert(from_lists([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    with pytest.raises(LinAlgError):
+        invert(from_lists([[0, 0], [0, 1]]))
+    with pytest.raises(ValueError):
+        invert(from_lists([[1, 0]]))
+
+
+def test_transpose():
+    assert transpose([], 3) == [0, 0, 0]
+    assert transpose([0b01, 0b11, 0b10], 2) == [0b011, 0b110]
+    rng = random.Random(2)
+    for _ in range(50):
+        height = rng.randint(1, 70)
+        rows = [rng.getrandbits(40) >> rng.randrange(40) for _ in range(height)]
+        cols = transpose(rows, 40)
+        assert all(
+            (cols[j] >> i) & 1 == (row >> j) & 1
+            for i, row in enumerate(rows)
+            for j in range(40)
+        )
+        assert transpose(cols, len(rows)) == rows
 
 
 def test_nullspace():

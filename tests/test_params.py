@@ -46,6 +46,14 @@ def test_bh_width_constraint_named():
     assert e.value.constraint == "bh_width"
 
 
+def test_t1_comp_field_degree_named():
+    # C_l of (n=511, ell=3) has r = 27, so the comp code's locator field
+    # GF(2^28) is past the degrees whose group order can be factored
+    with pytest.raises(ParamsError) as e:
+        params_build(511, 1, 1, 3)
+    assert e.value.constraint == "comp_field_degree"
+
+
 def test_i_rules():
     with pytest.raises(ParamsError) as e:
         params_build(63, 1, 2, 1, I=(1, 2))

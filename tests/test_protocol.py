@@ -1,3 +1,4 @@
+import functools
 import queue
 import random
 import socket
@@ -5,9 +6,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thlrecon.bits import BitVector
-from thlrecon.errors import FrameError, InconsistentDigests, ParamMismatch
+from thlrecon.errors import (
+    FrameError,
+    InconsistentDigests,
+    ParamMismatch,
+    ThlreconError,
+)
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon import protocol
 from thlrecon.params import params_build
@@ -15,12 +23,14 @@ from thlrecon.protocol import (
     ERROR_ALLOWANCE,
     FRAME_OVERHEAD,
     MAGIC,
+    MISMATCH,
     MSG_DIGEST,
     MSG_ERROR,
     MSG_HELLO,
     VERSION,
     MemoryTransport,
     TcpTransport,
+    decode_digests,
     digest_cost_bits,
     encode_digest,
     encode_frame,
@@ -76,6 +86,49 @@ def test_parse_digest_rejects_garbage(p1):
         parse_digest(p1, good[:-1])  # truncated
     with pytest.raises(FrameError):
         parse_digest(p1, good + b"\x00")  # trailing bytes
+
+
+# The golden-vector points, two for each scheme.
+FUZZ_POINTS = ((63, 1, 4, 2), (127, 1, 2, 1), (63, 2, 2, 1), (127, 3, 2, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_case(point):
+    """Params, a local digest and the serialized digest of its peer."""
+    p = params_build(*point)
+    SA, SB, _ = gen_instance(p, 0, 12)
+    return p, encode_digest(p, SA), serialize_digest(p, encode_digest(p, SB))
+
+
+def _decode_payload(point, payload):
+    p, local, _ = _fuzz_case(point)
+    try:
+        decode_digests(p, local, parse_digest(p, payload))
+    except ThlreconError:
+        pass  # any other exception fails the property
+
+
+@given(st.sampled_from(FUZZ_POINTS), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_random_payload_raises_only_package_errors(point, data):
+    p, _, peer = _fuzz_case(point)
+    payload = data.draw(
+        st.binary(max_size=max_payload(p))
+        | st.binary(min_size=len(peer), max_size=len(peer))
+    )
+    _decode_payload(point, payload)
+
+
+@given(st.sampled_from(FUZZ_POINTS), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_flipped_digest_bits_raise_only_package_errors(point, data):
+    _, _, peer = _fuzz_case(point)
+    bits = st.integers(0, 8 * len(peer) - 1)
+    flips = data.draw(st.lists(bits, min_size=1, max_size=3, unique=True))
+    payload = int.from_bytes(peer, "little")
+    for b in flips:
+        payload ^= 1 << b
+    _decode_payload(point, payload.to_bytes(len(peer), "little"))
 
 
 def test_frame_layout():
@@ -208,6 +261,19 @@ def test_session_run_peer_decode_error(p1):
     eb.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
     with pytest.raises(ParamMismatch):
         session_run(ea, p1, SA)
+
+
+def test_session_serve_reports_client_error(p1):
+    # a client's error frame stands for its error in place of HELLO or
+    # DIGEST, as it does for session_run and session_push
+    ea, eb = MemoryTransport.pair()
+    ea.send_frame(MSG_ERROR, b"client gave up")
+    with pytest.raises(InconsistentDigests, match="client gave up"):
+        session_serve(eb, p1, set())
+    ea.send_frame(MSG_HELLO, p1.fingerprint)
+    ea.send_frame(MSG_ERROR, MISMATCH)
+    with pytest.raises(ParamMismatch):
+        session_serve(eb, p1, set())
 
 
 def test_hostile_frame_length_rejected_before_read(p1, pt):

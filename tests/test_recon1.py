@@ -5,6 +5,7 @@ import pytest
 from reference import from_lists
 from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests
+from thlrecon.gf2 import TABLE_MAX_DEGREE
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance
 from thlrecon.params import params_build
@@ -94,6 +95,16 @@ def test_indicator_of_difference_recovered(p63):
 def test_roundtrip_random(n, h, ell):
     p = params_build(n, 1, h, ell)
     for seed in range(100):
+        SA, SB, delta = gen_instance(p, seed, 10)
+        assert decode1(p, encode1(p, SA), encode1(p, SB)) == delta
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_roundtrip_without_field_tables(h):
+    # r = 24: the comp code's locator field GF(2^25) has no exp/log tables
+    p = params_build(255, 1, h, 3)
+    assert p.comp.field.degree > TABLE_MAX_DEGREE
+    for seed in range(10):
         SA, SB, delta = gen_instance(p, seed, 10)
         assert decode1(p, encode1(p, SA), encode1(p, SB)) == delta
 
