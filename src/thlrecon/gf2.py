@@ -4,12 +4,14 @@ Polynomials over F_2 are packed into ints, coefficient of x^i in bit i
 (low degree first).  A field is described by a :class:`FieldSpec`
 holding the degree and the reduction modulus; the modulus is always the
 lexicographically smallest irreducible polynomial of that degree, so two
-hosts derive identical fields from the degree alone.
+hosts derive identical fields from the degree alone.  The search tests
+each candidate with Ben-Or's irreducibility test.
 
 Elements are plain ints: every ``FieldSpec`` method takes and returns
 ints.  Fields of small degree lazily build exp/log tables which also
 make discrete logarithms O(1); larger fields fall back to shift-xor
-multiplication and Pohlig-Hellman logs.
+multiplication, a quotient-free extended Euclid for inverses and
+Pohlig-Hellman logs.
 """
 
 from __future__ import annotations
@@ -73,47 +75,19 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def poly_divmod(a: int, b: int):
-    q = 0
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        s = a.bit_length() - 1 - db
-        q |= 1 << s
-        a ^= b << s
-    return q, a
-
-
-def _prime_divisors(m: int):
-    ps = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            ps.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        ps.append(m)
-    return ps
-
-
 def poly_is_irreducible(f: int) -> bool:
-    """Rabin's test: x^(2^m) = x mod f, and x^(2^(m/p)) != x for every
-    prime p dividing m."""
+    """Ben-Or's test: f of degree m is irreducible iff
+    gcd(x^(2^k) - x, f) = 1 for every k = 1..m//2; stops at the first
+    k that shares a factor with f."""
     m = poly_degree(f)
     if m <= 0:
         return False
-    if m == 1:
-        return True
-    x = 2
-    # x^(2^k) mod f by repeated squaring; record intermediate checkpoints
-    need = {m // p for p in _prime_divisors(m)}
-    cur = x
-    for k in range(1, m + 1):
+    cur = 2  # x^(2^k) mod f
+    for _ in range(m // 2):
         cur = poly_mod(poly_square(cur), f)
-        if k in need and poly_gcd(cur ^ x, f) != 1:
+        if poly_gcd(cur ^ 2, f) != 1:
             return False
-    return cur == x
+    return True
 
 
 def find_irreducible(m: int) -> int:
@@ -214,18 +188,21 @@ class FieldSpec:
         return r
 
     def inv(self, a: int) -> int:
-        """Inverse by the extended Euclidean algorithm on polynomials."""
+        """Inverse of a nonzero element below 2^degree: by table lookup,
+        or by the extended Euclidean algorithm with one shift-and-xor in
+        place of each quotient (s0*a = r0, s1*a = r1 mod the modulus)."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         if self._exp is not None:
             return self._exp[(self.order - self._log[a]) % self.order]
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ poly_mul(q, s1)
-        assert r0 == 1
+        r0, r1, s0, s1 = a, self.modulus, 1, 0
+        while r0 != 1:
+            d = r0.bit_length() - r1.bit_length()
+            if d < 0:
+                r0, r1, s0, s1 = r1, r0, s1, s0
+                d = -d
+            r0 ^= r1 << d
+            s0 ^= s1 << d
         return s0
 
     def div(self, a: int, b: int) -> int:
@@ -264,20 +241,12 @@ class FieldSpec:
         size = 1 << self.degree
         exp = array("L", bytes(8 * size))
         log = array("L", bytes(8 * size))
-        mod, deg = self.modulus, self.degree
-        gbits = [i for i in range(g.bit_length()) if (g >> i) & 1]
-        top = deg + g.bit_length() - 2
+        mod = self.modulus
         cur = 1
         for k in range(self.order):
             exp[k] = cur
             log[cur] = k
-            t = 0
-            for i in gbits:
-                t ^= cur << i
-            for d in range(top, deg - 1, -1):
-                if (t >> d) & 1:
-                    t ^= mod << (d - deg)
-            cur = t
+            cur = poly_mod(poly_mul(g, cur), mod)
         self._exp = exp
         self._log = log
 

@@ -251,12 +251,17 @@ def parse_params_text(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key in ("n", "t", "h", "ell"):
-            out[key] = int(val)
-        elif key == "I":
-            out["I"] = tuple(int(v) for v in val.split(",") if v.strip()) or None
-        else:
+        if key not in ("n", "t", "h", "ell", "I"):
             raise ParamsError("params_file", f"line {lineno}: unknown key {key!r}")
+        try:
+            if key == "I":
+                out["I"] = tuple(int(v) for v in val.split(",") if v.strip()) or None
+            else:
+                out[key] = int(val)
+        except ValueError:
+            raise ParamsError(
+                "params_file", f"line {lineno}: {key} needs integers, got {val!r}"
+            ) from None
     for req in ("n", "t", "h", "ell"):
         if req not in out:
             raise ParamsError("params_file", f"missing key {req!r}")

@@ -234,12 +234,18 @@ class TcpTransport(Transport):
         self._sock = sock
 
     def _send_raw(self, data: bytes):
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise FrameError(f"send failed: {exc}") from exc
 
     def _recv_raw(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
-            chunk = self._sock.recv(n - len(buf))
+            try:
+                chunk = self._sock.recv(n - len(buf))
+            except OSError as exc:
+                raise FrameError(f"receive failed: {exc}") from exc
             if not chunk:
                 raise FrameError("connection closed mid-frame")
             buf.extend(chunk)
@@ -357,10 +363,13 @@ def parse_result(params: Params, data: bytes) -> frozenset:
     nbytes = (params.n + 7) // 8
     if nbytes == 0 or len(data) % nbytes:
         raise FrameError("result payload length mismatch")
-    return frozenset(
-        BitVector.from_hex(data[i : i + nbytes].hex(), params.n)
-        for i in range(0, len(data), nbytes)
-    )
+    try:
+        return frozenset(
+            BitVector.from_hex(data[i : i + nbytes].hex(), params.n)
+            for i in range(0, len(data), nbytes)
+        )
+    except ValueError as exc:
+        raise FrameError(f"result payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

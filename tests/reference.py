@@ -1,6 +1,7 @@
 """Brute-force references and matrix helpers that only tests use."""
 
 from thlrecon.errors import DecodingError, LinAlgError
+from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import map_f
 
@@ -103,3 +104,65 @@ def f_sum_decompose_exhaustive(params, zeta: int, tmax: int):
             if w > v and w in all_values:
                 return sorted([v, w])
     raise DecodingError("undecodable")
+
+
+def _prime_divisors(m: int):
+    ps = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            ps.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        ps.append(m)
+    return ps
+
+
+def rabin_is_irreducible(f: int) -> bool:
+    """Rabin's test: x^(2^m) = x mod f, and gcd(x^(2^(m/p)) - x, f) = 1
+    for every prime p dividing m."""
+    m = f.bit_length() - 1
+    if m <= 0:
+        return False
+    if m == 1:
+        return True
+    need = {m // p for p in _prime_divisors(m)}
+    cur = 2
+    for k in range(1, m + 1):
+        cur = poly_mod(poly_square(cur), f)
+        if k in need and poly_gcd(cur ^ 2, f) != 1:
+            return False
+    return cur == 2
+
+
+def rabin_find_irreducible(m: int) -> int:
+    """Lex-least irreducible polynomial of degree m, by Rabin's test."""
+    for f in range((1 << m) | 1, 1 << (m + 1), 2):
+        if rabin_is_irreducible(f):
+            return f
+    raise AssertionError("no irreducible polynomial found")
+
+
+def _poly_divmod(a: int, b: int):
+    q = 0
+    db = b.bit_length() - 1
+    while a.bit_length() - 1 >= db and a:
+        s = a.bit_length() - 1 - db
+        q |= 1 << s
+        a ^= b << s
+    return q, a
+
+
+def eea_inverse(spec, a: int) -> int:
+    """Inverse of a nonzero ``a`` in ``spec`` by the extended Euclidean
+    algorithm with full polynomial quotients."""
+    r0, r1 = spec.modulus, a
+    s0, s1 = 0, 1
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ poly_mul(q, s1)
+    assert r0 == 1
+    return s0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import eea_inverse, rabin_find_irreducible, rabin_is_irreducible
 from thlrecon.gf2 import FieldSpec, ff_make, find_irreducible, poly_is_irreducible
 
 
@@ -30,6 +31,37 @@ def test_least_irreducible_pinned(m, expected):
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_least_irreducible_matches_oracle(m):
     assert find_irreducible(m) == brute_force_least_irreducible(m)
+
+
+def test_least_irreducible_matches_rabin_search():
+    # the moduli every host derives; the golden vectors pin larger ones
+    for m in range(1, 65):
+        assert find_irreducible(m) == rabin_find_irreducible(m), m
+
+
+def test_irreducibility_agrees_with_rabin():
+    for f in range(1 << 13):
+        assert poly_is_irreducible(f) == rabin_is_irreducible(f), f
+
+
+def test_inverse_every_element_small_fields():
+    for m in range(1, 11):
+        spec = FieldSpec(m, find_irreducible(m))
+        for a in range(1, 1 << m):
+            assert spec.inv(a) == eea_inverse(spec, a)
+
+
+@pytest.mark.parametrize("m", [24, 120, 493])
+def test_inverse_matches_eea(m):
+    spec = ff_make(m)
+    assert spec._exp is None
+    rng = random.Random(m)
+    for a in [1, 2, (1 << m) - 1] + [rng.getrandbits(m) | 1 for _ in range(40)]:
+        b = spec.inv(a)
+        assert b == eea_inverse(spec, a)
+        assert spec.mul(a, b) == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.inv(0)
 
 
 def test_ff_make_out_of_range():

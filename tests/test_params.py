@@ -99,6 +99,18 @@ def test_params_text_roundtrip():
 
 
 @pytest.mark.parametrize(
+    "text,line",
+    [("n=abc\nt=1\nh=2\nell=1\n", 1), ("n=63\nt=2\nh=2\nell=1\nI=1,x\n", 5)],
+    ids=["n", "I"],
+)
+def test_params_text_rejects_non_integers(text, line):
+    with pytest.raises(ParamsError) as e:
+        parse_params_text(text)
+    assert e.value.constraint == "params_file"
+    assert f"line {line}:" in str(e.value)
+
+
+@pytest.mark.parametrize(
     "n,t,h,ell",
     [(63, 2, 2, 1), (63, 2, 3, 2), (63, 3, 2, 1), (127, 2, 2, 1),
      (127, 2, 3, 2), (127, 3, 2, 1)],

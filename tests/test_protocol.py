@@ -27,6 +27,7 @@ from thlrecon.protocol import (
     MSG_DIGEST,
     MSG_ERROR,
     MSG_HELLO,
+    MSG_RESULT,
     VERSION,
     MemoryTransport,
     TcpTransport,
@@ -312,6 +313,36 @@ def test_memory_transport_timeout_is_frame_error(monkeypatch):
 
 def _raise_empty(timeout=None):
     raise queue.Empty
+
+
+def test_result_with_pad_bits_is_frame_error(p1):
+    # n = 63: the low bit of each 8-byte element's last byte is padding
+    ea, eb = MemoryTransport.pair()
+    eb.send_frame(MSG_RESULT, b"\x01" * 8)
+    with pytest.raises(FrameError, match="pad bits"):
+        session_push(ea, p1, set())
+
+
+def test_tcp_socket_errors_are_frame_errors(p1):
+    a, b = socket.socketpair()
+    b.close()
+    t = TcpTransport(a)
+    try:
+        with pytest.raises(FrameError) as e:
+            session_run(t, p1, set())
+        assert isinstance(e.value.__cause__, OSError)
+    finally:
+        t.close()
+    a, b = socket.socketpair()
+    a.settimeout(0.05)
+    t = TcpTransport(a)
+    try:
+        with pytest.raises(FrameError) as e:
+            t.recv_frame(100)
+        assert isinstance(e.value.__cause__, OSError)
+    finally:
+        t.close()
+        b.close()
 
 
 def test_set_file_roundtrip(p1):
