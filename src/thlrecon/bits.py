@@ -42,25 +42,9 @@ class BitVector:
             raise ValueError("length mismatch")
         return BitVector(self.value ^ other.value, self.n)
 
-    def bit(self, position: int) -> int:
-        """Value at 1-based ``position``."""
-        if not 1 <= position <= self.n:
-            raise IndexError("position out of range")
-        return (self.value >> (position - 1)) & 1
-
     def bin(self) -> str:
         """Bits as a string, position 1 first."""
         return format(self.value, f"0{self.n}b")[::-1]
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVector":
-        """Build from an iterable of 0/1 values, position 1 first."""
-        bits = list(bits)
-        v = 0
-        for i, b in enumerate(bits):
-            if b:
-                v |= 1 << i
-        return cls(v, len(bits))
 
     def hex(self) -> str:
         """Hex form used by set files: big-endian nibbles, the high bit

@@ -130,7 +130,11 @@ def cmd_bounds(args):
         for t in _int_list(args.t):
             for h in _int_list(args.h):
                 for ell in _int_list(args.ell):
-                    lo, hi = bounds_mod.chromatic_bounds((n, t, h, ell))
+                    try:
+                        lo, hi = bounds_mod.chromatic_bounds((n, t, h, ell))
+                        log2s = f"{lo:.3f},{hi:.3f}"
+                    except ValueError:
+                        log2s = "error,error"
                     lam = min(t * h / n, 0.49)
                     try:
                         rlo, rhi = bounds_mod.asymptotic_rates(2, lam, 0.0)
@@ -143,7 +147,7 @@ def cmd_bounds(args):
                         dig = str(protocol.digest_cost_bits(params))
                     except ThlreconError as exc:
                         dig = f"infeasible({getattr(exc, 'constraint', exc)})"
-                    print(f"{n},{t},{h},{ell},{lo:.3f},{hi:.3f},{rates},{base},{dig}")
+                    print(f"{n},{t},{h},{ell},{log2s},{rates},{base},{dig}")
     return EXIT_OK
 
 

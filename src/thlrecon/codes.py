@@ -14,9 +14,10 @@ Two code families are built here:
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain: power sums, Berlekamp-Massey for the locator polynomial
-(:func:`locate`), roots by gcd/trace-map splitting, then a re-encode
-check.  BCH positions come from the roots by discrete log, which stays
-cheap at any length.
+(:func:`locate`), roots from one table of x^(2^k) modulo the locator,
+which also shows whether it splits (:func:`find_roots` returns None
+when it does not), then a re-encode check.  BCH positions come from
+the roots by discrete log, which stays cheap at any length.
 """
 
 from __future__ import annotations
@@ -124,48 +125,46 @@ def berlekamp_massey(spec, syndromes):
 
 
 def find_roots(spec: FieldSpec, poly):
-    """All roots in GF(2^m) of a low-degree polynomial, via gcd with
-    x^(2^m) - x followed by trace-map splitting.  Deterministic."""
+    """Roots in GF(2^m) of ``poly`` if it is a product of distinct
+    linear factors, else None.
+
+    One table T[k] = x^(2^k) mod P (k = 0..m, P monic) serves both
+    steps.  It is built by squaring coefficient-wise, as in
+    characteristic two (sum a_i x^i)^2 = sum a_i^2 x^(2i).  The split
+    test: P is such a product exactly when T[m] = x mod P.  A factor p
+    then splits by gcd(p, Tr(c x) mod P), Tr(c x) = sum_(k<m) c^(2^k)
+    T[k], at the first basis element c whose trace separates two of its
+    roots (Berlekamp's trace algorithm); both parts go on from the next c.
+    """
     poly = poly_trim(list(poly))
     if len(poly) <= 1:
         return []
     inv = spec.inv(poly[-1])
     poly = [spec.mul(c, inv) for c in poly]
-    if len(poly) == 2:
-        return [poly[0]]
-    # isolate the distinct-linear-factor part
-    cur = [0, 1]
+    table = [poly_divmod_ff(spec, [0, 1], poly)[1]]
     for _ in range(spec.degree):
-        cur = poly_divmod_ff(spec, poly_mul_ff(spec, cur, cur), poly)[1]
-    diff = list(cur) + [0] * (2 - len(cur))
-    diff[1] ^= 1
-    lin = poly_gcd_ff(spec, poly, diff)
+        sq = [0] * (2 * len(table[-1]) - 1)
+        sq[::2] = [spec.sqr(a) for a in table[-1]]
+        table.append(poly_divmod_ff(spec, sq, poly)[1])
+    if table[-1] != table[0]:
+        return None
     roots = []
-    stack = [lin]
+    stack = [(poly, 0)]  # a factor, and the basis element to try next
     while stack:
-        p = stack.pop()
-        if len(p) <= 1:
-            continue
+        p, i = stack.pop()
         if len(p) == 2:
             roots.append(p[0])
             continue
-        for i in range(spec.degree):
-            c = 1 << i
-            acc = [0, c]
-            curp = [0, c]
-            for _ in range(spec.degree - 1):
-                curp = poly_divmod_ff(spec, poly_mul_ff(spec, curp, curp), p)[1]
-                if len(acc) < len(curp):
-                    acc += [0] * (len(curp) - len(acc))
-                for j, cj in enumerate(curp):
-                    acc[j] ^= cj
-            g = poly_gcd_ff(spec, p, poly_trim(acc))
-            if 0 < len(g) - 1 < len(p) - 1:
-                stack.append(g)
-                stack.append(poly_divmod_ff(spec, p, g)[0])
-                break
-        else:  # pragma: no cover - trace form is nondegenerate
-            raise AssertionError("trace splitting failed")
+        c, trace = 1 << i, [0] * (len(poly) - 1)
+        for t in table[:-1]:
+            for j, tj in enumerate(t):
+                trace[j] ^= spec.mul(c, tj)
+            c = spec.sqr(c)
+        g = poly_gcd_ff(spec, p, poly_trim(trace))
+        if 0 < len(g) - 1 < len(p) - 1:
+            stack += [(g, i + 1), (poly_divmod_ff(spec, p, g)[0], i + 1)]
+        else:
+            stack.append((p, i + 1))
     return roots
 
 
@@ -191,7 +190,7 @@ def locate(spec: FieldSpec, sums, bound: int):
     if L > bound or len(loc) - 1 != L:
         raise DecodingError("uncorrectable syndrome")
     roots = find_roots(spec, loc)
-    if len(set(roots)) != L or 0 in roots:
+    if roots is None or 0 in roots:
         raise DecodingError("uncorrectable syndrome")
     return loc, roots
 

@@ -1,9 +1,16 @@
 """Brute-force references and matrix helpers that only tests use."""
 
+from thlrecon.bits import BitVector
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import map_f
+
+
+def from_bits(bits) -> BitVector:
+    """Vector from an iterable of 0/1 values, position 1 first."""
+    bits = list(bits)
+    return BitVector(sum(1 << i for i, b in enumerate(bits) if b), len(bits))
 
 
 def from_lists(entries) -> BinaryMatrix:
@@ -70,6 +77,19 @@ def nullspace(m: BinaryMatrix):
                 v |= 1 << p
         basis.append(v)
     return basis
+
+
+def roots_by_search(spec, poly):
+    """Sorted roots of a polynomial over ``spec`` (coefficients low
+    degree first), by evaluating it at every field element."""
+    roots = []
+    for x in range(1 << spec.degree):
+        v = 0
+        for c in reversed(poly):
+            v = spec.mul(v, x) ^ c
+        if v == 0:
+            roots.append(x)
+    return roots
 
 
 def decode_syndrome_exhaustive(code, synd: int, max_weight=2):

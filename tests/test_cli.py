@@ -161,6 +161,15 @@ def test_bounds_reports_comp_field_limit(capsys):
     assert lines[2].endswith(",infeasible(comp_field_degree)")
 
 
+def test_bounds_past_exact_limit_keeps_going(capsys):
+    rc = main(["bounds", "--n", "255,1023", "--t", "1", "--h", "1", "--ell", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + 2
+    assert lines[2].startswith("1023,1,1,1,error,error,")
+    assert lines[2].split(",")[-1].isdigit()
+
+
 def test_bounds_curve_csv(capsys):
     rc = main(["bounds", "--curve", "--eta", "0.0,0.05", "--steps", "10"])
     assert rc == 0

@@ -1,12 +1,58 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from reference import decode_syndrome_exhaustive
-from thlrecon.codes import bch_build, bh_sequence, rs_code
+from reference import decode_syndrome_exhaustive, roots_by_search
+from thlrecon.codes import bch_build, bh_sequence, find_roots, poly_mul_ff, rs_code
 from thlrecon.errors import DecodingError
 from thlrecon.gf2 import ff_make
+
+
+# -- root finding -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_find_roots_every_small_polynomial(m):
+    spec = ff_make(m)
+    for degree in range(4):
+        for low in product(range(1 << m), repeat=degree):
+            poly = list(low) + [1]
+            want = roots_by_search(spec, poly)
+            got = find_roots(spec, poly)
+            if len(want) == degree:  # a product of distinct linear factors
+                assert sorted(got) == want, poly
+            else:
+                assert got is None, poly
+
+
+def _from_roots(spec, roots):
+    poly = [1]
+    for r in roots:
+        poly = poly_mul_ff(spec, poly, [r, 1])
+    return poly
+
+
+def _trace(spec, a):
+    t = 0
+    for _ in range(spec.degree):
+        t ^= a
+        a = spec.sqr(a)
+    return t
+
+
+@pytest.mark.parametrize("m", [24, 120])
+def test_find_roots_large_fields(m):
+    spec = ff_make(m)
+    rng = random.Random(m)
+    roots = [rng.getrandbits(m) | 1 for _ in range(4)]
+    assert len(set(roots)) == 4
+    poly = _from_roots(spec, roots)
+    assert sorted(find_roots(spec, poly)) == sorted(roots)
+    assert find_roots(spec, _from_roots(spec, roots + roots[:1])) is None
+    # x^2 + x + a is irreducible when the trace of a is 1
+    a = next(c for c in (1 << i for i in range(m)) if _trace(spec, c) == 1)
+    assert find_roots(spec, poly_mul_ff(spec, poly, [a, 1, 1])) is None
 
 
 # -- binary BCH -------------------------------------------------------------

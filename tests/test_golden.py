@@ -10,12 +10,20 @@ by SHA-256 over fixed seeded instances.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from thlrecon.bits import BitVector
+from thlrecon.errors import ThlreconError
 from thlrecon.oracle import gen_instance
 from thlrecon.params import params_build
-from thlrecon.protocol import decode_digests, encode_digest, serialize_digest
+from thlrecon.protocol import (
+    decode_digests,
+    encode_digest,
+    parse_digest,
+    serialize_digest,
+)
 
 SEEDS = range(4)
 COMMON = 12
@@ -100,3 +108,55 @@ def test_golden_vectors(point):
         deltas.update(hexes.encode() + b"|")
     assert digests.hexdigest() == want["digests"]
     assert deltas.hexdigest() == want["deltas"]
+
+
+# Rejections are pinned too: the outcome (decoded set, or exception
+# class and text) of seeded inputs that break the promise and of valid
+# digests with one to three bits flipped on the wire, at the four points
+# above that predate (511, 1, 4, 2).  Recorded with the root finder that
+# isolated the linear part by a gcd with x^(2^m) - x.
+REJECTIONS = {
+    (63, 1, 4, 2): "190a7b70e8a7a6a08d858590fd8480ad6d6a860caa0cf0fbae730cf8aa728be5",
+    (127, 1, 2, 1): "e070895621f9e624e2e6fc3125f039f2602bbedca04aef0596fc0ebb6ad762a0",
+    (63, 2, 2, 1): "754227e3a23d3363554112cb49eaafdf803d8e06cfdcbf8dacebe51299a9b574",
+    (127, 3, 2, 1): "6fa2d02101ee1379c153ee40440505782b22ea8c255571e44e565cf3a764bf10",
+}
+REJECTION_SEEDS = range(40)
+
+
+def _outcome(p, d_local, peer_bytes):
+    try:
+        got = decode_digests(p, d_local, parse_digest(p, peer_bytes))
+    except ThlreconError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ",".join(sorted(x.hex() for x in got))
+
+
+def _promise_violation(p, rng):
+    """t+1 .. t*h+1 random elements split between two hosts that share
+    COMMON random ones: more clusters than the promise allows."""
+    common = {BitVector(rng.getrandbits(p.n), p.n) for _ in range(COMMON)}
+    extra = {BitVector(rng.getrandbits(p.n), p.n) for _ in range(p.t * p.h + 1)}
+    extra = sorted(extra - common, key=lambda v: v.value)
+    extra = extra[: rng.randint(p.t + 1, len(extra))]
+    SA = {x for x in extra if rng.getrandbits(1)}
+    return common | SA, common | (set(extra) - SA)
+
+
+@pytest.mark.parametrize("point", sorted(REJECTIONS))
+def test_golden_rejections(point):
+    p = params_build(*point)
+    outcomes = hashlib.sha256()
+    for seed in REJECTION_SEEDS:
+        rng = random.Random(seed)
+        SA, SB = _promise_violation(p, rng)
+        peer = serialize_digest(p, encode_digest(p, SB))
+        outcomes.update(_outcome(p, encode_digest(p, SA), peer).encode() + b"|")
+        SA, SB, _ = gen_instance(p, seed, COMMON)
+        peer = serialize_digest(p, encode_digest(p, SB))
+        flipped = int.from_bytes(peer, "little")
+        for b in rng.sample(range(8 * len(peer)), rng.randint(1, 3)):
+            flipped ^= 1 << b
+        peer = flipped.to_bytes(len(peer), "little")
+        outcomes.update(_outcome(p, encode_digest(p, SA), peer).encode() + b"|")
+    assert outcomes.hexdigest() == REJECTIONS[point]

@@ -1,12 +1,9 @@
 import pytest
 
+from reference import from_bits as bv
 from thlrecon.bits import BitVector, hamming, weight
 from thlrecon.oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from thlrecon.params import params_build
-
-
-def bv(bits):
-    return BitVector.from_bits(bits)
 
 
 A5 = {bv([0, 0, 0, 0, 0]), bv([1, 0, 1, 1, 1])}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference import from_lists
+from reference import from_bits, from_lists
 from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests
 from thlrecon.gf2 import TABLE_MAX_DEGREE
@@ -14,7 +14,7 @@ from thlrecon.recon1 import Digest1, decode1, digest1_cost_bits, encode1
 
 def pad(bits, n):
     """Zero-extend a short bit string (position-1-first) to length n."""
-    return BitVector.from_bits(list(bits) + [0] * (n - len(bits)))
+    return from_bits(list(bits) + [0] * (n - len(bits)))
 
 
 @pytest.fixture(scope="module")
