@@ -6,9 +6,10 @@ Two code families are built here:
   shortened to any length n, whose parity-check columns are the packed
   odd powers of :func:`odd_powers` (the packer behind the f-values and
   gamma columns of :mod:`maps_t` too).  Short codes keep a rank-reduced
-  parity matrix (smaller syndromes, hence smaller position spaces);
-  long codes keep the raw odd-power map, with or without exp/log
-  tables, and never materialize a dense matrix.
+  parity matrix (smaller syndromes, hence smaller position spaces) and
+  take a word's syndrome as its product with it; long codes keep the
+  raw odd-power map, with or without exp/log tables, and never
+  materialize a dense matrix.
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
   bounded-distance decoder returning symbol positions and values.
 
@@ -230,6 +231,7 @@ class BchCode:
         self._g = self.field.generator()
         self.redundancy = e * s  # rank reduction narrows it
         self._reduced = n <= _DENSE_LIMIT
+        self.parity = None  # rank-reduced parity check; short codes only
         self._cols = None
         if self._reduced:
             self._build_reduced()
@@ -244,20 +246,14 @@ class BchCode:
         full = transpose([self._column(i) for i in range(n)], self.redundancy)
         pivots, reduced = row_reduce(full)
         self.redundancy = len(reduced)
-        self._reduced_rows = reduced
+        self.parity = BinaryMatrix(self.redundancy, n, reduced)
         # lift matrix: full row i as combination of reduced rows (rref
         # coefficients are just the bits at the pivot columns)
-        self._lift = [
+        lift = [
             sum(((row >> p) & 1) << k for k, p in enumerate(pivots)) for row in full
         ]
+        self._lift = BinaryMatrix(len(full), self.redundancy, lift)
         self._cols = transpose(reduced, n)
-
-    @property
-    def parity(self) -> BinaryMatrix:
-        """Parity-check matrix (materialized; short codes only)."""
-        if not self._reduced:
-            raise ValueError("parity matrix not materialized for long codes")
-        return BinaryMatrix(self.redundancy, self.length, self._reduced_rows)
 
     # -- syndromes -------------------------------------------------------
 
@@ -275,6 +271,11 @@ class BchCode:
         return v
 
     def syndrome_bits(self, x: int) -> int:
+        """Packed syndrome of the 0/1 vector x below 2^n, position i in
+        bit i: the parity matrix times x for a rank-reduced code, the
+        sum of the odd-power columns at x's set bits for a long one."""
+        if self._reduced:
+            return self.parity.mul_vec(x)
         return self.syndrome_from_positions(
             i for i in range(self.length) if (x >> i) & 1
         )
@@ -283,9 +284,7 @@ class BchCode:
         """Full power sums S_1 .. S_2e from a packed syndrome."""
         s = self.locator_degree
         if self._reduced:  # lift to the full odd-power syndrome
-            synd = sum(
-                ((r & synd).bit_count() & 1) << k for k, r in enumerate(self._lift)
-            )
+            synd = self._lift.mul_vec(synd)
         odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(self.design_errors)]
         return power_sums(self.field, odd)
 

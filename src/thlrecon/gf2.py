@@ -10,8 +10,8 @@ each candidate with Ben-Or's irreducibility test.
 Elements are plain ints: every ``FieldSpec`` method takes and returns
 ints.  Fields of small degree lazily build exp/log tables which also
 make discrete logarithms O(1); larger fields fall back to shift-xor
-multiplication, a quotient-free extended Euclid for inverses and
-Pohlig-Hellman logs.
+multiplication reduced by folding over the sparse modulus, a
+quotient-free extended Euclid for inverses and Pohlig-Hellman logs.
 """
 
 from __future__ import annotations
@@ -134,6 +134,7 @@ class FieldSpec:
         self.degree = degree
         self.modulus = modulus
         self.order = (1 << degree) - 1  # multiplicative group order
+        self._low = modulus ^ (1 << degree)  # the modulus is x^degree + low
         self._exp = None
         self._log = None
         self._generator = None
@@ -161,7 +162,7 @@ class FieldSpec:
             if a == 0 or b == 0:
                 return 0
             return exp[(self._log[a] + self._log[b]) % self.order]
-        return poly_mod(poly_mul(a, b), self.modulus)
+        return self._fold(poly_mul(a, b))
 
     def sqr(self, a: int) -> int:
         exp = self._exp
@@ -169,7 +170,18 @@ class FieldSpec:
             if a == 0:
                 return 0
             return exp[(2 * self._log[a]) % self.order]
-        return poly_mod(poly_square(a), self.modulus)
+        return self._fold(poly_square(a))
+
+    def _fold(self, a: int) -> int:
+        """a mod the modulus, by folding the bits at x^degree and up
+        back down through x^degree = low: one shift-xor per term of low,
+        where ``poly_mod`` costs one per bit cleared.  Lex-least moduli
+        have a sparse low part of small degree (at most 12 up to degree
+        299, and at 493 and 2036)."""
+        m, low = self.degree, self._low
+        while a >> m:
+            a = (a & self.order) ^ poly_mul(low, a >> m)
+        return a
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

@@ -117,6 +117,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     r = cl.redundancy
     N = 1 << r
     h_l = cl.parity
+    h_l.ensure_tables()  # every encode maps elements through it
 
     if t == 1:
         if r + 1 > _COMP_FIELD_MAX_DEGREE:
@@ -137,7 +138,9 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         if 2 * h + 1 > N:
             raise ParamsError("comp_distance", "2h+1 exceeds the position space")
         h_bar = full_rank_completion(h_l)
-        hf_inv = invert(h_l.stack(h_bar))
+        hf_inv = invert(BinaryMatrix(n, n, h_l.row_data + h_bar.row_data))
+        h_bar.ensure_tables()  # the tail of every encoded element
+        hf_inv.ensure_tables()  # the anchor of every decode
         digest_field = ff_make(n - r)
         bh = bh_sequence(N, h, digest_field)
         comp = bch_build(N, h)

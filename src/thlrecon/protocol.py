@@ -33,6 +33,8 @@ FRAME_OVERHEAD = 10  # magic(4) + version(1) + type(1) + length(4)
 MISMATCH = b"parameter fingerprint mismatch"
 # Longest MSG_ERROR text a session sends or accepts.
 ERROR_ALLOWANCE = 256
+# Seconds a transport waits on a silent peer before a FrameError.
+PEER_TIMEOUT = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ class MemoryTransport(Transport):
     def _recv_raw(self, n: int) -> bytes:
         while len(self._buf) < n:
             try:
-                chunk = self._inbox.get(timeout=10)
+                chunk = self._inbox.get(timeout=PEER_TIMEOUT)
             except queue.Empty:
                 raise FrameError("timed out waiting for the peer") from None
             self._buf.extend(chunk)
@@ -229,8 +231,13 @@ class MemoryTransport(Transport):
 
 
 class TcpTransport(Transport):
+    """Frames over a connected socket.  A socket with no timeout gets
+    ``PEER_TIMEOUT``; one already set is kept."""
+
     def __init__(self, sock: socket.socket):
         super().__init__()
+        if sock.gettimeout() is None:
+            sock.settimeout(PEER_TIMEOUT)
         self._sock = sock
 
     def _send_raw(self, data: bytes):

@@ -25,6 +25,25 @@ def from_lists(entries) -> BinaryMatrix:
     return BinaryMatrix(len(entries), cols, rows)
 
 
+def mul_vec_rows(m: BinaryMatrix, x: int) -> int:
+    """BinaryMatrix.mul_vec row by row: bit i of the product is the
+    parity of row i and x."""
+    v = 0
+    for i, r in enumerate(m.row_data):
+        if (r & x).bit_count() & 1:
+            v |= 1 << i
+    return v
+
+
+def stack(top: BinaryMatrix, bottom: BinaryMatrix) -> BinaryMatrix:
+    """The rows of ``top`` above the rows of ``bottom``."""
+    if top.cols != bottom.cols:
+        raise ValueError("column count mismatch")
+    return BinaryMatrix(
+        top.rows + bottom.rows, top.cols, top.row_data + bottom.row_data
+    )
+
+
 def rank(m: BinaryMatrix) -> int:
     rows = [r for r in m.row_data if r]
     rk = 0

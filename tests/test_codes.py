@@ -132,6 +132,19 @@ def test_bch_long_unreduced_path():
         assert code.decode_positions(code.syndrome_from_positions(pos)) == pos
 
 
+# C_l of each golden point, the longest rank-reduced code and a long one
+@pytest.mark.parametrize(
+    "n,e", [(63, 2), (127, 1), (511, 2), (63, 1), (4096, 4), (1 << 13, 2)]
+)
+def test_syndrome_bits_matches_positions(n, e):
+    code = bch_build(n, e)
+    rng = random.Random(n + e)
+    xs = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    for x in xs:
+        positions = [i for i in range(n) if (x >> i) & 1]
+        assert code.syndrome_bits(x) == code.syndrome_from_positions(positions)
+
+
 def test_syndrome_op_and_linearity():
     code = bch_build(15, 2)
     rng = random.Random(5)

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import eea_inverse, rabin_find_irreducible, rabin_is_irreducible
-from thlrecon.gf2 import FieldSpec, ff_make, find_irreducible, poly_is_irreducible
+from thlrecon.gf2 import (
+    FieldSpec,
+    ff_make,
+    find_irreducible,
+    poly_is_irreducible,
+    poly_mod,
+    poly_mul,
+    poly_square,
+)
 
 
 def brute_force_least_irreducible(m):
@@ -62,6 +70,19 @@ def test_inverse_matches_eea(m):
         assert spec.mul(a, b) == 1
     with pytest.raises(ZeroDivisionError):
         spec.inv(0)
+
+
+@pytest.mark.parametrize("m", list(range(1, 65)) + [120, 493, 2036])
+def test_table_free_product_matches_poly_mod(m):
+    spec = FieldSpec(m, ff_make(m).modulus)  # a fresh spec holds no tables
+    rng = random.Random(m)
+    edge = [0, 1, (1 << m) - 1]
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(30)]
+    for a, b in pairs:
+        assert spec.mul(a, b) == poly_mod(poly_mul(a, b), spec.modulus)
+        assert spec.sqr(a) == poly_mod(poly_square(a), spec.modulus)
+    assert spec._exp is None
 
 
 def test_ff_make_out_of_range():

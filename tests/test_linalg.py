@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from reference import from_lists, greedy_completion, nullspace, rank
+from reference import (
+    from_lists,
+    greedy_completion,
+    mul_vec_rows,
+    nullspace,
+    rank,
+    stack,
+)
 from thlrecon.codes import bch_build
 from thlrecon.errors import LinAlgError
 from thlrecon.linalg import BinaryMatrix, full_rank_completion, invert, transpose
@@ -38,7 +45,7 @@ def test_full_rank_completion_random():
                 rows.append(cand)
         h = BinaryMatrix(r, n, rows)
         comp = full_rank_completion(h)
-        assert rank(h.stack(comp)) == n
+        assert rank(stack(h, comp)) == n
 
 
 def _random_matrix(rng):
@@ -79,7 +86,7 @@ def test_full_rank_completion_of_bch_parity(n, e):
     comp = full_rank_completion(h)
     assert comp == greedy_completion(h)
     assert comp.rows == n - h.rows
-    invert(h.stack(comp))
+    invert(stack(h, comp))
 
 
 def test_invert_roundtrip():
@@ -127,3 +134,18 @@ def test_nullspace():
     basis = nullspace(m)
     assert len(basis) == 1
     assert m.mul_vec(basis[0]) == 0 and basis[0] != 0
+
+
+def test_mul_vec_matches_row_products():
+    # widths 1..70 cover a partial last table at every offset; rows may
+    # be zero, and so may the row count
+    rng = random.Random(8)
+    for cols in range(1, 71):
+        for height in (0, 1, rng.randint(2, 90)):
+            rows = [rng.getrandbits(cols) for _ in range(height)]
+            if height > 1:
+                rows[rng.randrange(height)] = 0
+            m = BinaryMatrix(height, cols, rows)
+            xs = [0, (1 << cols) - 1] + [rng.getrandbits(cols) for _ in range(20)]
+            for x in xs:
+                assert m.mul_vec(x) == mul_vec_rows(m, x), (cols, height, x)

@@ -33,6 +33,16 @@ def test_t2_63_pinned():
     assert p.ibar == tuple(range(7, 64))
 
 
+def test_tables_only_for_multiplied_matrices():
+    p = params_build(63, 1, 4, 2)
+    # encodes and the decode anchor multiply by these: set-up builds
+    # their product tables, so no encode state is left to first use
+    assert all(m._tables is not None for m in (p.h_l, p.h_bar, p.hf_inv))
+    # comp syndromes are column sums, and BCH(4096, 4) tables would be
+    # megabytes no session reads
+    assert p.comp.parity._tables is None and p.comp._lift._tables is None
+
+
 def test_default_index_set():
     assert default_index_set(63) == (1, 2, 3, 4, 5, 6)
     assert default_index_set(127) == (1, 2, 3, 4, 5, 6, 7)

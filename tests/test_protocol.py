@@ -345,6 +345,31 @@ def test_tcp_socket_errors_are_frame_errors(p1):
         b.close()
 
 
+def test_silent_tcp_peer_is_frame_error(p1, monkeypatch):
+    monkeypatch.setattr(protocol, "PEER_TIMEOUT", 0.2)
+    a, b = socket.socketpair()  # b stays open and never writes
+    t = TcpTransport(a)
+    assert a.gettimeout() == 0.2
+    raised = []
+
+    def run():
+        try:
+            session_run(t, p1, set())
+        except FrameError as exc:
+            raised.append(exc)
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(5)
+    try:
+        assert not th.is_alive(), "session still waiting on a silent peer"
+        assert len(raised) == 1 and isinstance(raised[0].__cause__, OSError)
+    finally:
+        b.close()
+        th.join(5)
+        t.close()
+
+
 def test_set_file_roundtrip(p1):
     SA, _, _ = gen_instance(p1, 7, 5)
     text = write_set_text(SA)
