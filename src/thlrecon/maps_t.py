@@ -68,22 +68,20 @@ def f_inverse(params: Params, v: int) -> int:
     return xI
 
 
-def f_sum_decompose(params: Params, zeta: int, tmax: int):
-    """The unique set of T <= tmax distinct valid f-values xoring to
+def f_sum_decompose(params: Params, zeta: int):
+    """The unique set of T <= t distinct valid f-values xoring to
     ``zeta`` (power-sum decoding over the beta field).
 
     Raises :class:`DecodingError` when none exists; in particular
     zeta = 0 is undecodable (empty sums are handled upstream).
     """
-    if not 1 <= tmax <= params.t:
-        raise ValueError("tmax outside [1, t]")
     if zeta == 0:
         raise DecodingError("undecodable")
     m = len(params.I)
     spec = params.beta_field
     mask = (1 << (m + 1)) - 1
-    odd = [(zeta >> (k * (m + 1))) & mask for k in range(tmax)]
-    _, roots = locate(spec, power_sums(spec, odd), tmax)
+    odd = [(zeta >> (k * (m + 1))) & mask for k in range(params.t)]
+    _, roots = locate(spec, power_sums(spec, odd), params.t)
     values = []
     for root in roots:
         beta = spec.inv(root)

@@ -197,6 +197,23 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     )
 
 
+def digest_layout(params: Params) -> tuple:
+    """A digest's field widths in wire order, in sections that each start
+    on a byte boundary: for t = 1, w1 then w2; for t > 1, one section of
+    the 2th stage-1 symbols and then the t x t grid, row by row."""
+    if params.t == 1:
+        return ((params.comp.redundancy,), (params.n - params.r,))
+    return (
+        (params.comp_field.degree,) * params.comp_rs.redundancy
+        + (params.nbar,) * (params.t * params.t),
+    )
+
+
+def digest_cost_bits(params: Params) -> int:
+    """Exact digest size in bits, pad bits excluded."""
+    return sum(map(sum, digest_layout(params)))
+
+
 def accept(params: Params, blocks, d, encode) -> frozenset:
     """The difference made of ``blocks`` (tuples of elements), if it
     meets the (t, h, ell) promise and ``encode`` maps it to the digest

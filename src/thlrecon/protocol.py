@@ -3,9 +3,10 @@
 Frames are ``THLR`` + version byte + message-type byte + 4-byte
 big-endian payload length + payload.  A session sends exactly two
 frames (HELLO carrying the parameter fingerprint, then DIGEST) and
-reads the peer's two; both hosts then decode locally.  Transports are
-pluggable: an in-memory paired-queue transport for tests and a TCP
-socket transport, both byte-identical on the wire.
+reads the peer's two; both hosts then decode locally.  One section
+table, ``params.digest_layout``, lays out the DIGEST payload for
+serializing, parsing, its cost in bits and the frame cap.  Transports:
+in-memory pairs for tests and TCP sockets, byte-identical on the wire.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 from .bits import BitVector
 from .errors import FrameError, InconsistentDigests, ParamMismatch
-from .params import Params
-from .recon1 import Digest1, decode1, digest1_cost_bits, encode1
-from .recont import DigestT, decode_t, digestT_cost_bits, encode_t
+from .params import Params, digest_cost_bits, digest_layout
+from .recon1 import Digest1, decode1, encode1
+from .recont import DigestT, decode_t, encode_t
 from . import bounds
 
 MAGIC = b"THLR"
@@ -38,107 +39,60 @@ PEER_TIMEOUT = 10.0
 
 
 # ---------------------------------------------------------------------------
-# bit-stream packing (low bits first within the byte stream)
-
-
-class BitWriter:
-    def __init__(self):
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, width: int):
-        if value < 0 or value >> width:
-            raise ValueError("value wider than field width")
-        self._acc |= value << self._nbits
-        self._nbits += width
-
-    def align(self):
-        self._nbits = (self._nbits + 7) & ~7
-
-    def getvalue(self) -> bytes:
-        self.align()
-        return self._acc.to_bytes(self._nbits // 8, "little")
-
-
-class BitReader:
-    def __init__(self, data: bytes):
-        self._acc = int.from_bytes(data, "little")
-        self._nbits = 8 * len(data)
-        self._pos = 0
-
-    def read(self, width: int) -> int:
-        if self._pos + width > self._nbits:
-            raise FrameError("truncated digest payload")
-        v = (self._acc >> self._pos) & ((1 << width) - 1)
-        self._pos += width
-        return v
-
-    def align(self):
-        pad = (-self._pos) % 8
-        if pad and self.read(pad):
-            raise FrameError("nonzero pad bits")
-
-    def finish(self):
-        self.align()
-        if self._pos != self._nbits:
-            raise FrameError("trailing bytes after digest payload")
-
-
-# ---------------------------------------------------------------------------
-# digest serialization
+# digest serialization: fields low bits first, sections padded to bytes
 
 
 def serialize_digest(params: Params, d) -> bytes:
-    w = BitWriter()
     if params.t == 1:
         if not isinstance(d, Digest1):
             raise TypeError("t=1 params require a Digest1")
-        w.write(d.w1, params.comp.redundancy)
-        w.align()
-        w.write(d.w2, params.n - params.r)
+        values = (d.w1, d.w2)
     else:
         if not isinstance(d, DigestT):
             raise TypeError("t>1 params require a DigestT")
-        a = params.comp_field.degree
-        for sym in d.w1:
-            w.write(sym, a)
-        for row in d.w2:
-            for v in row:
-                w.write(v, params.nbar)
-    return w.getvalue()
+        values = tuple(d.w1) + sum(map(tuple, d.w2), ())
+    layout = digest_layout(params)
+    if len(values) != sum(map(len, layout)):
+        raise ValueError("digest does not match the field layout")
+    values = iter(values)
+    acc = pos = 0
+    for section in layout:
+        pos = (pos + 7) & ~7
+        for width, v in zip(section, values):
+            if v < 0 or v >> width:
+                raise ValueError("value wider than field width")
+            acc |= v << pos
+            pos += width
+    return acc.to_bytes((pos + 7) // 8, "little")
 
 
 def parse_digest(params: Params, data: bytes):
-    r = BitReader(data)
+    values, start = [], 0
+    for section in digest_layout(params):
+        end = start + (sum(section) + 7) // 8
+        if end > len(data):
+            raise FrameError("truncated digest payload")
+        acc = int.from_bytes(data[start:end], "little")
+        start = end
+        for width in section:
+            values.append(acc & ((1 << width) - 1))
+            acc >>= width
+        if acc:
+            raise FrameError("nonzero pad bits")
+    if start != len(data):
+        raise FrameError("trailing bytes after digest payload")
     if params.t == 1:
-        w1 = r.read(params.comp.redundancy)
-        r.align()
-        w2 = r.read(params.n - params.r)
-        r.finish()
-        return Digest1(w1, w2)
-    a = params.comp_field.degree
-    w1 = tuple(r.read(a) for _ in range(params.comp_rs.redundancy))
-    w2 = tuple(
-        tuple(r.read(params.nbar) for _ in range(params.t))
-        for _ in range(params.t)
-    )
-    r.finish()
-    return DigestT(w1, w2)
-
-
-def digest_cost_bits(params: Params) -> int:
-    if params.t == 1:
-        return digest1_cost_bits(params)
-    return digestT_cost_bits(params)
+        return Digest1(*values)
+    t = params.t
+    grid = len(values) - t * t
+    rows = (tuple(values[i : i + t]) for i in range(grid, len(values), t))
+    return DigestT(tuple(values[:grid]), tuple(rows))
 
 
 def max_payload(params: Params) -> int:
     """Longest frame payload a session accepts: the fingerprint, the
     serialized digest, t*h result elements or the error text."""
-    if params.t == 1:  # the two digest parts are padded separately
-        digest = (params.comp.redundancy + 7) // 8 + (params.n - params.r + 7) // 8
-    else:
-        digest = (digestT_cost_bits(params) + 7) // 8
+    digest = sum((sum(s) + 7) // 8 for s in digest_layout(params))
     result = params.t * params.h * ((params.n + 7) // 8)
     return max(len(params.fingerprint), digest, result, ERROR_ALLOWANCE)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .bits import BitVector
 from .errors import DecodingError, InconsistentDigests
 from .maps_t import map_E, map_M
-from .params import Params, accept
+from .params import Params, accept, digest_cost_bits
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,5 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
     return accept(params, (block,), d, encode1)
 
 
-def digest1_cost_bits(params: Params) -> int:
-    """Exact serialized digest size: u syndrome bits plus n-r bits."""
-    return params.comp.redundancy + (params.n - params.r)
+# Digest size in bits: u syndrome bits plus n-r bits.
+digest1_cost_bits = digest_cost_bits

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
 from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Params, accept
+from .params import Params, accept, digest_cost_bits
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,7 @@ def _decode_blocks(params: Params, d: DigestT):
 
     # step 2: decompose each position's sum into block signatures
     try:
-        decomposed = {
-            i: f_sum_decompose(params, zdot[i], t) for i in sorted(zdot)
-        }
+        decomposed = {i: f_sum_decompose(params, zdot[i]) for i in sorted(zdot)}
     except DecodingError as exc:
         raise InconsistentDigests("f-value decomposition failed") from exc
 
@@ -200,10 +198,5 @@ def _field_solve(spec, rows, rhs, ncols):
     return [aug[i][ncols] for i in range(ncols)]
 
 
-def digestT_cost_bits(params: Params) -> int:
-    """Exact serialized digest size: 2th stage-1 symbols plus the
-    t x t grid of nbar-bit entries."""
-    return (
-        params.comp_rs.redundancy * params.comp_field.degree
-        + params.t * params.t * params.nbar
-    )
+# Digest size in bits: 2th stage-1 symbols plus the t x t grid.
+digestT_cost_bits = digest_cost_bits

@@ -104,19 +104,19 @@ def test_f_sum_decompose(p63):
     rng = random.Random(3)
     vals = [map_f(p63, x) for x in range(1 << 6)]
     for v in vals:
-        assert f_sum_decompose(p63, v, 2) == [v]
+        assert f_sum_decompose(p63, v) == [v]
     for a, b in combinations(range(1 << 6), 2):
         zeta = vals[a] ^ vals[b]
-        assert f_sum_decompose(p63, zeta, 2) == sorted([vals[a], vals[b]])
+        assert f_sum_decompose(p63, zeta) == sorted([vals[a], vals[b]])
     # matches the exhaustive reference on random sums
     for _ in range(50):
         a, b = rng.sample(range(1 << 6), 2)
         zeta = vals[a] ^ vals[b]
-        assert f_sum_decompose(p63, zeta, 2) == f_sum_decompose_exhaustive(
+        assert f_sum_decompose(p63, zeta) == f_sum_decompose_exhaustive(
             p63, zeta, 2
         )
     with pytest.raises(DecodingError):
-        f_sum_decompose(p63, 0, 2)
+        f_sum_decompose(p63, 0)
 
 
 def test_f_sum_decompose_t3():
@@ -127,7 +127,7 @@ def test_f_sum_decompose_t3():
         zeta = 0
         for x in xs:
             zeta ^= map_f(p, x)
-        assert f_sum_decompose(p, zeta, 3) == sorted(map_f(p, x) for x in xs)
+        assert f_sum_decompose(p, zeta) == sorted(map_f(p, x) for x in xs)
 
 
 def test_gamma_distinct_nonzero(p63):

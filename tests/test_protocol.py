@@ -18,7 +18,7 @@ from thlrecon.errors import (
 )
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon import protocol
-from thlrecon.params import params_build
+from thlrecon.params import digest_layout, params_build
 from thlrecon.protocol import (
     ERROR_ALLOWANCE,
     FRAME_OVERHEAD,
@@ -44,7 +44,8 @@ from thlrecon.protocol import (
     session_serve,
     write_set_text,
 )
-from thlrecon.recon1 import Digest1
+from thlrecon.recon1 import Digest1, digest1_cost_bits
+from thlrecon.recont import DigestT, digestT_cost_bits
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +90,62 @@ def test_parse_digest_rejects_garbage(p1):
         parse_digest(p1, good + b"\x00")  # trailing bytes
 
 
+def test_pad_bits_in_either_t1_section_rejected():
+    p = params_build(63, 1, 4, 2)
+    assert digest_layout(p) == ((52,), (51,))  # 4 and 5 pad bits
+    good = int.from_bytes(serialize_digest(p, Digest1(1, 2)), "little")
+    for bit in (*range(52, 56), *range(56 + 51, 56 + 56)):
+        with pytest.raises(FrameError, match="^nonzero pad bits$"):
+            parse_digest(p, (good | 1 << bit).to_bytes(14, "little"))
+
+
+def test_field_one_bit_too_wide_rejected(p1, pt):
+    u, tail = p1.comp.redundancy, p1.n - p1.r
+    serialize_digest(p1, Digest1((1 << u) - 1, (1 << tail) - 1))
+    for d in (Digest1(1 << u, 0), Digest1(0, 1 << tail)):
+        with pytest.raises(ValueError, match="value wider than field width"):
+            serialize_digest(p1, d)
+    d = encode_digest(pt, [])
+    w2 = ((1 << pt.nbar, 0), (0, 0))
+    with pytest.raises(ValueError, match="value wider than field width"):
+        serialize_digest(pt, DigestT(d.w1, w2))
+    w1 = (1 << pt.comp_field.degree,) + d.w1[1:]
+    with pytest.raises(ValueError, match="value wider than field width"):
+        serialize_digest(pt, DigestT(w1, d.w2))
+
+
+def test_digest_of_the_other_scheme_rejected(p1, pt):
+    with pytest.raises(TypeError):
+        serialize_digest(p1, encode_digest(pt, []))
+    with pytest.raises(TypeError):
+        serialize_digest(pt, encode_digest(p1, []))
+    d = encode_digest(pt, [])
+    with pytest.raises(ValueError, match="field layout"):
+        serialize_digest(pt, DigestT(d.w1[1:], d.w2))
+
+
 # The golden-vector points, two for each scheme.
 FUZZ_POINTS = ((63, 1, 4, 2), (127, 1, 2, 1), (63, 2, 2, 1), (127, 3, 2, 1))
+
+
+@pytest.mark.parametrize("point", FUZZ_POINTS + ((511, 1, 4, 2),))
+def test_section_table_sizes(point):
+    p = params_build(*point)
+    if p.t == 1:
+        layout = ((p.comp.redundancy,), (p.n - p.r,))
+        cost = digest1_cost_bits(p)
+    else:
+        layout = (
+            (p.comp_field.degree,) * p.comp_rs.redundancy
+            + (p.nbar,) * (p.t * p.t),
+        )
+        cost = digestT_cost_bits(p)
+    assert digest_layout(p) == layout
+    assert digest_cost_bits(p) == cost == sum(map(sum, layout))
+    SA, _, _ = gen_instance(p, 0, 12)
+    data = serialize_digest(p, encode_digest(p, SA))
+    assert len(data) == sum((sum(s) + 7) // 8 for s in layout)
+    assert max_payload(p) >= len(data)
 
 
 @functools.lru_cache(maxsize=None)
