@@ -26,13 +26,13 @@ from .errors import (
 )
 from .gf2 import FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion
-from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
+from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from .params import Params, cond4_violation_prob, params_build, params_from_text
 from .protocol import (
-    MemoryTransport,
     SessionStats,
     TcpTransport,
+    Transport,
     decode_digests,
     encode_digest,
     parse_digest,
@@ -52,12 +52,12 @@ __all__ = [
     "Params", "params_build", "params_from_text", "cond4_violation_prob",
     "Digest1", "encode1", "decode1", "digest1_cost_bits",
     "DigestT", "encode_t", "decode_t", "digestT_cost_bits",
-    "map_M", "map_E", "map_f", "f_inverse", "f_sum_decompose", "gamma",
+    "map_M", "map_E", "map_f", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",
     "baseline_bits",
     "encode_digest", "decode_digests",
     "serialize_digest", "parse_digest", "session_run",
-    "MemoryTransport", "TcpTransport", "SessionStats",
+    "Transport", "TcpTransport", "SessionStats",
     "oracle_symdiff", "oracle_is_thl", "gen_instance",
     "ThlreconError", "ParamsError", "LinAlgError", "DecodingError",
     "InconsistentDigests", "ParamMismatch", "FrameError",

@@ -95,11 +95,8 @@ def cmd_reconcile(args):
         srv = socket.create_server((host or "127.0.0.1", int(port)))
         sock, _addr = srv.accept()
         srv.close()
-    transport = protocol.TcpTransport(sock)
-    try:
+    with protocol.Transport(sock) as transport:
         delta, stats = protocol.session_run(transport, params, S)
-    finally:
-        transport.close()
     _print_outcome(delta, stats)
     return EXIT_OK
 

@@ -407,11 +407,8 @@ class BhSequence:
         self.m = m
         self.order = h
         self.target = target
-        if h == 1:
-            self.width = max(1, m.bit_length())
-        else:
-            self.width = max(1, (m - 1).bit_length())
         total = self.packed_width(m, h)
+        self.width = total // h
         if total > target.degree:
             raise ValueError(
                 "packed column width %d exceeds target degree %d"

@@ -56,18 +56,6 @@ def map_f(params: Params, xI: int) -> int:
     return odd_powers(params.beta_field, xI | (1 << m), params.t)
 
 
-def f_inverse(params: Params, v: int) -> int:
-    """I-projection whose f-value is v; DecodingError if not in the image."""
-    m = len(params.I)
-    beta = v & ((1 << (m + 1)) - 1)
-    if not (beta >> m) & 1:
-        raise DecodingError("not in image")
-    xI = beta & ((1 << m) - 1)
-    if map_f(params, xI) != v:
-        raise DecodingError("not in image")
-    return xI
-
-
 def f_sum_decompose(params: Params, zeta: int):
     """The unique set of T <= t distinct valid f-values xoring to
     ``zeta`` (power-sum decoding over the beta field).

@@ -5,13 +5,13 @@ big-endian payload length + payload.  A session sends exactly two
 frames (HELLO carrying the parameter fingerprint, then DIGEST) and
 reads the peer's two; both hosts then decode locally.  One section
 table, ``params.digest_layout``, lays out the DIGEST payload for
-serializing, parsing, its cost in bits and the frame cap.  Transports:
-in-memory pairs for tests and TCP sockets, byte-identical on the wire.
+serializing, parsing, its cost in bits and the frame cap.  One
+``Transport`` carries frames over any connected stream socket, TCP or
+an in-process pair from ``Transport.pair()``.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 from dataclasses import dataclass
 
@@ -121,86 +121,30 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
 
 
 class Transport:
-    """Byte-stream endpoint; subclasses implement raw send/receive."""
-
-    def __init__(self):
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def _send_raw(self, data: bytes):
-        raise NotImplementedError
-
-    def _recv_raw(self, n: int) -> bytes:
-        raise NotImplementedError
-
-    def send_frame(self, msg_type: int, payload: bytes):
-        data = encode_frame(msg_type, payload)
-        self._send_raw(data)
-        self.bytes_sent += len(data)
-
-    def recv_frame(self, limit: int):
-        """(message type, payload); raises :class:`FrameError` before
-        reading a payload longer than ``limit`` bytes."""
-        header = self._recv_raw(FRAME_OVERHEAD)
-        self.bytes_received += len(header)
-        if header[:4] != MAGIC:
-            raise FrameError("bad magic")
-        if header[4] != VERSION:
-            raise FrameError("unsupported version %d" % header[4])
-        length = int.from_bytes(header[6:10], "big")
-        if length > limit:
-            raise FrameError(f"payload of {length} bytes exceeds {limit}")
-        payload = self._recv_raw(length) if length else b""
-        self.bytes_received += len(payload)
-        return header[5], payload
-
-
-class MemoryTransport(Transport):
-    """Paired in-memory endpoints with identical framing to TCP."""
-
-    def __init__(self, inbox: "queue.Queue", outbox: "queue.Queue"):
-        super().__init__()
-        self._inbox = inbox
-        self._outbox = outbox
-        self._buf = bytearray()
-
-    @classmethod
-    def pair(cls):
-        a, b = queue.Queue(), queue.Queue()
-        return cls(a, b), cls(b, a)
-
-    def _send_raw(self, data: bytes):
-        self._outbox.put(bytes(data))
-
-    def _recv_raw(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            try:
-                chunk = self._inbox.get(timeout=PEER_TIMEOUT)
-            except queue.Empty:
-                raise FrameError("timed out waiting for the peer") from None
-            self._buf.extend(chunk)
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
-
-class TcpTransport(Transport):
-    """Frames over a connected socket.  A socket with no timeout gets
-    ``PEER_TIMEOUT``; one already set is kept."""
+    """Frames over a connected stream socket.  A socket with no timeout
+    gets ``PEER_TIMEOUT``; one already set is kept."""
 
     def __init__(self, sock: socket.socket):
-        super().__init__()
         if sock.gettimeout() is None:
             sock.settimeout(PEER_TIMEOUT)
         self._sock = sock
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
-    def _send_raw(self, data: bytes):
+    @classmethod
+    def pair(cls):
+        """Two connected in-process endpoints."""
+        return tuple(map(cls, socket.socketpair()))
+
+    def send_frame(self, msg_type: int, payload: bytes):
+        data = encode_frame(msg_type, payload)
         try:
             self._sock.sendall(data)
         except OSError as exc:
             raise FrameError(f"send failed: {exc}") from exc
+        self.bytes_sent += len(data)
 
-    def _recv_raw(self, n: int) -> bytes:
+    def _recv_exact(self, n: int) -> bytes:
         buf = bytearray()
         while len(buf) < n:
             try:
@@ -210,10 +154,33 @@ class TcpTransport(Transport):
             if not chunk:
                 raise FrameError("connection closed mid-frame")
             buf.extend(chunk)
+        self.bytes_received += n
         return bytes(buf)
+
+    def recv_frame(self, limit: int):
+        """(message type, payload); raises :class:`FrameError` before
+        reading a payload longer than ``limit`` bytes."""
+        header = self._recv_exact(FRAME_OVERHEAD)
+        if header[:4] != MAGIC:
+            raise FrameError("bad magic")
+        if header[4] != VERSION:
+            raise FrameError("unsupported version %d" % header[4])
+        length = int.from_bytes(header[6:10], "big")
+        if length > limit:
+            raise FrameError(f"payload of {length} bytes exceeds {limit}")
+        return header[5], self._recv_exact(length)
 
     def close(self):
         self._sock.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+TcpTransport = Transport  # earlier name, still used by thlbench/run.py
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +208,13 @@ def _expect(transport: Transport, limit: int, msg_type: int) -> bytes:
     return payload
 
 
+def _check_hello(transport: Transport, limit: int, params: Params):
+    """Read the peer's HELLO; answer and raise a fingerprint mismatch."""
+    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
+        transport.send_frame(MSG_ERROR, MISMATCH)
+        raise ParamMismatch(MISMATCH.decode())
+
+
 @dataclass
 class SessionStats:
     bytes_sent: int = 0
@@ -256,34 +230,29 @@ def session_run(transport: Transport, params: Params, local_set):
 
     Returns (symmetric difference, SessionStats).  Raises
     :class:`ParamMismatch` before any digest bytes when fingerprints
-    differ, and propagates :class:`InconsistentDigests` from decoding.
+    differ, and propagates :class:`InconsistentDigests` from decoding;
+    either carries the session's SessionStats as ``exc.stats``.
     """
     stats = SessionStats(
         digest_bits=digest_cost_bits(params),
         baseline_bits=bounds.baseline_bits(params),
     )
     limit = max_payload(params)
-    transport.send_frame(MSG_HELLO, params.fingerprint)
-    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
-        transport.send_frame(MSG_ERROR, MISMATCH)
-        stats.outcome = "param_mismatch"
+    try:
+        transport.send_frame(MSG_HELLO, params.fingerprint)
+        _check_hello(transport, limit, params)
+        local_digest = encode_digest(params, local_set)
+        transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
+        peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
+        delta = decode_digests(params, local_digest, peer_digest)
+    except (ParamMismatch, InconsistentDigests) as exc:
+        mismatch = isinstance(exc, ParamMismatch)
+        stats.outcome = "param_mismatch" if mismatch else "inconsistent"
+        exc.stats = stats
+        raise
+    finally:
         stats.bytes_sent = transport.bytes_sent
         stats.bytes_received = transport.bytes_received
-        err = ParamMismatch(MISMATCH.decode())
-        err.stats = stats
-        raise err
-
-    local_digest = encode_digest(params, local_set)
-    transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
-    peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
-
-    stats.bytes_sent = transport.bytes_sent
-    stats.bytes_received = transport.bytes_received
-    try:
-        delta = decode_digests(params, local_digest, peer_digest)
-    except InconsistentDigests:
-        stats.outcome = "inconsistent"
-        raise
     return delta, stats
 
 
@@ -300,9 +269,7 @@ def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
     decoded difference, or with an error frame when decoding fails."""
     limit = max_payload(params)
-    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
-        transport.send_frame(MSG_ERROR, MISMATCH)
-        raise ParamMismatch(MISMATCH.decode())
+    _check_hello(transport, limit, params)
     peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
     try:
         delta = decode_digests(params, encode_digest(params, local_set), peer_digest)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
-from .maps_t import f_inverse, f_sum_decompose, gamma, map_E, map_M, map_f
+from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .params import Params, accept, digest_cost_bits
 
 
@@ -145,10 +145,8 @@ def _decode_blocks(params: Params, d: DigestT):
     # steps 7-8: reassemble the blocks
     blocks = []
     for sigma in sigmas:
-        try:
-            xI = f_inverse(params, sigma)
-        except DecodingError as exc:
-            raise InconsistentDigests("block signature not in image") from exc
+        # sigma = map_f(x_I), whose lowest |I| bits are x_I itself
+        xI = sigma & ((1 << len(params.I)) - 1)
         center = place(params.n, params.I, xI, params.ibar, cbars[sigma])
         blocks.append(tuple(center ^ e for _, e in members[sigma]))
     return tuple(blocks)

@@ -145,6 +145,18 @@ def f_sum_decompose_exhaustive(params, zeta: int, tmax: int):
     raise DecodingError("undecodable")
 
 
+def f_inverse(params, v: int) -> int:
+    """I-projection whose f-value is v; DecodingError if not in the image."""
+    m = len(params.I)
+    beta = v & ((1 << (m + 1)) - 1)
+    if not (beta >> m) & 1:
+        raise DecodingError("not in image")
+    xI = beta & ((1 << m) - 1)
+    if map_f(params, xI) != v:
+        raise DecodingError("not in image")
+    return xI
+
+
 def _prime_divisors(m: int):
     ps = []
     d = 2

@@ -28,8 +28,7 @@ from thlrecon.oracle import gen_instance
 from thlrecon.params import params_build
 from thlrecon.protocol import (
     FRAME_OVERHEAD,
-    MemoryTransport,
-    TcpTransport,
+    Transport,
     encode_digest,
     serialize_digest,
     session_run,
@@ -235,27 +234,14 @@ def test_criterion_7_property_suites(report):
     report.run(7, body)
 
 
-class _FrameCounting:
-    """Mixin: counts frames alongside the byte totals."""
+class _Counting(Transport):
+    """Counts frames alongside the byte totals."""
+
+    frames_sent = 0
 
     def send_frame(self, msg_type, payload):
-        self.frames_sent = getattr(self, "frames_sent", 0) + 1
+        self.frames_sent += 1
         super().send_frame(msg_type, payload)
-
-
-class _CountingMemory(_FrameCounting, MemoryTransport):
-    pass
-
-
-class _CountingTcp(_FrameCounting, TcpTransport):
-    pass
-
-
-def _counting_pair():
-    import queue
-
-    a, b = queue.Queue(), queue.Queue()
-    return _CountingMemory(a, b), _CountingMemory(b, a)
 
 
 def _run_pair(fn_a, fn_b):
@@ -295,25 +281,20 @@ def test_criterion_8_protocol_sessions(report):
             digest_a = serialize_digest(p, encode_digest(p, SA))
             digest_b = serialize_digest(p, encode_digest(p, SB))
 
-            ea, eb = _counting_pair()
-            (dm_a, sm_a), (dm_b, sm_b) = _run_pair(
-                lambda: session_run(ea, p, SA), lambda: session_run(eb, p, SB)
-            )
+            ea, eb = _Counting.pair()
+            with ea, eb:
+                (dm_a, sm_a), (dm_b, sm_b) = _run_pair(
+                    lambda: session_run(ea, p, SA), lambda: session_run(eb, p, SB)
+                )
 
             def tcp_serve():
                 conn, _ = srv.accept()
-                t = _CountingTcp(conn)
-                try:
+                with _Counting(conn) as t:
                     return session_run(t, p, SB), t
-                finally:
-                    t.close()
 
             def tcp_connect():
-                t = _CountingTcp(socket.create_connection(("127.0.0.1", port)))
-                try:
+                with _Counting(socket.create_connection(("127.0.0.1", port))) as t:
                     return session_run(t, p, SA), t
-                finally:
-                    t.close()
 
             ((dt_a, st_a), ta), ((dt_b, st_b), tb) = _run_pair(
                 tcp_connect, tcp_serve
@@ -334,10 +315,11 @@ def test_criterion_8_protocol_sessions(report):
         pa, pb = pool[0], pool[1]
         SA, _, _ = gen_instance(pa, 1, 0)
         SB, _, _ = gen_instance(pb, 1, 0)
-        ea, eb = _counting_pair()
-        ra, rb = _run_pair(
-            lambda: session_run(ea, pa, SA), lambda: session_run(eb, pb, SB)
-        )
+        ea, eb = _Counting.pair()
+        with ea, eb:
+            ra, rb = _run_pair(
+                lambda: session_run(ea, pa, SA), lambda: session_run(eb, pb, SB)
+            )
         assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
         err_len = len(b"parameter fingerprint mismatch")
         assert ea.bytes_sent == 2 * FRAME_OVERHEAD + 32 + err_len

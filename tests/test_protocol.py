@@ -1,5 +1,4 @@
 import functools
-import queue
 import random
 import socket
 import threading
@@ -29,8 +28,8 @@ from thlrecon.protocol import (
     MSG_HELLO,
     MSG_RESULT,
     VERSION,
-    MemoryTransport,
     TcpTransport,
+    Transport,
     decode_digests,
     digest_cost_bits,
     encode_digest,
@@ -213,10 +212,11 @@ def _run_pair(fn_a, fn_b):
 
 def test_memory_session(p1):
     SA, SB, delta = gen_instance(p1, 3, 10)
-    ea, eb = MemoryTransport.pair()
-    ra, rb = _run_pair(
-        lambda: session_run(ea, p1, SA), lambda: session_run(eb, p1, SB)
-    )
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_run(ea, p1, SA), lambda: session_run(eb, p1, SB)
+        )
     (da, sa), (db, sb) = ra, rb
     assert da == db == delta
     assert sa.outcome == sb.outcome == "success"
@@ -229,54 +229,80 @@ def test_memory_session(p1):
 def test_param_mismatch_aborts_before_digest(p1):
     other = params_build(63, 1, 3, 1)
     SA, SB, _ = gen_instance(p1, 4, 0)
-    ea, eb = MemoryTransport.pair()
-    ra, rb = _run_pair(
-        lambda: session_run(ea, p1, SA), lambda: session_run(eb, other, SB)
-    )
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_run(ea, p1, SA), lambda: session_run(eb, other, SB)
+        )
     assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
     # exactly HELLO + the ERROR reply hit the wire - never a digest
     err_len = len(b"parameter fingerprint mismatch")
     assert ea.bytes_sent == 2 * FRAME_OVERHEAD + 32 + err_len
 
 
+def test_session_failures_carry_stats(p1):
+    other = params_build(63, 1, 3, 1)
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, _ = _run_pair(
+            lambda: session_run(ea, p1, set()), lambda: session_run(eb, other, set())
+        )
+    assert isinstance(ra, ParamMismatch)
+    assert ra.stats.outcome == "param_mismatch"
+    assert ra.stats.bytes_sent == 2 * FRAME_OVERHEAD + 32 + len(MISMATCH)
+    assert ra.stats.bytes_received == FRAME_OVERHEAD + 32
+    # unrelated sets break the promise, so both decodes fail
+    rng = random.Random(20)
+    SA = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
+    SB = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_run(ea, p1, SA), lambda: session_run(eb, p1, SB)
+        )
+    digest_bytes = len(serialize_digest(p1, encode_digest(p1, SA)))
+    for exc in (ra, rb):
+        assert isinstance(exc, InconsistentDigests)
+        assert exc.stats.outcome == "inconsistent"
+        assert exc.stats.bytes_sent == 2 * FRAME_OVERHEAD + 32 + digest_bytes
+        assert exc.stats.bytes_received == exc.stats.bytes_sent
+
+
 def test_tcp_equals_memory(p1):
+    assert TcpTransport is Transport
     SA, SB, delta = gen_instance(p1, 5, 10)
     srv = socket.create_server(("127.0.0.1", 0))
     port = srv.getsockname()[1]
 
     def serve():
         conn, _ = srv.accept()
-        t = TcpTransport(conn)
-        try:
+        with TcpTransport(conn) as t:
             return session_run(t, p1, SB)
-        finally:
-            t.close()
 
     def connect():
-        t = TcpTransport(socket.create_connection(("127.0.0.1", port)))
-        try:
+        with TcpTransport(socket.create_connection(("127.0.0.1", port))) as t:
             return session_run(t, p1, SA)
-        finally:
-            t.close()
 
     ra, rb = _run_pair(connect, serve)
     srv.close()
     (da, sa), (db, sb) = ra, rb
     assert da == db == delta
-    # identical wire behavior to the in-memory transport
-    ea, eb = MemoryTransport.pair()
-    ma, mb = _run_pair(
-        lambda: session_run(ea, p1, SA), lambda: session_run(eb, p1, SB)
-    )
+    # identical wire behavior to an in-process pair
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ma, mb = _run_pair(
+            lambda: session_run(ea, p1, SA), lambda: session_run(eb, p1, SB)
+        )
     assert ma[0] == da and ma[1].bytes_sent == sa.bytes_sent
 
 
 def test_asymmetric_session(pt):
     SA, SB, delta = gen_instance(pt, 6, 5)
-    ea, eb = MemoryTransport.pair()
-    ra, rb = _run_pair(
-        lambda: session_push(ea, pt, SA), lambda: session_serve(eb, pt, SB)
-    )
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_push(ea, pt, SA), lambda: session_serve(eb, pt, SB)
+        )
     assert ra == rb == delta
 
 
@@ -286,11 +312,12 @@ def test_asymmetric_failed_decode_sends_error(p1):
     rng = random.Random(20)
     SA = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
     SB = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
-    ea, eb = MemoryTransport.pair()
     start = time.monotonic()
-    ra, rb = _run_pair(
-        lambda: session_push(ea, p1, SA), lambda: session_serve(eb, p1, SB)
-    )
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_push(ea, p1, SA), lambda: session_serve(eb, p1, SB)
+        )
     assert time.monotonic() - start < 5
     assert isinstance(rb, InconsistentDigests)
     assert isinstance(ra, InconsistentDigests)
@@ -298,38 +325,42 @@ def test_asymmetric_failed_decode_sends_error(p1):
 
 def test_asymmetric_param_mismatch(p1):
     other = params_build(63, 1, 3, 1)
-    ea, eb = MemoryTransport.pair()
-    ra, rb = _run_pair(
-        lambda: session_push(ea, p1, set()), lambda: session_serve(eb, other, set())
-    )
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_push(ea, p1, set()),
+            lambda: session_serve(eb, other, set()),
+        )
     assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
 
 
 def test_session_run_peer_decode_error(p1):
     # a failed decode reported after DIGEST is not a parameter mismatch
     SA, _, _ = gen_instance(p1, 9, 5)
-    ea, eb = MemoryTransport.pair()
-    eb.send_frame(MSG_HELLO, p1.fingerprint)
-    eb.send_frame(MSG_ERROR, b"stage-1 recovery failed")
-    with pytest.raises(InconsistentDigests, match="stage-1"):
-        session_run(ea, p1, SA)
-    eb.send_frame(MSG_HELLO, p1.fingerprint)
-    eb.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
-    with pytest.raises(ParamMismatch):
-        session_run(ea, p1, SA)
+    ea, eb = Transport.pair()
+    with ea, eb:
+        eb.send_frame(MSG_HELLO, p1.fingerprint)
+        eb.send_frame(MSG_ERROR, b"stage-1 recovery failed")
+        with pytest.raises(InconsistentDigests, match="stage-1"):
+            session_run(ea, p1, SA)
+        eb.send_frame(MSG_HELLO, p1.fingerprint)
+        eb.send_frame(MSG_ERROR, b"parameter fingerprint mismatch")
+        with pytest.raises(ParamMismatch):
+            session_run(ea, p1, SA)
 
 
 def test_session_serve_reports_client_error(p1):
     # a client's error frame stands for its error in place of HELLO or
     # DIGEST, as it does for session_run and session_push
-    ea, eb = MemoryTransport.pair()
-    ea.send_frame(MSG_ERROR, b"client gave up")
-    with pytest.raises(InconsistentDigests, match="client gave up"):
-        session_serve(eb, p1, set())
-    ea.send_frame(MSG_HELLO, p1.fingerprint)
-    ea.send_frame(MSG_ERROR, MISMATCH)
-    with pytest.raises(ParamMismatch):
-        session_serve(eb, p1, set())
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ea.send_frame(MSG_ERROR, b"client gave up")
+        with pytest.raises(InconsistentDigests, match="client gave up"):
+            session_serve(eb, p1, set())
+        ea.send_frame(MSG_HELLO, p1.fingerprint)
+        ea.send_frame(MSG_ERROR, MISMATCH)
+        with pytest.raises(ParamMismatch):
+            session_serve(eb, p1, set())
 
 
 def test_hostile_frame_length_rejected_before_read(p1, pt):
@@ -337,13 +368,18 @@ def test_hostile_frame_length_rejected_before_read(p1, pt):
         limit = max_payload(params)
         digest = len(serialize_digest(params, encode_digest(params, [])))
         assert limit == max(32, digest, params.t * params.h * 8, ERROR_ALLOWANCE)
-    ea, eb = MemoryTransport.pair()
-    eb.send_frame(MSG_HELLO, p1.fingerprint)
-    eb._send_raw(MAGIC + bytes((VERSION, MSG_DIGEST)) + (2**32 - 1).to_bytes(4, "big"))
-    start = time.monotonic()
-    with pytest.raises(FrameError, match="exceeds"):
-        session_run(ea, p1, set())
-    assert time.monotonic() - start < 5  # never waited for the payload
+    a, b = socket.socketpair()
+    with Transport(a) as ea, b:
+        b.sendall(
+            encode_frame(MSG_HELLO, p1.fingerprint)
+            + MAGIC
+            + bytes((VERSION, MSG_DIGEST))
+            + (2**32 - 1).to_bytes(4, "big")
+        )
+        start = time.monotonic()
+        with pytest.raises(FrameError, match="exceeds"):
+            session_run(ea, p1, set())
+        assert time.monotonic() - start < 5  # never waited for the payload
 
 
 def test_server_error_text_truncated(p1, monkeypatch):
@@ -351,59 +387,43 @@ def test_server_error_text_truncated(p1, monkeypatch):
         raise InconsistentDigests("x" * 1000)
 
     monkeypatch.setattr(protocol, "decode_digests", fail)
-    ea, eb = MemoryTransport.pair()
-    ea.send_frame(MSG_HELLO, p1.fingerprint)
-    ea.send_frame(MSG_DIGEST, serialize_digest(p1, encode_digest(p1, [])))
-    with pytest.raises(InconsistentDigests):
-        session_serve(eb, p1, set())
-    assert ea.recv_frame(max_payload(p1)) == (MSG_ERROR, b"x" * ERROR_ALLOWANCE)
-
-
-def test_memory_transport_timeout_is_frame_error(monkeypatch):
-    ea, _ = MemoryTransport.pair()
-    monkeypatch.setattr(ea._inbox, "get", _raise_empty)
-    with pytest.raises(FrameError):
-        ea.recv_frame(100)
-
-
-def _raise_empty(timeout=None):
-    raise queue.Empty
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ea.send_frame(MSG_HELLO, p1.fingerprint)
+        ea.send_frame(MSG_DIGEST, serialize_digest(p1, encode_digest(p1, [])))
+        with pytest.raises(InconsistentDigests):
+            session_serve(eb, p1, set())
+        assert ea.recv_frame(max_payload(p1)) == (MSG_ERROR, b"x" * ERROR_ALLOWANCE)
 
 
 def test_result_with_pad_bits_is_frame_error(p1):
     # n = 63: the low bit of each 8-byte element's last byte is padding
-    ea, eb = MemoryTransport.pair()
-    eb.send_frame(MSG_RESULT, b"\x01" * 8)
-    with pytest.raises(FrameError, match="pad bits"):
-        session_push(ea, p1, set())
+    ea, eb = Transport.pair()
+    with ea, eb:
+        eb.send_frame(MSG_RESULT, b"\x01" * 8)
+        with pytest.raises(FrameError, match="pad bits"):
+            session_push(ea, p1, set())
 
 
 def test_tcp_socket_errors_are_frame_errors(p1):
     a, b = socket.socketpair()
     b.close()
-    t = TcpTransport(a)
-    try:
+    with Transport(a) as t:
         with pytest.raises(FrameError) as e:
             session_run(t, p1, set())
         assert isinstance(e.value.__cause__, OSError)
-    finally:
-        t.close()
     a, b = socket.socketpair()
     a.settimeout(0.05)
-    t = TcpTransport(a)
-    try:
+    with Transport(a) as t, b:
         with pytest.raises(FrameError) as e:
             t.recv_frame(100)
         assert isinstance(e.value.__cause__, OSError)
-    finally:
-        t.close()
-        b.close()
 
 
 def test_silent_tcp_peer_is_frame_error(p1, monkeypatch):
     monkeypatch.setattr(protocol, "PEER_TIMEOUT", 0.2)
     a, b = socket.socketpair()  # b stays open and never writes
-    t = TcpTransport(a)
+    t = Transport(a)
     assert a.gettimeout() == 0.2
     raised = []
 
