@@ -11,7 +11,9 @@ Two code families are built here:
   raw odd-power map, with or without exp/log tables, and never
   materialize a dense matrix.
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
-  bounded-distance decoder returning symbol positions and values.
+  bounded-distance decoder returning symbol positions and values.  At
+  degrees 24 and 26 its arithmetic runs in GF((2^k)^2), converted only
+  at the code's boundary, so symbols and positions stay standard.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain: power sums, Berlekamp-Massey for the locator polynomial
@@ -309,7 +311,10 @@ class BchCode:
 
 
 class RsCode:
-    """Reed-Solomon code over GF(2^a), locators g^j for j in [0, N)."""
+    """Reed-Solomon code over GF(2^a), locators g^j for j in [0, N).
+    Symbols are in the standard basis; the arithmetic runs in the work
+    field of :meth:`FieldSpec.work_field`, entered and left at the
+    boundary of :meth:`syndrome_sparse` and :meth:`decode`."""
 
     def __init__(self, field: FieldSpec, length: int, d: int):
         if d < 1 or d > length:
@@ -322,14 +327,16 @@ class RsCode:
         self.redundancy = d - 1
         self.max_errors = (d - 1) // 2
         field.ensure_tables()
-        self._g = field.generator()
+        self._work, self._to_work, self._from_work = field.work_field()
+        self._g = self._work.generator()
 
     def locator(self, j: int) -> int:
-        return self.field.pow(self._g, j)
+        """g^j in the work field."""
+        return self._work.pow(self._g, j)
 
     def syndrome_sparse(self, values: dict) -> tuple:
         """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector."""
-        spec = self.field
+        spec, to_work = self._work, self._to_work
         out = [0] * self.redundancy
         for j, v in values.items():
             if not 0 <= j < self.length:
@@ -337,26 +344,27 @@ class RsCode:
             if v == 0:
                 continue
             xj = self.locator(j)
-            xp = 1
+            term = to_work(v)
             for i in range(self.redundancy):
-                xp = spec.mul(xp, xj)
-                out[i] ^= spec.mul(v, xp)
-        return tuple(out)
+                term = spec.mul(term, xj)  # v x_j^(i+1)
+                out[i] ^= term
+        return tuple(map(self._from_work, out))
 
     def decode(self, syndromes) -> dict:
         """Error vector {position: value} of weight <= (d-1)/2 matching
         the syndromes.  Raises DecodingError when there is none."""
-        syndromes = list(syndromes)
+        syndromes = tuple(syndromes)
         if len(syndromes) != self.redundancy:
             raise ValueError("syndrome length mismatch")
         if not any(syndromes):
             return {}
-        spec = self.field
-        loc, roots = locate(spec, syndromes, self.max_errors)
+        spec = self._work
+        sums = list(map(self._to_work, syndromes))
+        loc, roots = locate(spec, sums, self.max_errors)
         # Forney: error evaluator for syndromes starting at power one,
         # over the formal derivative, which in characteristic two keeps
         # the odd terms; it is nonzero at the locator's simple roots
-        omega = poly_mul_ff(spec, syndromes, loc)[: self.redundancy]
+        omega = poly_mul_ff(spec, sums, loc)[: self.redundancy]
         dloc = loc[1::2]
         errors = {}
         for root in roots:
@@ -364,8 +372,9 @@ class RsCode:
             if j >= self.length:
                 raise DecodingError("uncorrectable syndrome")
             num = poly_eval(spec, omega, root)
-            errors[j] = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
-        if 0 in errors.values() or self.syndrome_sparse(errors) != tuple(syndromes):
+            value = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
+            errors[j] = self._from_work(value)
+        if 0 in errors.values() or self.syndrome_sparse(errors) != syndromes:
             raise DecodingError("uncorrectable syndrome")
         return errors
 

@@ -12,12 +12,18 @@ ints.  Fields of small degree lazily build exp/log tables which also
 make discrete logarithms O(1); larger fields fall back to shift-xor
 multiplication reduced by folding over the sparse modulus, a
 quotient-free extended Euclid for inverses and Pohlig-Hellman logs.
+Reed-Solomon arithmetic over an even degree 2k above the table limit
+(24 or 26) runs in a :class:`CompositeField`, GF((2^k)^2) over a tabled
+GF(2^k), reached from the standard basis and back by two binary
+matrices (:meth:`FieldSpec.work_field`).
 """
 
 from __future__ import annotations
 
 from array import array
 from math import isqrt
+
+from .linalg import BinaryMatrix, row_reduce, transpose
 
 # Largest degree for which exp/log tables may be built (2^22 entries).
 TABLE_MAX_DEGREE = 22
@@ -140,6 +146,8 @@ class FieldSpec:
         self._generator = None
         self._factors = None
         self._bsgs = {}
+        self._ph = None
+        self._work = None
 
     @classmethod
     def get(cls, m: int) -> "FieldSpec":
@@ -269,16 +277,11 @@ class FieldSpec:
         self.ensure_tables()
         if self._log is not None:
             return self._log[a]
-        g = self.generator()
         n = self.order
         result, modulus = 0, 1
-        for p, e in self.factors().items():
-            pe = p**e
-            gi = self.pow(g, n // pe)
+        for p, e, pe, gi_inv, gamma in self._pohlig_hellman():
             xi = self.pow(a, n // pe)
             y = 0
-            gamma = self.pow(gi, pe // p)
-            gi_inv = self.inv(gi)
             for j in range(e):
                 h = self.pow(self.mul(xi, self.pow(gi_inv, y)), pe // (p ** (j + 1)))
                 d = self._bsgs_solve(gamma, h, p)
@@ -287,6 +290,17 @@ class FieldSpec:
             result += modulus * ((y - result) * pow(modulus, -1, pe) % pe)
             modulus *= pe
         return result % n
+
+    def _pohlig_hellman(self):
+        """Per prime power p^e of the group order, built once: p, e, p^e,
+        1/g_i for g_i = generator^(order/p^e), and gamma = g_i^(p^(e-1))."""
+        if self._ph is None:
+            self._ph = []
+            for p, e in self.factors().items():
+                gi = self.pow(self.generator(), self.order // p**e)
+                gamma = self.pow(gi, p ** (e - 1))
+                self._ph.append((p, e, p**e, self.inv(gi), gamma))
+        return self._ph
 
     def _bsgs_solve(self, base: int, target: int, p: int) -> int:
         """Baby-step giant-step in the order-p subgroup generated by base."""
@@ -309,6 +323,101 @@ class FieldSpec:
                 return (i * step + j) % p
             cur = self.mul(cur, giant)
         raise ValueError("element not in subgroup")
+
+    def work_field(self):
+        """(field, map into it, map back) for Reed-Solomon arithmetic: a
+        :class:`CompositeField` at degree 24 or 26, else this field and
+        the identity.  Built once."""
+        if self._work is None:
+            if self.degree % 2 or not TABLE_MAX_DEGREE < self.degree <= 26:
+                self._work = (self, _same, _same)
+            else:
+                w = CompositeField(self)
+                self._work = (w, w.phi.mul_vec, w.phi_inv.mul_vec)
+        return self._work
+
+
+def _same(a: int) -> int:
+    return a
+
+
+class CompositeField(FieldSpec):
+    """GF(2^2k) as GF(2^k)[y]/(y^2 + y + lam), isomorphic to the standard
+    field ``spec`` (C. Paar, PhD thesis, 1994; Sunar, Savas & Koc, IEEE
+    Trans. Computers, 2003).  The int a0 | a1 << k stands for a0 + a1 y;
+    the subfield F_2[z]/(mu) has exp/log tables, with log(0) a sentinel
+    whose exp entries are 0, so a zero half needs no branch.  ``pow``,
+    ``div``, ``frob`` and ``dlog`` are inherited.
+
+    The basis change needs no root finding: omega = g^(2^k+1) is
+    primitive in the subfield, z stands for it, and mu is its minimal
+    polynomial.  s = x + x^(2^k) and p = x^(2^k+1) lie in the subfield,
+    and y = x/s is a root of y^2 + y + p/s^2.  So ``phi`` maps x to s y,
+    ``phi_inv`` maps z^i to omega^i and z^i y to omega^i x/s, and the
+    generator is phi(g), so logs agree with ``spec``'s."""
+
+    def __init__(self, spec: FieldSpec):
+        # the modulus is the standard field's; no method here reads it
+        super().__init__(spec.degree, spec.modulus)
+        n, k = spec.degree, spec.degree // 2
+        q1 = (1 << k) - 1  # order of the subfield's group
+        omega, powers = spec.pow(spec.generator(), q1 + 2), [1]
+        for _ in range(k):
+            powers.append(spec.mul(powers[-1], omega))
+        # mu is the one dependency among omega^0..omega^k: the row whose
+        # low n bits reduce to zero, last in pivot order
+        mu = row_reduce(w | 1 << (n + i) for i, w in enumerate(powers))[1][-1] >> n
+        exp, log, cur = [], [0] * (q1 + 1), 1
+        for i in range(q1):  # z^i, reduced by mu
+            exp.append(cur)
+            log[cur] = i
+            cur = cur << 1 ^ (mu if cur >> (k - 1) else 0)
+        # sums of logs, plus lam's or an inverse's, stay below 3 q1; any
+        # index holding the sentinel 3 q1 lands in the zeros
+        log[0] = 3 * q1
+        self._k, self._mask = k, q1
+        self._sub_exp, self._sub_log = exp * 3 + [0] * (4 * q1), log
+        xq = spec.frob(2, k)
+        s = 2 ^ xq
+        ls = spec.dlog(s) // (q1 + 2)  # s = omega^ls
+        self._lam = (spec.dlog(spec.mul(2, xq)) // (q1 + 2) - 2 * ls) % q1
+        cols = [1]
+        for _ in range(n - 1):  # phi(x)^i = (s y)^i
+            cols.append(self.mul(cols[-1], exp[ls] << k))
+        self.phi = BinaryMatrix(n, n, transpose(cols, n))
+        y = spec.div(2, s)
+        cols = powers[:k] + [spec.mul(w, y) for w in powers[:k]]
+        self.phi_inv = BinaryMatrix(n, n, transpose(cols, n))
+        self._generator = self.phi.mul_vec(spec.generator())
+
+    def __repr__(self):
+        return f"GF((2^{self._k})^2)"
+
+    def mul(self, a: int, b: int) -> int:
+        """Karatsuba: a0 b0 + lam a1 b1, plus (a0 + a1)(b0 + b1) + a0 b0 at y."""
+        k, m, exp, log = self._k, self._mask, self._sub_exp, self._sub_log
+        p0 = exp[log[a & m] + log[b & m]]
+        p2 = exp[log[(a ^ a >> k) & m] + log[(b ^ b >> k) & m]]
+        return p0 ^ exp[log[a >> k] + log[b >> k] + self._lam] | (p0 ^ p2) << k
+
+    def sqr(self, a: int) -> int:
+        """(a0 + a1 y)^2 = (a0^2 + lam a1^2) + a1^2 y."""
+        k, exp, log = self._k, self._sub_exp, self._sub_log
+        l0, l1 = 2 * log[a & self._mask], 2 * log[a >> k]
+        return exp[l0] ^ exp[l1 + self._lam] | exp[l1] << k
+
+    def inv(self, a: int) -> int:
+        """The conjugate (a0 + a1) + a1 y over the norm a0^2 + a0 a1 +
+        lam a1^2."""
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero in " + repr(self))
+        k, m, exp, log = self._k, self._mask, self._sub_exp, self._sub_log
+        l0, l1 = log[a & m], log[a >> k]
+        ln = m - log[exp[2 * l0] ^ exp[l0 + l1] ^ exp[2 * l1 + self._lam]]
+        return exp[log[(a ^ a >> k) & m] + ln] | exp[l1 + ln] << k
+
+    def generator(self) -> int:
+        return self._generator
 
 
 # ---------------------------------------------------------------------------

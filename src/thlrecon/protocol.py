@@ -267,13 +267,15 @@ def session_push(transport: Transport, params: Params, local_set):
 
 def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
-    decoded difference, or with an error frame when decoding fails."""
+    decoded difference, or with an error frame when the DIGEST payload
+    is malformed or decoding fails."""
     limit = max_payload(params)
     _check_hello(transport, limit, params)
-    peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
+    payload = _expect(transport, limit, MSG_DIGEST)
     try:
+        peer_digest = parse_digest(params, payload)
         delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
-    except InconsistentDigests as exc:
+    except (FrameError, InconsistentDigests) as exc:
         transport.send_frame(MSG_ERROR, str(exc).encode("utf-8")[:ERROR_ALLOWANCE])
         raise
     transport.send_frame(MSG_RESULT, serialize_result(params, delta))

@@ -1,6 +1,7 @@
 """Brute-force references and matrix helpers that only tests use."""
 
 from thlrecon.bits import BitVector
+from thlrecon.codes import locate, poly_eval, poly_mul_ff
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
@@ -217,3 +218,38 @@ def eea_inverse(spec, a: int) -> int:
         s0, s1 = s1, s0 ^ poly_mul(q, s1)
     assert r0 == 1
     return s0
+
+
+def rs_syndromes(code, values) -> tuple:
+    """RsCode.syndrome_sparse in the code's standard field: S_i = sum_j
+    v_j (g^j)^i for i = 1..d-1, one power at a time."""
+    spec = code.field
+    g = spec.generator()
+    out = [0] * code.redundancy
+    for j, v in values.items():
+        xj = spec.pow(g, j)
+        for i in range(code.redundancy):
+            out[i] ^= spec.mul(v, spec.pow(xj, i + 1))
+    return tuple(out)
+
+
+def rs_decode(code, syndromes) -> dict:
+    """RsCode.decode in the code's standard field: the locator and its
+    roots, Forney's values, then the re-encode check."""
+    spec = code.field
+    syndromes = list(syndromes)
+    if not any(syndromes):
+        return {}
+    loc, roots = locate(spec, syndromes, code.max_errors)
+    omega = poly_mul_ff(spec, syndromes, loc)[: code.redundancy]
+    dloc = loc[1::2]
+    errors = {}
+    for root in roots:
+        j = spec.dlog(spec.inv(root))
+        if j >= code.length:
+            raise DecodingError("uncorrectable syndrome")
+        num = poly_eval(spec, omega, root)
+        errors[j] = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
+    if 0 in errors.values() or rs_syndromes(code, errors) != tuple(syndromes):
+        raise DecodingError("uncorrectable syndrome")
+    return errors

@@ -3,10 +3,16 @@ from itertools import combinations, product
 
 import pytest
 
-from reference import decode_syndrome_exhaustive, roots_by_search
+from reference import (
+    decode_syndrome_exhaustive,
+    rs_decode,
+    rs_syndromes,
+    roots_by_search,
+)
 from thlrecon.codes import bch_build, bh_sequence, find_roots, poly_mul_ff, rs_code
 from thlrecon.errors import DecodingError
 from thlrecon.gf2 import ff_make
+from thlrecon.params import params_build
 
 
 # -- root finding -----------------------------------------------------------
@@ -211,6 +217,31 @@ def test_rs_uncorrectable():
 def test_rs_length_bound():
     with pytest.raises(ValueError):
         rs_code(ff_make(4), 16, 5)
+
+
+@pytest.mark.parametrize(
+    "point,I", [((127, 3, 2, 1), None), ((127, 2, 2, 1), tuple(range(1, 13)))]
+)
+def test_rs_work_field_matches_standard_reference(point, I):
+    # degrees 24 and 26 compute in GF((2^k)^2); the reference computes
+    # the same syndromes and decodes in the standard field
+    code = params_build(*point, I=I).comp_rs
+    a = code.field.degree
+    assert a in (24, 26)
+    rng = random.Random(a)
+    for _ in range(12):
+        errs = {}
+        for _ in range(rng.randint(0, code.max_errors)):
+            errs[rng.randrange(code.length)] = rng.randrange(1, 1 << a)
+        syn = code.syndrome_sparse(errs)
+        assert syn == rs_syndromes(code, errs)
+        assert code.decode(syn) == rs_decode(code, syn) == errs
+    for _ in range(12):
+        syn = tuple(rng.randrange(1 << a) for _ in range(code.redundancy))
+        with pytest.raises(DecodingError):
+            rs_decode(code, syn)
+        with pytest.raises(DecodingError):
+            code.decode(syn)
 
 
 # -- B_h sequences ----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from reference import eea_inverse, rabin_find_irreducible, rabin_is_irreducible
 from thlrecon.gf2 import (
+    CompositeField,
     FieldSpec,
     ff_make,
     find_irreducible,
@@ -145,6 +146,42 @@ def test_generator_and_dlog(m):
         assert spec.dlog(spec.pow(g, k)) == k
     with pytest.raises(ZeroDivisionError):
         spec.dlog(0)
+
+
+@pytest.mark.parametrize("m", [24, 26])
+def test_work_field_is_isomorphic(m):
+    spec = ff_make(m)
+    work, phi, phi_inv = spec.work_field()
+    assert isinstance(work, CompositeField) and work.degree == m
+    assert spec.work_field()[0] is work  # built once
+    assert phi(0) == 0 and phi(1) == 1
+    assert work.generator() == phi(spec.generator())
+    rng = random.Random(m)
+    k = m // 2
+    # work-field values with a zero half, then random ones
+    pairs = [(1 << k, 5), (7, 3 << k), (1 << k, 1 << k), (9, 0)]
+    pairs += [(phi(rng.randrange(1, 1 << m)), phi(rng.randrange(1 << m)))
+              for _ in range(300)]
+    for u, v in pairs:
+        a, b = phi_inv(u), phi_inv(v)
+        assert phi(a) == u and phi(b) == v
+        assert phi(spec.mul(a, b)) == work.mul(u, v)
+        assert phi(spec.sqr(a)) == work.sqr(u)
+        assert phi(spec.inv(a)) == work.inv(u)
+        assert phi(spec.pow(a, 1000003)) == work.pow(u, 1000003)
+    for u, _ in pairs[:6]:
+        assert work.dlog(u) == spec.dlog(phi_inv(u))
+    with pytest.raises(ZeroDivisionError):
+        work.inv(0)
+
+
+@pytest.mark.parametrize("m", [4, 22, 23, 25])
+def test_work_field_is_the_field_elsewhere(m):
+    spec = ff_make(m)
+    work, into, back = spec.work_field()
+    assert work is spec
+    a = (1 << m) - 2
+    assert into(a) == back(a) == a
 
 
 def test_irreducibility_rejects_reducible():

@@ -323,6 +323,26 @@ def test_asymmetric_failed_decode_sends_error(p1):
     assert isinstance(ra, InconsistentDigests)
 
 
+def test_malformed_push_digest_answered_with_error(monkeypatch):
+    # a DIGEST payload that does not parse is answered with an error
+    # frame, so the client fails at once instead of after PEER_TIMEOUT
+    params = params_build(63, 1, 4, 2)
+    serialize = protocol.serialize_digest
+    monkeypatch.setattr(
+        protocol, "serialize_digest", lambda p, d: serialize(p, d) + b"\x00"
+    )
+    start = time.monotonic()
+    ea, eb = Transport.pair()
+    with ea, eb:
+        ra, rb = _run_pair(
+            lambda: session_push(ea, params, set()),
+            lambda: session_serve(eb, params, set()),
+        )
+    assert time.monotonic() - start < 1
+    assert isinstance(rb, FrameError) and "trailing bytes" in str(rb)
+    assert isinstance(ra, InconsistentDigests) and str(ra) == str(rb)
+
+
 def test_asymmetric_param_mismatch(p1):
     other = params_build(63, 1, 3, 1)
     ea, eb = Transport.pair()
