@@ -328,11 +328,21 @@ class RsCode:
         self.max_errors = (d - 1) // 2
         field.ensure_tables()
         self._work, self._to_work, self._from_work = field.work_field()
-        self._g = self._work.generator()
+        # g^j = lo[j mod 2^b] * hi[j >> b], 2^b >= sqrt(length)
+        work, g = self._work, self._work.generator()
+        self._lo_bits = b = ((length - 1).bit_length() + 1) // 2
+        self._lo = [1]
+        for _ in range((1 << b) - 1):
+            self._lo.append(work.mul(self._lo[-1], g))
+        step = work.mul(self._lo[-1], g)  # g^(2^b)
+        self._hi = [1]
+        for _ in range((length - 1) >> b):
+            self._hi.append(work.mul(self._hi[-1], step))
 
     def locator(self, j: int) -> int:
-        """g^j in the work field."""
-        return self._work.pow(self._g, j)
+        """g^j in the work field: one product of two table entries."""
+        b = self._lo_bits
+        return self._work.mul(self._lo[j & ((1 << b) - 1)], self._hi[j >> b])
 
     def syndrome_sparse(self, values: dict) -> tuple:
         """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector."""
@@ -437,11 +447,10 @@ class BhSequence:
         if self.order == 1:
             return i + 1  # distinct nonzero patterns
         spec = self._col_field
-        x = i
-        packed = 1  # x^0
-        p = 1
-        for k in range(1, self.order):
-            p = spec.mul(p, x)
+        packed = 1 | i << self.width  # x^0 and x^1 = i
+        p = i
+        for k in range(2, self.order):
+            p = spec.mul(p, i)
             packed |= p << (k * self.width)
         return packed
 

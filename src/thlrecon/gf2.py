@@ -9,9 +9,12 @@ each candidate with Ben-Or's irreducibility test.
 
 Elements are plain ints: every ``FieldSpec`` method takes and returns
 ints.  Fields of small degree lazily build exp/log tables which also
-make discrete logarithms O(1); larger fields fall back to shift-xor
-multiplication reduced by folding over the sparse modulus, a
-quotient-free extended Euclid for inverses and Pohlig-Hellman logs.
+make discrete logarithms O(1); larger fields fall back to the
+carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
+bit of a sparse multiplier) reduced by :meth:`FieldSpec.reduce`, a fold
+over the sparse modulus, a quotient-free extended Euclid for inverses
+and Pohlig-Hellman logs.  ``reduce`` is linear, so a sum of unreduced
+products needs one fold: the digest encoders accumulate that way.
 Reed-Solomon arithmetic over an even degree 2k above the table limit
 (24 or 26) runs in a :class:`CompositeField`, GF((2^k)^2) over a tabled
 GF(2^k), reached from the standard basis and back by two binary
@@ -41,6 +44,11 @@ for _v in range(256):
     _SPREAD[_v] = _s
 
 
+# Up to this many set bits in the multiplier, poly_mul shifts and xors
+# once per bit; above it the comb's table pays for itself.
+_SPARSE_BITS = 8
+
+
 def poly_degree(f: int) -> int:
     return f.bit_length() - 1
 
@@ -66,12 +74,28 @@ def poly_mod(a: int, m: int) -> int:
 
 
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product."""
+    """Carry-less product.  A multiplier ``a`` with few set bits (a
+    sparse modulus, the generator x) costs one shift-and-xor per bit;
+    any other runs a 4-bit comb over a's bytes, high first, reading a
+    16-entry table of b's multiples (Lopez & Dahab, INDOCRYPT 2000)."""
     r = 0
-    while a:
-        lsb = a & -a
-        r ^= b << (lsb.bit_length() - 1)
-        a ^= lsb
+    if a.bit_count() <= _SPARSE_BITS:
+        while a:
+            lsb = a & -a
+            r ^= b << (lsb.bit_length() - 1)
+            a ^= lsb
+        return r
+    b2 = b << 1
+    b3 = b2 ^ b
+    b4 = b << 2
+    b8 = b << 3
+    b12 = b8 ^ b4
+    table = (
+        0, b, b2, b3, b4, b4 ^ b, b4 ^ b2, b4 ^ b3,
+        b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b12, b12 ^ b, b12 ^ b2, b12 ^ b3,
+    )
+    for c in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+        r = (r << 8) ^ (table[c >> 4] << 4) ^ table[c & 15]
     return r
 
 
@@ -170,7 +194,7 @@ class FieldSpec:
             if a == 0 or b == 0:
                 return 0
             return exp[(self._log[a] + self._log[b]) % self.order]
-        return self._fold(poly_mul(a, b))
+        return self.reduce(poly_mul(a, b))
 
     def sqr(self, a: int) -> int:
         exp = self._exp
@@ -178,14 +202,16 @@ class FieldSpec:
             if a == 0:
                 return 0
             return exp[(2 * self._log[a]) % self.order]
-        return self._fold(poly_square(a))
+        return self.reduce(poly_square(a))
 
-    def _fold(self, a: int) -> int:
-        """a mod the modulus, by folding the bits at x^degree and up
-        back down through x^degree = low: one shift-xor per term of low,
-        where ``poly_mod`` costs one per bit cleared.  Lex-least moduli
-        have a sparse low part of small degree (at most 12 up to degree
-        299, and at 493 and 2036)."""
+    def reduce(self, a: int) -> int:
+        """a mod the modulus, for any a >= 0 (an unreduced product, or a
+        sum of them): fold the bits at x^degree and up back down through
+        x^degree = low, one shift-xor per term of low, where
+        ``poly_mod`` costs one per bit cleared.  Lex-least moduli have a
+        sparse low part of small degree (at most 12 up to degree 299,
+        and at 493 and 2036).  Tables play no part, so it serves every
+        standard field."""
         m, low = self.degree, self._low
         while a >> m:
             a = (a & self.order) ^ poly_mul(low, a >> m)
@@ -354,7 +380,8 @@ class CompositeField(FieldSpec):
     polynomial.  s = x + x^(2^k) and p = x^(2^k+1) lie in the subfield,
     and y = x/s is a root of y^2 + y + p/s^2.  So ``phi`` maps x to s y,
     ``phi_inv`` maps z^i to omega^i and z^i y to omega^i x/s, and the
-    generator is phi(g), so logs agree with ``spec``'s."""
+    generator is phi(g), so logs agree with ``spec``'s.  ``reduce``
+    folds standard-basis polynomials and has no meaning here."""
 
     def __init__(self, spec: FieldSpec):
         # the modulus is the standard field's; no method here reads it

@@ -6,7 +6,9 @@ and inversion each read.  The one matrix-vector product,
 :meth:`BinaryMatrix.mul_vec`, reads per-byte tables of the matrix's
 columns (Method of Four Russians; Albrecht, Bard & Hart, ACM TOMS
 2010): one lookup and XOR per byte of the vector instead of one
-popcount per row.
+popcount per row.  A selection matrix, such as the t=1 tail H_bar
+(unit rows at H_l's non-pivot columns), is never multiplied: it is
+:func:`bits.project` onto those columns, with no tables.
 """
 
 from __future__ import annotations

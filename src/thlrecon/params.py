@@ -49,6 +49,7 @@ class Params:
 
     # single-cluster (t = 1) scheme
     h_bar: BinaryMatrix = field(repr=False, default=None)
+    tail: tuple = field(repr=False, default=())  # H_l's non-pivot columns, 1-based
     hf_inv: BinaryMatrix = field(repr=False, default=None)
     digest_field: FieldSpec = field(repr=False, default=None)
     bh: BhSequence = field(repr=False, default=None)
@@ -139,15 +140,17 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
             raise ParamsError("comp_distance", "2h+1 exceeds the position space")
         h_bar = full_rank_completion(h_l)
         hf_inv = invert(BinaryMatrix(n, n, h_l.row_data + h_bar.row_data))
-        h_bar.ensure_tables()  # the tail of every encoded element
         hf_inv.ensure_tables()  # the anchor of every decode
+        # H_bar's rows are the unit vectors at H_l's non-pivot columns,
+        # so H_bar x is the projection of x onto them
+        tail = tuple(row.bit_length() for row in h_bar.row_data)
         digest_field = ff_make(n - r)
         bh = bh_sequence(N, h, digest_field)
         comp = bch_build(N, h)
         return Params(
             n=n, t=1, h=h, ell=ell, I=(),
             r=r, N=N, cl=cl, h_l=h_l,
-            h_bar=h_bar, hf_inv=hf_inv,
+            h_bar=h_bar, tail=tail, hf_inv=hf_inv,
             digest_field=digest_field, bh=bh, comp=comp,
         )
 

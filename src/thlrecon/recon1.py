@@ -4,25 +4,29 @@ pairwise within Hamming distance ell.
 
 Encoding (per host) is one pass over the set.  Each element x has a
 position j = M(x), its syndrome under the distance-(2*ell+1) code C_l,
-and a tail Hbar * x in GF(2^(n-r)).
+and a tail Hbar * x in GF(2^(n-r)): Hbar selects H_l's non-pivot
+columns, so the tail is x projected onto ``params.tail``.
 
 1. w1 = syndrome, under a distance-(2h+1) binary code over the 2^r
    positions, of the multiset of positions (duplicates cancel mod 2).
 2. w2 = sum over elements of b_j * tail, where b is a B_h sequence
-   over the position space.
+   over the position space: unreduced products, XORed and then
+   reduced once.
 
 Both parts are linear in the set, so xoring the two hosts' digests
 gives the digest of the difference.  Decoding recovers the difference's
 positions from w1, peels cluster offsets with the C_l decoder, and
-divides by the B_h subset sum to recover the anchor element exactly.
+divides by the B_h subset sum to recover the anchor element exactly
+(the sum it divides is again folded once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import BitVector
+from .bits import BitVector, project
 from .errors import DecodingError, InconsistentDigests
+from .gf2 import poly_mul
 from .maps_t import map_E, map_M
 from .params import Params, accept, digest_cost_bits
 
@@ -39,9 +43,10 @@ class Digest1:
         return Digest1(self.w1 ^ other.w1, self.w2 ^ other.w2)
 
 
-def _w2_term(params: Params, j: int, tail: int) -> int:
-    """b_j * tail over GF(2^(n-r))."""
-    return params.digest_field.mul(params.bh.element_value(j), tail)
+def _w2_term(params: Params, j: int, x: BitVector) -> int:
+    """b_j * (Hbar x), unreduced: Hbar x is x's projection onto the
+    tail positions."""
+    return poly_mul(params.bh.element_value(j), project(x, params.tail))
 
 
 def encode1(params: Params, S) -> Digest1:
@@ -52,8 +57,11 @@ def encode1(params: Params, S) -> Digest1:
     for x in S:
         j = map_M(params, x)
         positions.append(j)
-        w2 ^= _w2_term(params, j, params.h_bar.mul_vec(x.value))
-    return Digest1(params.comp.syndrome_from_positions(positions), w2)
+        w2 ^= _w2_term(params, j, x)
+    return Digest1(
+        params.comp.syndrome_from_positions(positions),
+        params.digest_field.reduce(w2),
+    )
 
 
 def decode1(params: Params, dA: Digest1, dB: Digest1):
@@ -78,15 +86,15 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
     denom = params.bh.element_value(k1)
     for ki in support[1:]:
         try:
-            e = map_E(params, k1, ki).value
+            e = map_E(params, k1, ki)
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
-        offsets.append(e)
-        z ^= _w2_term(params, ki, params.h_bar.mul_vec(e))
+        offsets.append(e.value)
+        z ^= _w2_term(params, ki, e)
         denom ^= params.bh.element_value(ki)
     if denom == 0:
         raise InconsistentDigests("zero B_h subset sum")
-    s2 = params.digest_field.div(z, denom)
+    s2 = params.digest_field.div(params.digest_field.reduce(z), denom)
 
     anchor = params.hf_inv.mul_vec(k1 | (s2 << params.r))
     block = tuple(BitVector(anchor ^ e, params.n) for e in offsets)

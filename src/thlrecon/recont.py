@@ -11,13 +11,17 @@ Encoding (per host):
    elements, in GF(2^nbar); w2 is the t x t grid with entry (row, k) =
    sum_j gamma_j^(2^row) * z2^(k)[j].
 
+x_I and x_Ibar are run gathers (:func:`bits.project`).  Both sums XOR
+unreduced carry-less products and fold once: each z2 column before it
+enters the grid, and each grid entry at the end.
+
 Decoding xors the digests, recovers the per-position f-value sums
 (stage 1), decomposes each into block signatures, collapses every
 non-center position onto its block center (the known offsets cancel
-out of the grid), solves a Moore system over GF(2^nbar) for the center
-Ibar-parts, and reassembles the blocks.  Both digest parts are linear
-in the set, so the blocks are the difference exactly when they meet
-the promise and re-encode to the xor (:func:`params.accept`).
+out of the grid's row 0), solves a Moore system over GF(2^nbar) for
+the center Ibar-parts, and reassembles the blocks.  Both digest parts
+are linear in the set, so the blocks are the difference exactly when
+they meet the promise and re-encode to the xor (:func:`params.accept`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
+from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .params import Params, accept, digest_cost_bits
 
@@ -51,14 +56,16 @@ class DigestT:
 
 
 def _add_column(params: Params, grid, j: int, z):
-    """grid[row][k] ^= gamma_j^(2^row) * z[k] over GF(2^nbar)."""
+    """grid[row][k] ^= gamma_j^(2^row) * z[k] over GF(2^nbar), the
+    products left unreduced; z is reduced."""
     spec = params.nbar_field
     g = gamma(params, j)
-    for row in grid:
+    for r, row in enumerate(grid):
+        if r:
+            g = spec.sqr(g)
         for k, v in enumerate(z):
             if v:
-                row[k] ^= spec.mul(g, v)
-        g = spec.sqr(g)
+                row[k] ^= poly_mul(g, v)
 
 
 def encode_t(params: Params, S) -> DigestT:
@@ -69,20 +76,22 @@ def encode_t(params: Params, S) -> DigestT:
     # Stage per position first: one grid column per occupied position
     # costs less than one per element.
     z1 = {}
-    z2 = {}  # position -> [f^(2^k) * embed(x_Ibar) summed, k < t]
+    z2 = {}  # position -> [f^(2^k) * embed(x_Ibar) summed, k < t], unreduced
     for x in S:
         j = map_M(params, x)
         fx = map_f(params, project(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
         xibar = project(x, params.ibar)
         col = z2.setdefault(j, [0] * t)
-        for k in range(t):  # fx is embedded into GF(2^nbar) by zero-padding
-            col[k] ^= spec.mul(fx, xibar)
+        col[0] ^= poly_mul(fx, xibar)  # fx is embedded by zero-padding
+        for k in range(1, t):
             fx = spec.sqr(fx)
+            col[k] ^= poly_mul(fx, xibar)
     grid = [[0] * t for _ in range(t)]
     for j, col in z2.items():
-        _add_column(params, grid, j, col)
-    return DigestT(params.comp_rs.syndrome_sparse(z1), tuple(tuple(r) for r in grid))
+        _add_column(params, grid, j, [spec.reduce(v) for v in col])
+    grid = tuple(tuple(map(spec.reduce, row)) for row in grid)
+    return DigestT(params.comp_rs.syndrome_sparse(z1), grid)
 
 
 def decode_t(params: Params, dA: DigestT, dB: DigestT):
@@ -112,8 +121,9 @@ def _decode_blocks(params: Params, d: DigestT):
     except DecodingError as exc:
         raise InconsistentDigests("f-value decomposition failed") from exc
 
-    # steps 3-5: center-collapse, cancelling known offsets from the grid
-    grid = [list(row) for row in d.w2]
+    # steps 3-5: center-collapse, cancelling known offsets from the
+    # grid's row 0, the only row the center solve reads
+    row0 = list(d.w2[0])
     members = {}  # sigma -> [(position, offset)], center first
     for i in sorted(decomposed):
         for sigma in decomposed[i]:
@@ -129,7 +139,7 @@ def _decode_blocks(params: Params, d: DigestT):
             ebar = project(e, params.ibar)
             if ebar:
                 z = [spec.mul(spec.frob(sigma, k), ebar) for k in range(t)]
-                _add_column(params, grid, i, z)
+                _add_column(params, [row0], i, z)
 
     sigmas = sorted(members)
     gsums = {}
@@ -140,7 +150,7 @@ def _decode_blocks(params: Params, d: DigestT):
         gsums[sigma] = g
 
     # step 6: solve for the center Ibar-parts
-    cbars = _solve_centers(params, sigmas, gsums, grid)
+    cbars = _solve_centers(params, sigmas, gsums, list(map(spec.reduce, row0)))
 
     # steps 7-8: reassemble the blocks
     blocks = []
@@ -152,21 +162,22 @@ def _decode_blocks(params: Params, d: DigestT):
     return tuple(blocks)
 
 
-def _solve_centers(params: Params, sigmas, gsums, grid):
-    """Recover each block center's Ibar-part from the collapsed grid.
+def _solve_centers(params: Params, sigmas, gsums, row0):
+    """Recover each block center's Ibar-part from the collapsed grid's
+    row 0.
 
-    Row 0 of the grid is a Moore system in the signatures over
-    GF(2^nbar), with unknowns gamma-sum times center.  On a valid
-    instance it is nonsingular, since any <= 2t distinct f-values are
-    F_2-linearly independent, and every gamma sum is nonzero, since a
-    block's <= h <= 2s' gamma columns are independent too.  More than
-    t signatures give more unknowns than rows, which the solve rejects.
+    Row 0 is a Moore system in the signatures over GF(2^nbar), with
+    unknowns gamma-sum times center.  On a valid instance it is
+    nonsingular, since any <= 2t distinct f-values are F_2-linearly
+    independent, and every gamma sum is nonzero, since a block's
+    <= h <= 2s' gamma columns are independent too.  More than t
+    signatures give more unknowns than rows, which the solve rejects.
     The other rows need no check here: :func:`params.accept`
-    re-encodes the whole digest.
+    re-encodes the whole digest, so decoding never collapses them.
     """
     spec = params.nbar_field
     rows = [[spec.frob(s, k) for s in sigmas] for k in range(params.t)]
-    sol = _field_solve(spec, rows, list(grid[0]), len(sigmas))
+    sol = _field_solve(spec, rows, row0, len(sigmas))
     if sol is None or not all(gsums[s] for s in sigmas):
         raise InconsistentDigests("center recovery failed")
     return {s: spec.div(d, gsums[s]) for s, d in zip(sigmas, sol)}

@@ -5,7 +5,8 @@ from thlrecon.codes import locate, poly_eval, poly_mul_ff
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
-from thlrecon.maps_t import map_f
+from thlrecon.maps_t import gamma, map_f, map_M
+from thlrecon.recont import DigestT
 
 
 def from_bits(bits) -> BitVector:
@@ -218,6 +219,59 @@ def eea_inverse(spec, a: int) -> int:
         s0, s1 = s1, s0 ^ poly_mul(q, s1)
     assert r0 == 1
     return s0
+
+
+def clmul_bits(a: int, b: int) -> int:
+    """Carry-less product, one shift-and-xor per set bit of a."""
+    r = 0
+    while a:
+        lsb = a & -a
+        r ^= b << (lsb.bit_length() - 1)
+        a ^= lsb
+    return r
+
+
+def project_bits(x: BitVector, positions) -> int:
+    """bits.project one bit at a time: bit i is x at positions[i]."""
+    v = 0
+    for i, p in enumerate(positions):
+        if (x.value >> (p - 1)) & 1:
+            v |= 1 << i
+    return v
+
+
+def place_bits(n: int, positions, packed: int, other_positions=(), other_packed: int = 0):
+    """bits.place one bit at a time."""
+    v = 0
+    for i, p in enumerate(positions):
+        if (packed >> i) & 1:
+            v |= 1 << (p - 1)
+    for i, p in enumerate(other_positions):
+        if (other_packed >> i) & 1:
+            v |= 1 << (p - 1)
+    return BitVector(v, n)
+
+
+def encode_t_reference(params, S) -> DigestT:
+    """recont.encode_t with every GF(2^nbar) product reduced on its own
+    (spec.mul) and per-bit projections."""
+    spec = params.nbar_field
+    t = params.t
+    z1 = {}
+    grid = [[0] * t for _ in range(t)]
+    for x in S:
+        j = map_M(params, x)
+        fx = map_f(params, project_bits(x, params.I))
+        z1[j] = z1.get(j, 0) ^ fx
+        xibar = project_bits(x, params.ibar)
+        g = gamma(params, j)
+        for row in grid:
+            f = fx
+            for k in range(t):
+                row[k] ^= spec.mul(g, spec.mul(f, xibar))
+                f = spec.sqr(f)
+            g = spec.sqr(g)
+    return DigestT(rs_syndromes(params.comp_rs, z1), tuple(map(tuple, grid)))
 
 
 def rs_syndromes(code, values) -> tuple:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from reference import from_bits
+from reference import from_bits, place_bits, project_bits
 from thlrecon.bits import BitVector, hamming, place, project, weight
+from thlrecon.params import params_build
 
 
 def test_from_bits_roundtrip():
@@ -62,3 +65,57 @@ def test_project_and_place_inverse():
     pbar = project(x, ibar)
     assert pI == 0b101  # positions 2,5,6 = 1,0,1 -> bits 0,1,2
     assert place(6, I, pI, ibar, pbar) == x
+
+
+def _check_selections(n, selections, rng):
+    for _ in range(20):
+        x = BitVector(rng.getrandbits(n), n)
+        for sel in selections:
+            assert project(x, sel) == project_bits(x, sel), sel
+            # bits of a packed value past len(sel) are ignored
+            a = rng.getrandbits(len(sel) + 3)
+            assert place(n, sel, a) == place_bits(n, sel, a), sel
+        for sel, other in zip(selections, selections[1:]):
+            a, b = rng.getrandbits(len(sel)), rng.getrandbits(len(other))
+            assert place(n, sel, a, other, b) == place_bits(n, sel, a, other, b)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2), (63, 2, 2, 1), (127, 3, 2, 1)],
+)
+def test_project_place_match_per_bit_at_golden_points(point):
+    p = params_build(*point)
+    sel = p.tail if p.t == 1 else p.I
+    rest = tuple(q for q in range(1, p.n + 1) if q not in sel)
+    if p.t > 1:
+        assert rest == p.ibar
+    _check_selections(p.n, [sel, rest], random.Random(point[0] + point[1]))
+
+
+def test_project_place_match_per_bit_on_odd_lists():
+    rng = random.Random(3)
+    n = 70
+    sels = [
+        (3, 4, 5, 9, 10, 40, 41, 42, 43, 64, 65),  # several runs
+        (2, 5, 8, 11, 14),  # no two consecutive
+        (10, 9, 8, 30, 31, 1),  # unsorted, runs only where ascending
+        [66, 67, 68, 69, 70],  # a list, ending at position n
+        (70,),
+        (1, 2, 3, 4, 5, 6, 7),
+        (),
+    ]
+    _check_selections(n, sels, rng)
+    for k in (1, 5, 30, 69):
+        sel = tuple(rng.sample(range(1, n + 1), k))
+        _check_selections(n, [sel, tuple(sorted(sel))], rng)
+
+
+def test_place_inverts_project_on_a_partition():
+    rng = random.Random(4)
+    n = 100
+    I = tuple(sorted(rng.sample(range(1, n + 1), 12)))
+    ibar = tuple(q for q in range(1, n + 1) if q not in I)
+    for _ in range(50):
+        x = BitVector(rng.getrandbits(n), n)
+        assert place(n, I, project(x, I), ibar, project(x, ibar)) == x

@@ -244,6 +244,16 @@ def test_rs_work_field_matches_standard_reference(point, I):
             code.decode(syn)
 
 
+@pytest.mark.parametrize("m,length", [(4, 15), (8, 100), (8, 255), (24, 128), (26, 1)])
+def test_rs_locators_are_generator_powers(m, length):
+    spec = ff_make(m)
+    code = rs_code(spec, length, 1)
+    _, into, _ = spec.work_field()
+    g = spec.generator()
+    for j in range(length):
+        assert code.locator(j) == into(spec.pow(g, j)), j
+
+
 # -- B_h sequences ----------------------------------------------------------
 
 
@@ -275,6 +285,16 @@ def test_bh_m32_h3_exhaustive():
     for size in (1, 2, 3):
         for sub in combinations(vals, size):
             assert xor_all(sub) != 0
+
+
+@pytest.mark.parametrize("m,h", [(16, 2), (300, 3), (1 << 18, 4)])
+def test_bh_elements_are_packed_powers(m, h):
+    seq = bh_sequence(m, h, ff_make(120))
+    spec, w = seq._col_field, seq.width
+    rng = random.Random(m)
+    for i in list(range(6)) + [rng.randrange(m) for _ in range(20)]:
+        want = sum(spec.pow(i, k) << (k * w) for k in range(h))
+        assert seq.element_value(i) == want, i
 
 
 def test_bh_width_rejected():

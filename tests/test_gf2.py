@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import eea_inverse, rabin_find_irreducible, rabin_is_irreducible
+from reference import clmul_bits, eea_inverse, rabin_find_irreducible, rabin_is_irreducible
 from thlrecon.gf2 import (
     CompositeField,
     FieldSpec,
@@ -81,9 +81,40 @@ def test_table_free_product_matches_poly_mod(m):
     pairs = [(a, b) for a in edge for b in edge]
     pairs += [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(30)]
     for a, b in pairs:
-        assert spec.mul(a, b) == poly_mod(poly_mul(a, b), spec.modulus)
+        assert spec.mul(a, b) == poly_mod(clmul_bits(a, b), spec.modulus)
         assert spec.sqr(a) == poly_mod(poly_square(a), spec.modulus)
     assert spec._exp is None
+
+
+def test_poly_mul_matches_set_bit_product():
+    # both branches (sparse multipliers up to the comb's threshold and
+    # past it), byte-boundary widths, and the zero and one operands
+    rng = random.Random(5)
+    for w in range(1, 601):
+        dense = rng.getrandbits(w) | 1 << (w - 1)
+        ones = (1 << w) - 1
+        sparse = sum(1 << rng.randrange(w) for _ in range(rng.randint(1, 9)))
+        other = rng.getrandbits(rng.randint(1, 600))
+        for a in (0, 1, dense, ones, sparse):
+            for b in (0, 1, dense, other):
+                assert poly_mul(a, b) == clmul_bits(a, b), (w, a, b)
+                assert poly_mul(b, a) == clmul_bits(a, b), (w, a, b)
+
+
+@pytest.mark.parametrize("m", [11, 24, 120, 493])
+def test_reduce_folds_unreduced_sums(m):
+    # a sum of unreduced products, reduced once, is the sum of the
+    # reduced products; tables (m = 11) do not change the fold
+    spec = ff_make(m)
+    spec.ensure_tables()
+    rng = random.Random(m)
+    pairs = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(20)]
+    acc = want = 0
+    for a, b in pairs:
+        acc ^= poly_mul(a, b)
+        want ^= spec.mul(a, b)
+    assert spec.reduce(acc) == want == poly_mod(acc, spec.modulus)
+    assert spec.reduce(0) == 0 and spec.reduce((1 << m) - 1) == (1 << m) - 1
 
 
 def test_ff_make_out_of_range():
@@ -131,9 +162,7 @@ def test_field_axioms_random(m):
 def test_table_path_matches_generic(a, b):
     spec = ff_make(16)
     spec.ensure_tables()
-    from thlrecon.gf2 import poly_mod, poly_mul
-
-    assert spec.mul(a, b) == poly_mod(poly_mul(a, b), spec.modulus)
+    assert spec.mul(a, b) == poly_mod(clmul_bits(a, b), spec.modulus)
 
 
 @pytest.mark.parametrize("m", [4, 11, 16, 24])

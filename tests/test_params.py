@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from thlrecon.bits import BitVector
+from reference import mul_vec_rows
+from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests, ParamsError
 from thlrecon.params import (
     accept,
@@ -37,10 +40,23 @@ def test_tables_only_for_multiplied_matrices():
     p = params_build(63, 1, 4, 2)
     # encodes and the decode anchor multiply by these: set-up builds
     # their product tables, so no encode state is left to first use
-    assert all(m._tables is not None for m in (p.h_l, p.h_bar, p.hf_inv))
+    assert all(m._tables is not None for m in (p.h_l, p.hf_inv))
+    # the tail H_bar x is a projection onto p.tail: nothing multiplies
+    # by H_bar
+    assert p.h_bar._tables is None
     # comp syndromes are column sums, and BCH(4096, 4) tables would be
     # megabytes no session reads
     assert p.comp.parity._tables is None and p.comp._lift._tables is None
+
+
+@pytest.mark.parametrize("point", [(63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2)])
+def test_tail_projection_is_h_bar_product(point):
+    p = params_build(*point)
+    assert len(p.tail) == p.n - p.r
+    rng = random.Random(point[0])
+    for _ in range(30):
+        x = BitVector(rng.getrandbits(p.n), p.n)
+        assert project(x, p.tail) == mul_vec_rows(p.h_bar, x.value)
 
 
 def test_default_index_set():

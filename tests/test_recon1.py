@@ -109,6 +109,19 @@ def test_roundtrip_without_field_tables(h):
         assert decode1(p, encode1(p, SA), encode1(p, SB)) == delta
 
 
+def test_roundtrip_with_tabled_digest_field():
+    # GF(2^11) with exp/log tables reads only reduced operands, so w2
+    # and decode1's sum must each be folded before they reach it
+    p = params_build(15, 1, 2, 1)
+    assert p.digest_field.degree == 11
+    p.digest_field.ensure_tables()
+    for seed in range(20):
+        SA, SB, delta = gen_instance(p, seed, 6)
+        dA, dB = encode1(p, SA), encode1(p, SB)
+        assert dA.w2 >> 11 == dB.w2 >> 11 == 0
+        assert decode1(p, dA, dB) == delta
+
+
 def test_corrupted_digest_never_silent(p63):
     SA, SB, delta = gen_instance(p63, 5, 5)
     dA, dB = encode1(p63, SA), encode1(p63, SB)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference import nullspace
+from reference import encode_t_reference, nullspace
 from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests
 from thlrecon.maps_t import map_M
@@ -151,3 +151,16 @@ def test_grid_bit_flips_rejected():
             bad = DigestT(dA.w1, tuple(tuple(r) for r in w2))
             with pytest.raises(InconsistentDigests):
                 decode_t(p, bad, dB)
+
+
+@pytest.mark.parametrize("point", [(15, 2, 2, 1), (127, 3, 2, 1)])
+def test_encode_matches_reduced_per_product_reference(point):
+    # GF(2^11) at (15, 2, 2, 1) has tables, GF(2^120) has none; both
+    # fold each accumulator once where the reference reduces every
+    # product
+    p = params_build(*point)
+    rng = random.Random(point[0])
+    for seed in range(4):
+        SA, _, _ = gen_instance(p, seed, 6)
+        S = set(SA) | {BitVector(rng.getrandbits(p.n), p.n) for _ in range(30)}
+        assert encode_t(p, S) == encode_t_reference(p, S)
