@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import protocol
 from .errors import InconsistentDigests, ParamMismatch, ThlreconError
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
-from .params import params_build, params_from_text
+from .params import digest_cost_bits, params_build, params_from_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,7 +61,7 @@ def cmd_digest(args):
     data = protocol.serialize_digest(params, d)
     with open(args.out, "wb") as f:
         f.write(data)
-    print(f"{len(data)} bytes ({protocol.digest_cost_bits(params)} digest bits)")
+    print(f"{len(data)} bytes ({digest_cost_bits(params)} digest bits)")
     return EXIT_OK
 
 
@@ -141,7 +141,7 @@ def cmd_bounds(args):
                     base = bounds_mod.baseline_bits((n, t, h, ell))
                     try:
                         params = params_build(n, t, h, ell)
-                        dig = str(protocol.digest_cost_bits(params))
+                        dig = str(digest_cost_bits(params))
                     except ThlreconError as exc:
                         dig = f"infeasible({getattr(exc, 'constraint', exc)})"
                     print(f"{n},{t},{h},{ell},{log2s},{rates},{base},{dig}")
@@ -151,7 +151,7 @@ def cmd_bounds(args):
 def cmd_bench(args):
     params = _load_params(args.params)
     print("trial,digest_bits,baseline_bits,encode_s,decode_s,exact")
-    dig = protocol.digest_cost_bits(params)
+    dig = digest_cost_bits(params)
     base = bounds_mod.baseline_bits(params)
     for trial in range(args.trials):
         SA, SB, delta = gen_instance(params, args.seed + trial, args.common)

@@ -425,7 +425,6 @@ class BhSequence:
             raise ValueError("need m >= 1 and h >= 1")
         self.m = m
         self.order = h
-        self.target = target
         total = self.packed_width(m, h)
         self.width = total // h
         if total > target.degree:

@@ -19,15 +19,8 @@ class ParamsError(ThlreconError):
 
 
 class LinAlgError(ThlreconError):
-    """A binary matrix could not be inverted or completed.
-
-    ``reason`` names the failure ("inconsistent": the rows are
-    dependent).
-    """
-
-    def __init__(self, reason):
-        self.reason = reason
-        super().__init__(reason)
+    """A binary matrix could not be inverted or completed: its rows are
+    dependent."""
 
 
 class DecodingError(ThlreconError):

@@ -24,12 +24,17 @@ matrices (:meth:`FieldSpec.work_field`).
 from __future__ import annotations
 
 from array import array
+from functools import cache
 from math import isqrt
 
 from .linalg import BinaryMatrix, row_reduce, transpose
 
 # Largest degree for which exp/log tables may be built (2^22 entries).
 TABLE_MAX_DEGREE = 22
+
+# Largest degree with discrete logs: factor_mersenne's trial division
+# factors 2^m - 1 up to here.
+DLOG_MAX_DEGREE = 26
 
 # ---------------------------------------------------------------------------
 # polynomial arithmetic over F_2 (ints, coefficient of x^i in bit i)
@@ -131,13 +136,13 @@ def find_irreducible(m: int) -> int:
 
 
 def factor_mersenne(m: int) -> dict:
-    """Prime factorization of 2^m - 1 for m <= 26.
+    """Prime factorization of 2^m - 1 for m <= DLOG_MAX_DEGREE (26).
 
     Trial division up to 8192 suffices: any remaining cofactor is below
     8192^2 = 2^26 and therefore prime.
     """
-    if m > 26:
-        raise ValueError("factor_mersenne supports m <= 26 only")
+    if m > DLOG_MAX_DEGREE:
+        raise ValueError(f"factor_mersenne supports m <= {DLOG_MAX_DEGREE} only")
     n = (1 << m) - 1
     fac = {}
     d = 3
@@ -154,11 +159,9 @@ def factor_mersenne(m: int) -> dict:
 class FieldSpec:
     """GF(2^m) with the canonical (lex-least irreducible) modulus.
 
-    Use :func:`ff_make` / :meth:`get` rather than the constructor so
-    specs are shared process-wide and tables are built at most once.
+    Use :func:`ff_make` rather than the constructor so specs are shared
+    process-wide and tables are built at most once.
     """
-
-    _cache: dict = {}
 
     def __init__(self, degree: int, modulus: int):
         self.degree = degree
@@ -172,16 +175,6 @@ class FieldSpec:
         self._bsgs = {}
         self._ph = None
         self._work = None
-
-    @classmethod
-    def get(cls, m: int) -> "FieldSpec":
-        spec = cls._cache.get(m)
-        if spec is None:
-            if not 1 <= m <= 4096:
-                raise ValueError("field degree out of range [1, 4096]")
-            spec = cls(m, find_irreducible(m))
-            cls._cache[m] = spec
-        return spec
 
     def __repr__(self):
         return f"GF(2^{self.degree})"
@@ -297,10 +290,10 @@ class FieldSpec:
         self._log = log
 
     def dlog(self, a: int) -> int:
-        """k with generator^k = a; O(1) with tables, else Pohlig-Hellman."""
+        """k with generator^k = a; O(1) with tables, else Pohlig-Hellman.
+        Builds no tables: the codes build those of the fields they use."""
         if a == 0:
             raise ZeroDivisionError("dlog of zero")
-        self.ensure_tables()
         if self._log is not None:
             return self._log[a]
         n = self.order
@@ -355,7 +348,7 @@ class FieldSpec:
         :class:`CompositeField` at degree 24 or 26, else this field and
         the identity.  Built once."""
         if self._work is None:
-            if self.degree % 2 or not TABLE_MAX_DEGREE < self.degree <= 26:
+            if self.degree % 2 or not TABLE_MAX_DEGREE < self.degree <= DLOG_MAX_DEGREE:
                 self._work = (self, _same, _same)
             else:
                 w = CompositeField(self)
@@ -373,7 +366,7 @@ class CompositeField(FieldSpec):
     Trans. Computers, 2003).  The int a0 | a1 << k stands for a0 + a1 y;
     the subfield F_2[z]/(mu) has exp/log tables, with log(0) a sentinel
     whose exp entries are 0, so a zero half needs no branch.  ``pow``,
-    ``div``, ``frob`` and ``dlog`` are inherited.
+    ``div``, ``frob``, ``generator`` and ``dlog`` are inherited.
 
     The basis change needs no root finding: omega = g^(2^k+1) is
     primitive in the subfield, z stands for it, and mu is its minimal
@@ -443,15 +436,16 @@ class CompositeField(FieldSpec):
         ln = m - log[exp[2 * l0] ^ exp[l0 + l1] ^ exp[2 * l1 + self._lam]]
         return exp[log[(a ^ a >> k) & m] + ln] | exp[l1 + ln] << k
 
-    def generator(self) -> int:
-        return self._generator
-
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 
 
+@cache
 def ff_make(m: int) -> FieldSpec:
     """Deterministic GF(2^m): modulus is the lex-least irreducible
-    polynomial of degree m, identical on every host."""
-    return FieldSpec.get(m)
+    polynomial of degree m, identical on every host.  One spec per
+    degree, shared process-wide."""
+    if not 1 <= m <= 4096:
+        raise ValueError("field degree out of range [1, 4096]")
+    return FieldSpec(m, find_irreducible(m))

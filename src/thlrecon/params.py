@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 from .bits import hamming, project
 from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
 from .errors import InconsistentDigests, ParamsError
-from .gf2 import FieldSpec, ff_make
+from .gf2 import DLOG_MAX_DEGREE, FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
-
-# Discrete logs in the comp code's field (the stage-1 symbol field for
-# t > 1, the locator field GF(2^(r+1)) for t = 1) need its
-# multiplicative group order factored; trial division covers degrees up
-# to 26.
-_COMP_FIELD_MAX_DEGREE = 26
 
 
 def default_index_set(n: int) -> tuple:
@@ -44,11 +38,9 @@ class Params:
     # shared derivations
     r: int = field(repr=False, default=0)
     N: int = field(repr=False, default=0)
-    cl: BchCode = field(repr=False, default=None)
-    h_l: BinaryMatrix = field(repr=False, default=None)
+    cl: BchCode = field(repr=False, default=None)  # cl.parity is H_l
 
     # single-cluster (t = 1) scheme
-    h_bar: BinaryMatrix = field(repr=False, default=None)
     tail: tuple = field(repr=False, default=())  # H_l's non-pivot columns, 1-based
     hf_inv: BinaryMatrix = field(repr=False, default=None)
     digest_field: FieldSpec = field(repr=False, default=None)
@@ -58,7 +50,6 @@ class Params:
     # multi-cluster (t > 1) scheme
     nbar: int = field(repr=False, default=0)
     ibar: tuple = field(repr=False, default=())
-    q_degree: int = field(repr=False, default=0)
     beta_field: FieldSpec = field(repr=False, default=None)
     comp_field: FieldSpec = field(repr=False, default=None)
     comp_rs: RsCode = field(repr=False, default=None)
@@ -120,12 +111,13 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     h_l = cl.parity
     h_l.ensure_tables()  # every encode maps elements through it
 
+    # the comp code's field (t = 1: GF(2^(r+1)); t > 1: the stage-1
+    # symbol field) needs discrete logs
     if t == 1:
-        if r + 1 > _COMP_FIELD_MAX_DEGREE:
+        if r + 1 > DLOG_MAX_DEGREE:
             raise ParamsError(
                 "comp_field_degree",
-                f"comp code locator field degree {r + 1} exceeds "
-                f"{_COMP_FIELD_MAX_DEGREE}",
+                f"comp code locator field degree {r + 1} exceeds {DLOG_MAX_DEGREE}",
             )
         if n - r < 1:
             raise ParamsError("digest_width", "C_l leaves no free coordinates")
@@ -149,8 +141,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         comp = bch_build(N, h)
         return Params(
             n=n, t=1, h=h, ell=ell, I=(),
-            r=r, N=N, cl=cl, h_l=h_l,
-            h_bar=h_bar, tail=tail, hf_inv=hf_inv,
+            r=r, N=N, cl=cl, tail=tail, hf_inv=hf_inv,
             digest_field=digest_field, bh=bh, comp=comp,
         )
 
@@ -170,10 +161,10 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     a = q_degree
     while (1 << a) <= N:
         a += q_degree
-    if a > _COMP_FIELD_MAX_DEGREE:
+    if a > DLOG_MAX_DEGREE:
         raise ParamsError(
             "comp_field_degree",
-            f"stage-1 symbol field degree {a} exceeds {_COMP_FIELD_MAX_DEGREE}",
+            f"stage-1 symbol field degree {a} exceeds {DLOG_MAX_DEGREE}",
         )
     if 2 * t * h + 1 > N:
         raise ParamsError("comp_distance", "2th+1 exceeds the position space")
@@ -187,15 +178,14 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         )
     comp_field = ff_make(a)
     comp_rs = rs_code(comp_field, N, 2 * t * h + 1)
-    nbar_field = ff_make(nbar)
-    delta_field = ff_make(r + 1)
+    beta_field, delta_field = ff_make(m + 1), ff_make(r + 1)
+    for spec in (beta_field, delta_field):
+        spec.ensure_tables()  # map_f and gamma multiply in them per element
     return Params(
-        n=n, t=t, h=h, ell=ell, I=I,
-        r=r, N=N, cl=cl, h_l=h_l,
-        nbar=nbar, ibar=ibar,
-        q_degree=q_degree, beta_field=ff_make(m + 1),
+        n=n, t=t, h=h, ell=ell, I=I, r=r, N=N, cl=cl,
+        nbar=nbar, ibar=ibar, beta_field=beta_field,
         comp_field=comp_field, comp_rs=comp_rs,
-        nbar_field=nbar_field, delta_field=delta_field,
+        nbar_field=ff_make(nbar), delta_field=delta_field,
         s_prime=s_prime,
     )
 

@@ -28,7 +28,7 @@ from .bits import BitVector, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import map_E, map_M
-from .params import Params, accept, digest_cost_bits
+from .params import Params, accept
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,3 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
     anchor = params.hf_inv.mul_vec(k1 | (s2 << params.r))
     block = tuple(BitVector(anchor ^ e, params.n) for e in offsets)
     return accept(params, (block,), d, encode1)
-
-
-# Digest size in bits: u syndrome bits plus n-r bits.
-digest1_cost_bits = digest_cost_bits

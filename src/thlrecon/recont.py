@@ -32,7 +32,7 @@ from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Params, accept, digest_cost_bits
+from .params import Params, accept
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,3 @@ def _field_solve(spec, rows, rhs, ncols):
         if aug[i][ncols]:
             return None
     return [aug[i][ncols] for i in range(ncols)]
-
-
-# Digest size in bits: 2th stage-1 symbols plus the t x t grid.
-digestT_cost_bits = digest_cost_bits

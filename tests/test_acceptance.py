@@ -25,7 +25,7 @@ from thlrecon.gf2 import ff_make
 from thlrecon.errors import ParamMismatch, ThlreconError
 from thlrecon.maps_t import map_f, map_M
 from thlrecon.oracle import gen_instance
-from thlrecon.params import params_build
+from thlrecon.params import digest_cost_bits, params_build
 from thlrecon.protocol import (
     FRAME_OVERHEAD,
     Transport,
@@ -33,8 +33,8 @@ from thlrecon.protocol import (
     serialize_digest,
     session_run,
 )
-from thlrecon.recon1 import decode1, digest1_cost_bits, encode1
-from thlrecon.recont import decode_t, digestT_cost_bits, encode_t
+from thlrecon.recon1 import decode1, encode1
+from thlrecon.recont import decode_t, encode_t
 
 T1_GRID = [
     (n, h, ell)
@@ -125,13 +125,13 @@ def test_criterion_3_digest1_size(report):
     def body():
         feasible, _ = _t1_points()
         for p in feasible:
-            bits = digest1_cost_bits(p)
+            bits = digest_cost_bits(p)
             budget = 2 * (p.n + (p.h - 1) * p.ell * (math.ceil(math.log2(p.n)) + 1))
             assert bits <= budget, (p.n, p.h, p.ell, bits, budget)
             if p.n >= 63:
                 assert bits < p.h * (p.n + 1), (p.n, p.h, p.ell, bits)
         p = params_build(127, 1, 4, 1)
-        assert digest1_cost_bits(p) == 152  # u=32 syndrome + 120 digest bits
+        assert digest_cost_bits(p) == 152  # u=32 syndrome + 120 digest bits
         assert baseline_bits(p) == 512
 
     report.run(3, body)
@@ -142,12 +142,12 @@ def test_criterion_4_digestT_size(report):
         points = TT_GRID + [(127, 2, 4, 1)]
         for n, t, h, ell in points:
             p = params_build(n, t, h, ell)
-            bits = digestT_cost_bits(p)
+            bits = digest_cost_bits(p)
             lg = math.ceil(math.log2(n))
             budget = 2 * (t * t * n + 2 * t * h * (ell + t) * lg)
             assert bits <= budget, (n, t, h, ell, bits, budget)
         p = params_build(127, 2, 4, 1)
-        assert digestT_cost_bits(p) < 2 * 4 * 128
+        assert digest_cost_bits(p) < 2 * 4 * 128
 
     report.run(4, body)
 

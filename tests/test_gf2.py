@@ -167,7 +167,7 @@ def test_table_path_matches_generic(a, b):
 
 @pytest.mark.parametrize("m", [4, 11, 16, 24])
 def test_generator_and_dlog(m):
-    spec = FieldSpec.get(m)
+    spec = ff_make(m)
     g = spec.generator()
     rng = random.Random(m)
     for _ in range(10):
@@ -175,6 +175,18 @@ def test_generator_and_dlog(m):
         assert spec.dlog(spec.pow(g, k)) == k
     with pytest.raises(ZeroDivisionError):
         spec.dlog(0)
+
+
+def test_dlog_builds_no_tables():
+    tabled = ff_make(16)
+    tabled.ensure_tables()
+    fresh = FieldSpec(16, tabled.modulus)
+    g = tabled.generator()
+    rng = random.Random(16)
+    for _ in range(10):
+        a = tabled.pow(g, rng.randrange(tabled.order))
+        assert fresh.dlog(a) == tabled.dlog(a)
+    assert fresh._exp is None and fresh._log is None
 
 
 @pytest.mark.parametrize("m", [24, 26])

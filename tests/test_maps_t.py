@@ -47,7 +47,7 @@ def test_property1_exhaustive_n15(p15):
 
 
 def test_map_M_codeword_invariance(p15):
-    basis = nullspace(p15.h_l)
+    basis = nullspace(p15.cl.parity)
     rng = random.Random(1)
     c = basis[rng.randrange(len(basis))]
     x = BitVector(rng.getrandbits(15), 15)

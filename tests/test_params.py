@@ -5,6 +5,7 @@ import pytest
 from reference import mul_vec_rows
 from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests, ParamsError
+from thlrecon.linalg import full_rank_completion
 from thlrecon.params import (
     accept,
     cond4_violation_prob,
@@ -31,7 +32,6 @@ def test_t1_infeasible_small_n():
 def test_t2_63_pinned():
     p = params_build(63, 2, 2, 1, I=range(1, 7))
     assert p.nbar == 57
-    assert p.q_degree == 14
     assert p.comp_field.degree == 14
     assert p.ibar == tuple(range(7, 64))
 
@@ -40,23 +40,26 @@ def test_tables_only_for_multiplied_matrices():
     p = params_build(63, 1, 4, 2)
     # encodes and the decode anchor multiply by these: set-up builds
     # their product tables, so no encode state is left to first use
-    assert all(m._tables is not None for m in (p.h_l, p.hf_inv))
-    # the tail H_bar x is a projection onto p.tail: nothing multiplies
-    # by H_bar
-    assert p.h_bar._tables is None
+    assert all(m._tables is not None for m in (p.cl.parity, p.hf_inv))
     # comp syndromes are column sums, and BCH(4096, 4) tables would be
     # megabytes no session reads
     assert p.comp.parity._tables is None and p.comp._lift._tables is None
+    # t > 1: map_f and gamma multiply in the beta and delta fields per
+    # element; the grid field GF(2^120) is past the table limit
+    p = params_build(127, 3, 2, 1)
+    assert p.beta_field._exp is not None and p.delta_field._exp is not None
+    assert p.nbar_field._exp is None
 
 
 @pytest.mark.parametrize("point", [(63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2)])
 def test_tail_projection_is_h_bar_product(point):
     p = params_build(*point)
     assert len(p.tail) == p.n - p.r
+    h_bar = full_rank_completion(p.cl.parity)
     rng = random.Random(point[0])
     for _ in range(30):
         x = BitVector(rng.getrandbits(p.n), p.n)
-        assert project(x, p.tail) == mul_vec_rows(p.h_bar, x.value)
+        assert project(x, p.tail) == mul_vec_rows(h_bar, x.value)
 
 
 def test_default_index_set():

@@ -8,8 +8,8 @@ from thlrecon.errors import InconsistentDigests
 from thlrecon.gf2 import TABLE_MAX_DEGREE
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance
-from thlrecon.params import params_build
-from thlrecon.recon1 import Digest1, decode1, digest1_cost_bits, encode1
+from thlrecon.params import digest_cost_bits, params_build
+from thlrecon.recon1 import Digest1, decode1, encode1
 
 
 def pad(bits, n):
@@ -140,15 +140,15 @@ def test_corrupted_digest_never_silent(p63):
 
 def test_cost_bits(p63):
     p127 = params_build(127, 1, 4, 1)
-    assert digest1_cost_bits(p127) == p127.comp.redundancy + 120
-    assert digest1_cost_bits(p127) < 4 * 128  # beats per-element transfer
+    assert digest_cost_bits(p127) == p127.comp.redundancy + 120
+    assert digest_cost_bits(p127) < 4 * 128  # beats per-element transfer
     # h=1 degenerates to about n bits
     p1 = params_build(127, 1, 1, 1)
-    assert abs(digest1_cost_bits(p1) - 127) <= p1.comp.redundancy
+    assert abs(digest_cost_bits(p1) - 127) <= p1.comp.redundancy
 
 
 def test_syndrome_index_matches_parity(p63):
     rng = random.Random(9)
     for _ in range(20):
         x = BitVector(rng.getrandbits(63), 63)
-        assert map_M(p63, x) == p63.h_l.mul_vec(x.value)
+        assert map_M(p63, x) == p63.cl.parity.mul_vec(x.value)

@@ -7,8 +7,8 @@ from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
-from thlrecon.params import params_build
-from thlrecon.recont import DigestT, decode_t, digestT_cost_bits, encode_t
+from thlrecon.params import digest_cost_bits, params_build
+from thlrecon.recont import DigestT, decode_t, encode_t
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_blocks_sharing_a_position(p63):
     # two blocks engineered so the second block's center lands on the
     # same position as the first block's offset element
     rng = random.Random(123)
-    basis = nullspace(p63.h_l)
+    basis = nullspace(p63.cl.parity)
     codeword = None
     for c in basis:
         if project(BitVector(c, 63), p63.I):
@@ -113,13 +113,13 @@ def test_corrupted_digest_never_silent(p63):
 
 def test_cost_bits():
     p = params_build(127, 2, 4, 1)
-    bits = digestT_cost_bits(p)
+    bits = digest_cost_bits(p)
     assert bits == p.comp_rs.redundancy * p.comp_field.degree + 4 * p.nbar
     assert bits < 2 * 4 * 128  # beats per-element transfer
     # grid portion is exactly t^2 * nbar bits
     p2 = params_build(63, 3, 2, 1)
     stage1 = p2.comp_rs.redundancy * p2.comp_field.degree
-    assert digestT_cost_bits(p2) - stage1 == 9 * 57
+    assert digest_cost_bits(p2) - stage1 == 9 * 57
 
 
 def test_stage1_recovery_matches_direct(p63):
