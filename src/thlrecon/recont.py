@@ -11,9 +11,14 @@ Encoding (per host):
    elements, in GF(2^nbar); w2 is the t x t grid with entry (row, k) =
    sum_j gamma_j^(2^row) * z2^(k)[j].
 
-x_I and x_Ibar are run gathers (:func:`bits.project`).  Both sums XOR
-unreduced carry-less products and fold once: each z2 column before it
-enters the grid, and each grid entry at the end.
+x_I and x_Ibar are run gathers (:func:`bits.project`).  A column's t
+Frobenius powers travel as lanes of one int, lane k at bit k * 3nbar:
+one carry-less product of x_Ibar with an element's packed f-powers adds
+its z2 column, and one of gamma_j^(2^row) with a column adds it to grid
+row ``row``.  Products stay unreduced: a lane sums products of at most
+three factors below 2^nbar, so with no carries it stays below 2^(3nbar)
+and never reaches the next lane.  Each lane of each row is folded once
+at the end, which gives the grid of reduced products.
 
 Decoding xors the digests, recovers the per-position f-value sums
 (stage 1), decomposes each into block signatures, collapses every
@@ -55,42 +60,53 @@ class DigestT:
         return DigestT(w1, w2)
 
 
-def _add_column(params: Params, grid, j: int, z):
-    """grid[row][k] ^= gamma_j^(2^row) * z[k] over GF(2^nbar), the
-    products left unreduced; z is reduced."""
+def _pack(params: Params, values) -> int:
+    """values[k] in lane k, at bit k * 3nbar (see the module docstring)."""
+    acc = 0
+    for k, v in enumerate(values):
+        acc ^= v << (3 * params.nbar * k)
+    return acc
+
+
+def _unpack(params: Params, packed: int) -> tuple:
+    """The t lanes of ``packed``, each reduced into GF(2^nbar)."""
+    w = 3 * params.nbar
+    lanes = ((packed >> (k * w)) & ((1 << w) - 1) for k in range(params.t))
+    return tuple(map(params.nbar_field.reduce, lanes))
+
+
+def _add_column(params: Params, grid, j: int, z: int):
+    """grid[row] ^= gamma_j^(2^row) * z for packed lanes z (the t
+    Frobenius powers of one grid column), the products left unreduced;
+    gamma_j^(2^row) is reduced, so every lane stays below 2^(3nbar)."""
     spec = params.nbar_field
     g = gamma(params, j)
-    for r, row in enumerate(grid):
+    for r in range(len(grid)):
         if r:
             g = spec.sqr(g)
-        for k, v in enumerate(z):
-            if v:
-                row[k] ^= poly_mul(g, v)
+        grid[r] ^= poly_mul(g, z)
 
 
 def encode_t(params: Params, S) -> DigestT:
     if params.t < 2:
         raise ValueError("encode_t requires a t>1 configuration")
     spec = params.nbar_field
-    t = params.t
     # Stage per position first: one grid column per occupied position
     # costs less than one per element.
     z1 = {}
-    z2 = {}  # position -> [f^(2^k) * embed(x_Ibar) summed, k < t], unreduced
+    z2 = {}  # position -> packed f^(2^k) * embed(x_Ibar) summed, unreduced
     for x in S:
         j = map_M(params, x)
         fx = map_f(params, project(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
-        xibar = project(x, params.ibar)
-        col = z2.setdefault(j, [0] * t)
-        col[0] ^= poly_mul(fx, xibar)  # fx is embedded by zero-padding
-        for k in range(1, t):
-            fx = spec.sqr(fx)
-            col[k] ^= poly_mul(fx, xibar)
-    grid = [[0] * t for _ in range(t)]
+        f = [fx]  # fx is embedded by zero-padding
+        for _ in range(1, params.t):
+            f.append(spec.sqr(f[-1]))
+        z2[j] = z2.get(j, 0) ^ poly_mul(project(x, params.ibar), _pack(params, f))
+    grid = [0] * params.t
     for j, col in z2.items():
-        _add_column(params, grid, j, [spec.reduce(v) for v in col])
-    grid = tuple(tuple(map(spec.reduce, row)) for row in grid)
+        _add_column(params, grid, j, col)
+    grid = tuple(_unpack(params, row) for row in grid)
     return DigestT(params.comp_rs.syndrome_sparse(z1), grid)
 
 
@@ -100,6 +116,8 @@ def decode_t(params: Params, dA: DigestT, dB: DigestT):
     Raises :class:`InconsistentDigests` when the digests do not
     describe a valid multi-cluster instance.
     """
+    if params.t < 2:
+        raise ValueError("decode_t requires a t>1 configuration")
     d = dA ^ dB
     return accept(params, _decode_blocks(params, d), d, encode_t)
 
@@ -123,7 +141,7 @@ def _decode_blocks(params: Params, d: DigestT):
 
     # steps 3-5: center-collapse, cancelling known offsets from the
     # grid's row 0, the only row the center solve reads
-    row0 = list(d.w2[0])
+    row0 = [_pack(params, d.w2[0])]
     members = {}  # sigma -> [(position, offset)], center first
     for i in sorted(decomposed):
         for sigma in decomposed[i]:
@@ -138,8 +156,8 @@ def _decode_blocks(params: Params, d: DigestT):
             block.append((i, e))
             ebar = project(e, params.ibar)
             if ebar:
-                z = [spec.mul(spec.frob(sigma, k), ebar) for k in range(t)]
-                _add_column(params, [row0], i, z)
+                lanes = _pack(params, [spec.frob(sigma, k) for k in range(t)])
+                _add_column(params, row0, i, poly_mul(ebar, lanes))
 
     sigmas = sorted(members)
     gsums = {}
@@ -150,7 +168,7 @@ def _decode_blocks(params: Params, d: DigestT):
         gsums[sigma] = g
 
     # step 6: solve for the center Ibar-parts
-    cbars = _solve_centers(params, sigmas, gsums, list(map(spec.reduce, row0)))
+    cbars = _solve_centers(params, sigmas, gsums, _unpack(params, row0[0]))
 
     # steps 7-8: reassemble the blocks
     blocks = []

@@ -50,7 +50,7 @@ def test_common_elements_cancel(p63):
 @pytest.mark.parametrize(
     "n,t,h,ell",
     [(63, 2, 2, 1), (63, 2, 3, 2), (63, 3, 2, 1), (127, 2, 2, 1),
-     (127, 2, 3, 2), (127, 3, 2, 1)],
+     (127, 2, 3, 2), (127, 3, 2, 1), (31, 4, 2, 1)],
 )
 def test_roundtrip_random(n, t, h, ell):
     p = params_build(n, t, h, ell)
@@ -153,14 +153,42 @@ def test_grid_bit_flips_rejected():
                 decode_t(p, bad, dB)
 
 
-@pytest.mark.parametrize("point", [(15, 2, 2, 1), (127, 3, 2, 1)])
+@pytest.mark.parametrize(
+    "point", [(15, 2, 2, 1), (127, 3, 2, 1), (63, 3, 2, 1), (31, 4, 2, 1)]
+)
 def test_encode_matches_reduced_per_product_reference(point):
-    # GF(2^11) at (15, 2, 2, 1) has tables, GF(2^120) has none; both
-    # fold each accumulator once where the reference reduces every
-    # product
+    # the grid packs the t Frobenius lanes of a column into one int and
+    # folds each lane once, where the reference reduces every product;
+    # (31, 4, 2, 1) has four lanes in GF(2^26), where f^(2^k) wraps
+    # past nbar
     p = params_build(*point)
     rng = random.Random(point[0])
     for seed in range(4):
         SA, _, _ = gen_instance(p, seed, 6)
         S = set(SA) | {BitVector(rng.getrandbits(p.n), p.n) for _ in range(30)}
         assert encode_t(p, S) == encode_t_reference(p, S)
+
+
+def test_decode_t_rejects_t1_params():
+    p = params_build(63, 1, 2, 1)
+    d = DigestT((), ())
+    with pytest.raises(ValueError, match="t>1"):
+        decode_t(p, d, d)
+
+
+def test_oversized_or_negative_row0_entry_rejected():
+    # a grid entry of 2^(3nbar) or more is wider than a packed lane, so
+    # it would spill into the next lane; the re-encode check compares
+    # with the unpacked digest and must reject it, as it rejects an
+    # unreduced or negative entry
+    p = params_build(63, 3, 2, 1)
+    SA, SB, delta = gen_instance(p, 4, 10)
+    dA, dB = encode_t(p, SA), encode_t(p, SB)
+    assert decode_t(p, dA, dB) == delta
+    for k in range(p.t):
+        v = dA.w2[0][k]
+        for bad in (v ^ 1 << p.nbar, v ^ 1 << 3 * p.nbar, v | 1 << 4 * p.nbar, ~v, -1):
+            row0 = dA.w2[0][:k] + (bad,) + dA.w2[0][k + 1:]
+            d = DigestT(dA.w1, (row0,) + dA.w2[1:])
+            with pytest.raises(InconsistentDigests):
+                decode_t(p, d, dB)
