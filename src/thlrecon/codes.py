@@ -16,11 +16,14 @@ Two code families are built here:
   at the code's boundary, so symbols and positions stay standard.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
-chain: power sums, Berlekamp-Massey for the locator polynomial
+chain, each step written once: power sums unpacked as they were packed
+(:func:`power_sums`), Berlekamp-Massey for the locator polynomial
 (:func:`locate`), roots from one table of x^(2^k) modulo the locator,
 which also shows whether it splits (:func:`find_roots` returns None
-when it does not), then a re-encode check.  BCH positions come from
-the roots by discrete log, which stays cheap at any length.
+when it does not; it takes remainders by :func:`poly_rem` and never
+divides), then a re-encode check.  BCH and Reed-Solomon positions come
+from the roots by discrete log (:func:`position`), which stays cheap
+at any length.
 """
 
 from __future__ import annotations
@@ -64,29 +67,27 @@ def poly_mul_ff(spec, a, b):
     return poly_trim(out)
 
 
-def poly_divmod_ff(spec, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = spec.inv(b[-1])
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and poly_trim(a):
-        da = len(a) - 1
-        c = spec.mul(a[-1], inv_lead)
-        q[da - db] = c
-        for i, bi in enumerate(b):
-            a[da - db + i] ^= spec.mul(c, bi)
-        poly_trim(a)
-    return poly_trim(q), a
+def poly_rem(spec, a, b):
+    """a mod b for a monic b: each leading term is cancelled by its own
+    coefficient times b, with no quotient kept and no inverse taken."""
+    a, db = list(a), len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(db):
+                if b[j]:
+                    a[i - db + j] ^= spec.mul(c, b[j])
+    return poly_trim(a[:db])
 
 
 def poly_gcd_ff(spec, a, b):
-    a, b = list(a), list(b)
-    while poly_trim(b):
-        _, r = poly_divmod_ff(spec, a, b)
-        a, b = b, r
-    if a:
-        inv = spec.inv(a[-1])
-        a = [spec.mul(c, inv) for c in a]
+    """Monic gcd of a monic ``a`` and ``b``, by remainders modulo each
+    divisor made monic."""
+    b = poly_trim(list(b))
+    while b:
+        inv = spec.inv(b[-1])
+        a, b = [spec.mul(c, inv) for c in b], a
+        b = poly_rem(spec, b, a)
     return a
 
 
@@ -133,22 +134,26 @@ def find_roots(spec: FieldSpec, poly):
 
     One table T[k] = x^(2^k) mod P (k = 0..m, P monic) serves both
     steps.  It is built by squaring coefficient-wise, as in
-    characteristic two (sum a_i x^i)^2 = sum a_i^2 x^(2i).  The split
-    test: P is such a product exactly when T[m] = x mod P.  A factor p
-    then splits by gcd(p, Tr(c x) mod P), Tr(c x) = sum_(k<m) c^(2^k)
-    T[k], at the first basis element c whose trace separates two of its
-    roots (Berlekamp's trace algorithm); both parts go on from the next c.
+    characteristic two (sum a_i x^i)^2 = sum a_i^2 x^(2i), and
+    :func:`poly_rem`; nothing here divides polynomials.  The split
+    test: P is such a product exactly when T[m] = x mod P.  Then for
+    any c, Tr(c x) (Tr(c x) + 1) = c (x^(2^m) + x) = 0 mod P, with
+    Tr(c x) = sum_(k<m) c^(2^k) T[k], so each root of a factor p is a
+    root of just one of Tr(c x) and Tr(c x) + 1, and p splits into
+    gcd(p, Tr(c x)) and gcd(p, Tr(c x) + 1) at the first basis element
+    c that separates two of its roots (Berlekamp's trace algorithm);
+    both parts go on from the next c.
     """
     poly = poly_trim(list(poly))
     if len(poly) <= 1:
         return []
     inv = spec.inv(poly[-1])
     poly = [spec.mul(c, inv) for c in poly]
-    table = [poly_divmod_ff(spec, [0, 1], poly)[1]]
+    table = [poly_rem(spec, [0, 1], poly)]
     for _ in range(spec.degree):
         sq = [0] * (2 * len(table[-1]) - 1)
         sq[::2] = [spec.sqr(a) for a in table[-1]]
-        table.append(poly_divmod_ff(spec, sq, poly)[1])
+        table.append(poly_rem(spec, sq, poly))
     if table[-1] != table[0]:
         return None
     roots = []
@@ -163,22 +168,35 @@ def find_roots(spec: FieldSpec, poly):
             for j, tj in enumerate(t):
                 trace[j] ^= spec.mul(c, tj)
             c = spec.sqr(c)
-        g = poly_gcd_ff(spec, p, poly_trim(trace))
+        g = poly_gcd_ff(spec, p, trace)
         if 0 < len(g) - 1 < len(p) - 1:
-            stack += [(g, i + 1), (poly_divmod_ff(spec, p, g)[0], i + 1)]
+            trace[0] ^= 1
+            stack += [(g, i + 1), (poly_gcd_ff(spec, p, trace), i + 1)]
         else:
             stack.append((p, i + 1))
     return roots
 
 
-def power_sums(spec: FieldSpec, odd):
-    """Power sums S_1 .. S_2k from the odd ones S_1, S_3, .., S_(2k-1):
-    in characteristic two S_2i = S_i^2."""
-    sums = [0] * (2 * len(odd))
-    sums[0::2] = odd
-    for i in range(1, len(sums), 2):  # sums[i] holds S_(i+1)
+def power_sums(spec: FieldSpec, packed: int, k: int):
+    """Power sums S_1 .. S_2k from the odd ones S_1, S_3, .., S_(2k-1),
+    packed at ``spec.degree`` bits apiece as :func:`odd_powers` packs
+    them: in characteristic two S_2i = S_i^2."""
+    m = spec.degree
+    sums = [0] * (2 * k)
+    sums[0::2] = [(packed >> (i * m)) & spec.order for i in range(k)]
+    for i in range(1, 2 * k, 2):  # sums[i] holds S_(i+1)
         sums[i] = spec.sqr(sums[i // 2])
     return sums
+
+
+def position(spec: FieldSpec, root: int, length: int) -> int:
+    """The position j below ``length`` whose locator g^j has the
+    locator polynomial's root as its inverse: j = -dlog(root) mod the
+    group order.  Raises :class:`DecodingError` when j is out of range."""
+    j = -spec.dlog(root) % spec.order
+    if j >= length:
+        raise DecodingError("uncorrectable syndrome")
+    return j
 
 
 def locate(spec: FieldSpec, sums, bound: int):
@@ -282,14 +300,6 @@ class BchCode:
             i for i in range(self.length) if (x >> i) & 1
         )
 
-    def _power_sums(self, synd: int):
-        """Full power sums S_1 .. S_2e from a packed syndrome."""
-        s = self.locator_degree
-        if self._reduced:  # lift to the full odd-power syndrome
-            synd = self._lift.mul_vec(synd)
-        odd = [(synd >> (k * s)) & ((1 << s) - 1) for k in range(self.design_errors)]
-        return power_sums(self.field, odd)
-
     # -- decoding --------------------------------------------------------
 
     def decode_positions(self, synd: int):
@@ -297,12 +307,12 @@ class BchCode:
         pattern with this syndrome.  Raises DecodingError if none."""
         if synd == 0:
             return []
-        spec = self.field
-        _, roots = locate(spec, self._power_sums(synd), self.design_errors)
-        positions = sorted(spec.dlog(spec.inv(root)) for root in roots)
-        if (positions and positions[-1] >= self.length) or (
-            self.syndrome_from_positions(positions) != synd
-        ):
+        spec, e = self.field, self.design_errors
+        # a rank-reduced syndrome lifts to the full odd-power one
+        full = self._lift.mul_vec(synd) if self._reduced else synd
+        _, roots = locate(spec, power_sums(spec, full, e), e)
+        positions = sorted(position(spec, root, self.length) for root in roots)
+        if self.syndrome_from_positions(positions) != synd:
             raise DecodingError("uncorrectable syndrome")
         return positions
 
@@ -378,9 +388,7 @@ class RsCode:
         dloc = loc[1::2]
         errors = {}
         for root in roots:
-            j = spec.dlog(spec.inv(root))
-            if j >= self.length:
-                raise DecodingError("uncorrectable syndrome")
+            j = position(spec, root, self.length)
             num = poly_eval(spec, omega, root)
             value = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
             errors[j] = self._from_work(value)

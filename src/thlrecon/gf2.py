@@ -13,7 +13,8 @@ make discrete logarithms O(1); larger fields fall back to the
 carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
 bit of a sparse multiplier) reduced by :meth:`FieldSpec.reduce`, a fold
 over the sparse modulus, a quotient-free extended Euclid for inverses
-and Pohlig-Hellman logs.  ``reduce`` is linear, so a sum of unreduced
+and Pohlig-Hellman logs (one baby-step giant-step table per prime
+power of the group order).  ``reduce`` is linear, so a sum of unreduced
 products needs one fold: the digest encoders accumulate that way.
 Reed-Solomon arithmetic over an even degree 2k above the table limit
 (24 or 26) runs in a :class:`CompositeField`, GF((2^k)^2) over a tabled
@@ -172,7 +173,6 @@ class FieldSpec:
         self._log = None
         self._generator = None
         self._factors = None
-        self._bsgs = {}
         self._ph = None
         self._work = None
 
@@ -290,58 +290,46 @@ class FieldSpec:
         self._log = log
 
     def dlog(self, a: int) -> int:
-        """k with generator^k = a; O(1) with tables, else Pohlig-Hellman.
-        Builds no tables: the codes build those of the fields they use."""
+        """k with generator^k = a; O(1) with tables, else Pohlig-Hellman
+        (IEEE Trans. IT, 1978): for each prime power p^e of the group
+        order, a^(order/p^e) = g_i^y with y < p^e, found in one
+        baby-step giant-step table, and the Chinese remainder theorem
+        joins the y.  Builds no exp/log tables: the codes build those of
+        the fields they use."""
         if a == 0:
             raise ZeroDivisionError("dlog of zero")
         if self._log is not None:
             return self._log[a]
-        n = self.order
         result, modulus = 0, 1
-        for p, e, pe, gi_inv, gamma in self._pohlig_hellman():
-            xi = self.pow(a, n // pe)
-            y = 0
-            for j in range(e):
-                h = self.pow(self.mul(xi, self.pow(gi_inv, y)), pe // (p ** (j + 1)))
-                d = self._bsgs_solve(gamma, h, p)
-                y += d * p**j
-            # CRT fold
+        for pe, step, baby, giant in self._pohlig_hellman():
+            cur = self.pow(a, self.order // pe)
+            for i in range(step):  # y = i s + j < p^e < s^2
+                j = baby.get(cur)
+                if j is not None:
+                    break
+                cur = self.mul(cur, giant)
+            else:
+                raise ValueError("element not in subgroup")
+            y = i * step + j
             result += modulus * ((y - result) * pow(modulus, -1, pe) % pe)
             modulus *= pe
-        return result % n
+        return result
 
     def _pohlig_hellman(self):
-        """Per prime power p^e of the group order, built once: p, e, p^e,
-        1/g_i for g_i = generator^(order/p^e), and gamma = g_i^(p^(e-1))."""
+        """Per prime power p^e of the group order, built once: p^e, the
+        step s = isqrt(p^e) + 1, the baby steps {g_i^j: j} (j < s) and
+        the giant step g_i^-s, for g_i = generator^(order/p^e)."""
         if self._ph is None:
             self._ph = []
             for p, e in self.factors().items():
-                gi = self.pow(self.generator(), self.order // p**e)
-                gamma = self.pow(gi, p ** (e - 1))
-                self._ph.append((p, e, p**e, self.inv(gi), gamma))
+                pe = p**e
+                gi, step = self.pow(self.generator(), self.order // pe), isqrt(pe) + 1
+                baby, cur = {}, 1
+                for j in range(step):
+                    baby[cur] = j
+                    cur = self.mul(cur, gi)
+                self._ph.append((pe, step, baby, self.inv(cur)))
         return self._ph
-
-    def _bsgs_solve(self, base: int, target: int, p: int) -> int:
-        """Baby-step giant-step in the order-p subgroup generated by base."""
-        step = isqrt(p) + 1
-        cached = self._bsgs.get(base)
-        if cached is None:
-            baby = {}
-            cur = 1
-            for j in range(step):
-                baby.setdefault(cur, j)
-                cur = self.mul(cur, base)
-            giant = self.inv(cur)  # base^(-step)
-            cached = (baby, giant)
-            self._bsgs[base] = cached
-        baby, giant = cached
-        cur = target
-        for i in range(step + 1):
-            j = baby.get(cur)
-            if j is not None:
-                return (i * step + j) % p
-            cur = self.mul(cur, giant)
-        raise ValueError("element not in subgroup")
 
     def work_field(self):
         """(field, map into it, map back) for Reed-Solomon arithmetic: a

@@ -67,9 +67,7 @@ def f_sum_decompose(params: Params, zeta: int):
         raise DecodingError("undecodable")
     m = len(params.I)
     spec = params.beta_field
-    mask = (1 << (m + 1)) - 1
-    odd = [(zeta >> (k * (m + 1))) & mask for k in range(params.t)]
-    _, roots = locate(spec, power_sums(spec, odd), params.t)
+    _, roots = locate(spec, power_sums(spec, zeta, params.t), params.t)
     values = []
     for root in roots:
         beta = spec.inv(root)

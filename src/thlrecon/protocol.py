@@ -13,6 +13,7 @@ an in-process pair from ``Transport.pair()``.
 from __future__ import annotations
 
 import socket
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .bits import BitVector
@@ -267,16 +268,17 @@ def session_push(transport: Transport, params: Params, local_set):
 
 def session_serve(transport: Transport, params: Params, local_set):
     """Asymmetric server: receive HELLO + DIGEST, reply with the
-    decoded difference, or with an error frame when the DIGEST payload
-    is malformed or decoding fails."""
+    decoded difference, or with an error frame when a frame in place of
+    either is bad, the DIGEST payload is malformed or decoding fails.
+    A failed error frame leaves the original error to propagate."""
     limit = max_payload(params)
-    _check_hello(transport, limit, params)
-    payload = _expect(transport, limit, MSG_DIGEST)
     try:
-        peer_digest = parse_digest(params, payload)
+        _check_hello(transport, limit, params)
+        peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
         delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
     except (FrameError, InconsistentDigests) as exc:
-        transport.send_frame(MSG_ERROR, str(exc).encode("utf-8")[:ERROR_ALLOWANCE])
+        with suppress(FrameError):
+            transport.send_frame(MSG_ERROR, str(exc).encode("utf-8")[:ERROR_ALLOWANCE])
         raise
     transport.send_frame(MSG_RESULT, serialize_result(params, delta))
     return delta

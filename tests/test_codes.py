@@ -47,9 +47,14 @@ def _trace(spec, a):
     return t
 
 
-@pytest.mark.parametrize("m", [24, 120])
-def test_find_roots_large_fields(m):
-    spec = ff_make(m)
+# the work fields are GF((2^12)^2) and GF((2^13)^2), where stage-1
+# Reed-Solomon decoding finds its roots
+@pytest.mark.parametrize(
+    "m, work", [(24, False), (120, False), (24, True), (26, True)],
+    ids=["24", "120", "work24", "work26"],
+)
+def test_find_roots_large_fields(m, work):
+    spec = ff_make(m).work_field()[0] if work else ff_make(m)
     rng = random.Random(m)
     roots = [rng.getrandbits(m) | 1 for _ in range(4)]
     assert len(set(roots)) == 4
@@ -212,6 +217,19 @@ def test_rs_uncorrectable():
         assert got != errs and code.syndrome_sparse(got) == syn
     except DecodingError:
         pass
+
+
+def test_root_at_or_beyond_the_length_rejected():
+    # a locator root at position n or past it is no error pattern of a
+    # code shortened to n, even where its syndrome would re-encode
+    code = bch_build(5000, 1)  # unreduced: every position has a column
+    for j in (5000, 8190):
+        with pytest.raises(DecodingError):
+            code.decode_positions(code.syndrome_from_positions([j]))
+    short, wide = rs_code(ff_make(4), 10, 5), rs_code(ff_make(4), 15, 5)
+    for j in (10, 14):
+        with pytest.raises(DecodingError):
+            short.decode(wide.syndrome_sparse({j: 3}))
 
 
 def test_rs_length_bound():

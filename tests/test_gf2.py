@@ -177,15 +177,15 @@ def test_generator_and_dlog(m):
         spec.dlog(0)
 
 
-def test_dlog_builds_no_tables():
-    tabled = ff_make(16)
-    tabled.ensure_tables()
-    fresh = FieldSpec(16, tabled.modulus)
-    g = tabled.generator()
-    rng = random.Random(16)
-    for _ in range(10):
-        a = tabled.pow(g, rng.randrange(tabled.order))
-        assert fresh.dlog(a) == tabled.dlog(a)
+# 2^m - 1 has the repeated prime factor 3^2, 3^3, 5^2 or 7^2 at m = 6,
+# 18, 20 or 21, so one baby-step giant-step table covers a prime power
+@pytest.mark.parametrize("m", [16, 6, 18, 20, 21, 23, 25, 26])
+def test_dlog_builds_no_tables(m):
+    fresh = FieldSpec(m, ff_make(m).modulus)
+    g = fresh.generator()
+    rng = random.Random(m)
+    for k in [0, fresh.order - 1] + [rng.randrange(fresh.order) for _ in range(10)]:
+        assert fresh.dlog(fresh.pow(g, k)) == k
     assert fresh._exp is None and fresh._log is None
 
 

@@ -340,6 +340,45 @@ def test_malformed_push_digest_answered_with_error(monkeypatch):
     assert isinstance(ra, InconsistentDigests) and str(ra) == str(rb)
 
 
+def test_bad_frame_in_place_of_hello_or_digest_answered_with_error(p1):
+    # a wrong message type, a bad header or an oversized payload is
+    # answered with an error frame too, so the client fails at once
+    # instead of after its timeout
+    hello = encode_frame(MSG_HELLO, p1.fingerprint)
+    cases = [
+        (hello + encode_frame(MSG_RESULT, b""), "expected DIGEST"),
+        (b"XXXX" + bytes(FRAME_OVERHEAD - 4), "bad magic"),
+        (encode_frame(MSG_DIGEST, b""), "expected HELLO"),
+        (hello + MAGIC + bytes((VERSION + 1, MSG_DIGEST)) + bytes(4), "version"),
+        (hello + MAGIC + bytes((VERSION, MSG_DIGEST)) + b"\xff" * 4, "exceeds"),
+    ]
+    for frames, text in cases:
+        a, b = socket.socketpair()
+        a.settimeout(3.0)
+        with Transport(a) as ea, Transport(b) as eb:
+            start = time.monotonic()
+
+            def client():
+                a.sendall(frames)
+                return ea.recv_frame(max_payload(p1))
+
+            ra, rb = _run_pair(client, lambda: session_serve(eb, p1, set()))
+            assert time.monotonic() - start < 1, text
+        assert isinstance(rb, FrameError) and text in str(rb)
+        assert ra == (MSG_ERROR, str(rb).encode())
+
+
+def test_failed_error_frame_keeps_the_original_error(p1):
+    # the client is gone, so the error frame cannot be sent; the server
+    # still raises what went wrong, not the failed send
+    a, b = socket.socketpair()
+    a.sendall(b"XXXX" + bytes(FRAME_OVERHEAD - 4))
+    a.close()
+    with Transport(b) as eb:
+        with pytest.raises(FrameError, match="bad magic"):
+            session_serve(eb, p1, set())
+
+
 def test_asymmetric_param_mismatch(p1):
     other = params_build(63, 1, 3, 1)
     ea, eb = Transport.pair()
