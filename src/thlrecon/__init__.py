@@ -30,7 +30,6 @@ from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from .params import (
     Params,
-    cond4_violation_prob,
     digest_cost_bits,
     params_build,
     params_from_text,
@@ -55,7 +54,7 @@ __all__ = [
     "FieldSpec", "ff_make",
     "BinaryMatrix", "full_rank_completion",
     "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",
-    "Params", "params_build", "params_from_text", "cond4_violation_prob",
+    "Params", "params_build", "params_from_text",
     "digest_cost_bits",
     "Digest1", "encode1", "decode1",
     "DigestT", "encode_t", "decode_t",

@@ -5,11 +5,14 @@ Polynomials over F_2 are packed into ints, coefficient of x^i in bit i
 holding the degree and the reduction modulus; the modulus is always the
 lexicographically smallest irreducible polynomial of that degree, so two
 hosts derive identical fields from the degree alone.  The search tests
-each candidate with Ben-Or's irreducibility test.
+each candidate with Ben-Or's irreducibility test, batched: squarings
+folded through the candidate's sparse low part, and one gcd per block
+of k against the product of the x^(2^k) - x.
 
 Elements are plain ints: every ``FieldSpec`` method takes and returns
 ints.  Fields of small degree lazily build exp/log tables which also
-make discrete logarithms O(1); larger fields fall back to the
+make discrete logarithms O(1), stepping the exp table by two lookups
+(a -> g a is linear over the halves of a); larger fields fall back to the
 carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
 bit of a sparse multiplier) reduced by :meth:`FieldSpec.reduce`, a fold
 over the sparse modulus, a quotient-free extended Euclid for inverses
@@ -112,17 +115,31 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_is_irreducible(f: int) -> bool:
-    """Ben-Or's test: f of degree m is irreducible iff
-    gcd(x^(2^k) - x, f) = 1 for every k = 1..m//2; stops at the first
-    k that shares a factor with f."""
+    """Ben-Or's test, batched: f of degree m is irreducible iff
+    gcd(x^(2^k) - x, f) = 1 for every k = 1..m//2.  Each x^(2^k) mod f
+    is squared and folded by :meth:`FieldSpec.reduce`.  The terms
+    (x^(2^k) - x) mod f of a block of k are multiplied mod f, and the
+    block takes one gcd with f: an irreducible factor of f divides the
+    product exactly when it divides a term (von zur Gathen & Shoup,
+    Comput. Complexity 1992).  Blocks grow 1, 2, 4, ... up to 64, so
+    the half of all candidates that fail at k = 1 stay cheap, and the
+    last block ends at m//2."""
     m = poly_degree(f)
     if m <= 0:
         return False
+    reduce = FieldSpec(m, f).reduce
+    half, k, size = m // 2, 0, 1
     cur = 2  # x^(2^k) mod f
-    for _ in range(m // 2):
-        cur = poly_mod(poly_square(cur), f)
-        if poly_gcd(cur ^ 2, f) != 1:
+    while k < half:
+        end = min(k + size, half)
+        cur = reduce(poly_square(cur))
+        prod = cur ^ 2
+        for _ in range(end - k - 1):
+            cur = reduce(poly_square(cur))
+            prod = reduce(poly_mul(prod, cur ^ 2))
+        if poly_gcd(f, prod) != 1:
             return False
+        k, size = end, min(2 * size, 64)
     return True
 
 
@@ -273,19 +290,27 @@ class FieldSpec:
         return self._generator
 
     def ensure_tables(self):
-        """Build exp/log tables (no-op above TABLE_MAX_DEGREE)."""
+        """Build exp/log tables (no-op above TABLE_MAX_DEGREE), 4-byte
+        entries.  a -> g a is linear over F_2, so each step of the exp
+        table is two lookups, the images of the low and high halves of
+        a: ``lo[a & lmask] ^ hi[a >> half]``.  Each half-table is
+        spanned by XOR from the images g x^i of its basis bits."""
         if self._exp is not None or self.degree > TABLE_MAX_DEGREE:
             return
-        g = self.generator()
-        size = 1 << self.degree
-        exp = array("L", bytes(8 * size))
-        log = array("L", bytes(8 * size))
-        mod = self.modulus
-        cur = 1
+        g, m = self.generator(), self.degree
+        half = (m + 1) // 2
+        lo, hi = [0], [0]
+        for i in range(m):
+            t = lo if i < half else hi
+            image = self.reduce(g << i)
+            t += [v ^ image for v in t]
+        exp = array("I", [0]) * (1 << m)
+        log = array("I", [0]) * (1 << m)
+        cur, lmask = 1, (1 << half) - 1
         for k in range(self.order):
             exp[k] = cur
             log[cur] = k
-            cur = poly_mod(poly_mul(g, cur), mod)
+            cur = lo[cur & lmask] ^ hi[cur >> half]
         self._exp = exp
         self._log = log
 

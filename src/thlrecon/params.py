@@ -239,19 +239,6 @@ def accept(params: Params, blocks, d, encode) -> frozenset:
     return delta
 
 
-def cond4_violation_prob(params: Params) -> float:
-    """Probability bound that a random instance breaks the index-set
-    agreement conditions: t*h^2*ell*|I|/n + t^2*h^2/2^|I|, clipped to 1.
-
-    For t = 1 configurations (empty I) the default index-set size is
-    used so the estimate stays well defined.
-    """
-    m = len(params.I) or len(default_index_set(params.n))
-    t, h = params.t, params.h
-    p = t * h * h * params.ell * m / params.n + t * t * h * h / (1 << m)
-    return min(1.0, p)
-
-
 def parse_params_text(text: str) -> dict:
     """Parse the canonical key=value parameter file format."""
     out = {}

@@ -6,6 +6,7 @@ from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import gamma, map_f, map_M
+from thlrecon.params import default_index_set
 from thlrecon.recont import DigestT
 
 
@@ -157,6 +158,19 @@ def f_inverse(params, v: int) -> int:
     if map_f(params, xI) != v:
         raise DecodingError("not in image")
     return xI
+
+
+def cond4_violation_prob(params) -> float:
+    """Probability bound that a random instance breaks the index-set
+    agreement conditions: t*h^2*ell*|I|/n + t^2*h^2/2^|I|, clipped to 1.
+
+    For t = 1 configurations (empty I) the default index-set size is
+    used so the estimate stays well defined.
+    """
+    m = len(params.I) or len(default_index_set(params.n))
+    t, h = params.t, params.h
+    p = t * h * h * params.ell * m / params.n + t * t * h * h / (1 << m)
+    return min(1.0, p)
 
 
 def _prime_divisors(m: int):

@@ -53,6 +53,45 @@ def test_irreducibility_agrees_with_rabin():
         assert poly_is_irreducible(f) == rabin_is_irreducible(f), f
 
 
+# The batched test takes one gcd per block of k: 1, 2-3, 4-7, ..., 32-63,
+# then 64 at a time, the last block ending at m//2.  A factor of degree
+# d is first seen at k = d, so p of degree d times q of degree d + 1
+# puts it at each block's first and last k (and next to them).
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 65, 127, 128, 129])
+def test_batched_irreducibility_at_block_edges(d):
+    f = clmul_bits(rabin_find_irreducible(d), rabin_find_irreducible(d + 1))
+    assert poly_is_irreducible(f) == rabin_is_irreducible(f)
+
+
+def test_batched_irreducibility_at_the_last_k_and_pinned_moduli():
+    # two factors of degree 100 show only at k = 100 = m//2, the last k
+    # of the truncated last block 64..100
+    p = rabin_find_irreducible(100)
+    q = next(c for c in range(p + 2, 1 << 101, 2) if rabin_is_irreducible(c))
+    assert poly_is_irreducible(clmul_bits(p, q)) == rabin_is_irreducible(clmul_bits(p, q))
+    # the lex-least moduli at 120, 254 and 493; the golden vectors pin
+    # 120 and 493 as digest fields
+    for f in ((1 << 120) | 0x1B, (1 << 254) | 0x87, (1 << 493) | 0x24F):
+        assert poly_is_irreducible(f) and rabin_is_irreducible(f)
+
+
+# the generator is x at most degrees, and 3 or 7 at 8, 9, 12, 14 and 16
+@pytest.mark.parametrize("m", list(range(2, 17)) + [19])
+def test_tables_step_by_the_generator(m):
+    spec = FieldSpec(m, ff_make(m).modulus)
+    spec.ensure_tables()
+    g, exp, log = spec.generator(), spec._exp, spec._log
+    assert exp.itemsize == log.itemsize == 4
+    assert len(exp) == len(log) == 1 << m
+    ks = range(1, spec.order)
+    if m > 16:
+        ks = random.Random(m).sample(ks, 2000)
+    assert exp[0] == 1 and log[1] == 0
+    for k in ks:
+        assert exp[k] == poly_mod(poly_mul(g, exp[k - 1]), spec.modulus), k
+        assert log[exp[k]] == k
+
+
 def test_inverse_every_element_small_fields():
     for m in range(1, 11):
         spec = FieldSpec(m, find_irreducible(m))

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from reference import mul_vec_rows
+from reference import cond4_violation_prob, mul_vec_rows
 from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests, ParamsError
 from thlrecon.linalg import full_rank_completion
 from thlrecon.params import (
     accept,
-    cond4_violation_prob,
     default_index_set,
     params_build,
     params_from_text,
