@@ -78,6 +78,7 @@ def gen_instance(params: Params, seed: int, common_size: int = 0):
     offsets share a support of at most ell positions (outside I when
     t > 1), so every pairwise distance is <= ell; splits the difference
     randomly between the two sides and adds shared random elements.
+    Raises ValueError when 200 attempts find no instance.
     """
     rng = random.Random(seed)
     for _ in range(200):
@@ -89,7 +90,7 @@ def gen_instance(params: Params, seed: int, common_size: int = 0):
             )
             if ok and oracle_symdiff(SA, SB) == delta:
                 return SA, SB, delta
-    raise RuntimeError("instance generation retries exhausted")
+    raise ValueError("instance generation retries exhausted")
 
 
 def _try_generate(params: Params, rng, common_size):

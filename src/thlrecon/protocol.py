@@ -13,11 +13,10 @@ an in-process pair from ``Transport.pair()``.
 from __future__ import annotations
 
 import socket
-from contextlib import suppress
 from dataclasses import dataclass
 
 from .bits import BitVector
-from .errors import FrameError, InconsistentDigests, ParamMismatch
+from .errors import FrameError, InconsistentDigests, ParamMismatch, ThlreconError
 from .params import Params, digest_cost_bits, digest_layout
 from .recon1 import Digest1, decode1, encode1
 from .recont import DigestT, decode_t, encode_t
@@ -27,13 +26,12 @@ MAGIC = b"THLR"
 VERSION = 0x01
 MSG_HELLO = 0x01
 MSG_DIGEST = 0x02
-MSG_RESULT = 0x03
 MSG_ERROR = 0x7F
 FRAME_OVERHEAD = 10  # magic(4) + version(1) + type(1) + length(4)
-# MSG_ERROR payload for a fingerprint mismatch; any other MSG_ERROR
-# reports a failed decode.
+# MSG_ERROR payload for a fingerprint mismatch, the only error frame a
+# session sends; any other MSG_ERROR text is a peer's own failure.
 MISMATCH = b"parameter fingerprint mismatch"
-# Longest MSG_ERROR text a session sends or accepts.
+# Longest MSG_ERROR text a session accepts.
 ERROR_ALLOWANCE = 256
 # Seconds a transport waits on a silent peer before a FrameError.
 PEER_TIMEOUT = 10.0
@@ -92,10 +90,9 @@ def parse_digest(params: Params, data: bytes):
 
 def max_payload(params: Params) -> int:
     """Longest frame payload a session accepts: the fingerprint, the
-    serialized digest, t*h result elements or the error text."""
+    serialized digest or the error text."""
     digest = sum((sum(s) + 7) // 8 for s in digest_layout(params))
-    result = params.t * params.h * ((params.n + 7) // 8)
-    return max(len(params.fingerprint), digest, result, ERROR_ALLOWANCE)
+    return max(len(params.fingerprint), digest, ERROR_ALLOWANCE)
 
 
 def encode_digest(params: Params, S):
@@ -189,13 +186,14 @@ TcpTransport = Transport  # earlier name, still used by thlbench/run.py
 
 
 def _peer_error(payload: bytes):
-    """The exception a MSG_ERROR payload from the peer stands for."""
+    """The exception a MSG_ERROR payload from the peer stands for: the
+    mismatch frame, or any other text as the peer's own failure."""
     if payload == MISMATCH:
         return ParamMismatch(MISMATCH.decode())
     return InconsistentDigests(payload.decode("utf-8", "replace"))
 
 
-_NAMES = {MSG_HELLO: "HELLO", MSG_DIGEST: "DIGEST", MSG_RESULT: "RESULT"}
+_NAMES = {MSG_HELLO: "HELLO", MSG_DIGEST: "DIGEST"}
 
 
 def _expect(transport: Transport, limit: int, msg_type: int) -> bytes:
@@ -207,13 +205,6 @@ def _expect(transport: Transport, limit: int, msg_type: int) -> bytes:
     if got != msg_type:
         raise FrameError(f"expected {_NAMES[msg_type]}")
     return payload
-
-
-def _check_hello(transport: Transport, limit: int, params: Params):
-    """Read the peer's HELLO; answer and raise a fingerprint mismatch."""
-    if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
-        transport.send_frame(MSG_ERROR, MISMATCH)
-        raise ParamMismatch(MISMATCH.decode())
 
 
 @dataclass
@@ -231,8 +222,9 @@ def session_run(transport: Transport, params: Params, local_set):
 
     Returns (symmetric difference, SessionStats).  Raises
     :class:`ParamMismatch` before any digest bytes when fingerprints
-    differ, and propagates :class:`InconsistentDigests` from decoding;
-    either carries the session's SessionStats as ``exc.stats``.
+    differ, :class:`FrameError` when the peer's frames are malformed or
+    stop, and :class:`InconsistentDigests` from decoding; each carries
+    the session's SessionStats as ``exc.stats``.
     """
     stats = SessionStats(
         digest_bits=digest_cost_bits(params),
@@ -241,67 +233,25 @@ def session_run(transport: Transport, params: Params, local_set):
     limit = max_payload(params)
     try:
         transport.send_frame(MSG_HELLO, params.fingerprint)
-        _check_hello(transport, limit, params)
+        if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
+            transport.send_frame(MSG_ERROR, MISMATCH)
+            raise ParamMismatch(MISMATCH.decode())
         local_digest = encode_digest(params, local_set)
         transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
         peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
         delta = decode_digests(params, local_digest, peer_digest)
-    except (ParamMismatch, InconsistentDigests) as exc:
-        mismatch = isinstance(exc, ParamMismatch)
-        stats.outcome = "param_mismatch" if mismatch else "inconsistent"
+    except ThlreconError as exc:
+        stats.outcome = (
+            "param_mismatch" if isinstance(exc, ParamMismatch)
+            else "frame_error" if isinstance(exc, FrameError)
+            else "inconsistent"
+        )
         exc.stats = stats
         raise
     finally:
         stats.bytes_sent = transport.bytes_sent
         stats.bytes_received = transport.bytes_received
     return delta, stats
-
-
-def session_push(transport: Transport, params: Params, local_set):
-    """Asymmetric client: send HELLO + DIGEST, receive the difference."""
-    transport.send_frame(MSG_HELLO, params.fingerprint)
-    transport.send_frame(
-        MSG_DIGEST, serialize_digest(params, encode_digest(params, local_set))
-    )
-    return parse_result(params, _expect(transport, max_payload(params), MSG_RESULT))
-
-
-def session_serve(transport: Transport, params: Params, local_set):
-    """Asymmetric server: receive HELLO + DIGEST, reply with the
-    decoded difference, or with an error frame when a frame in place of
-    either is bad, the DIGEST payload is malformed or decoding fails.
-    A failed error frame leaves the original error to propagate."""
-    limit = max_payload(params)
-    try:
-        _check_hello(transport, limit, params)
-        peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
-        delta = decode_digests(params, encode_digest(params, local_set), peer_digest)
-    except (FrameError, InconsistentDigests) as exc:
-        with suppress(FrameError):
-            transport.send_frame(MSG_ERROR, str(exc).encode("utf-8")[:ERROR_ALLOWANCE])
-        raise
-    transport.send_frame(MSG_RESULT, serialize_result(params, delta))
-    return delta
-
-
-def serialize_result(params: Params, delta) -> bytes:
-    out = bytearray()
-    for x in sorted(delta, key=lambda v: v.value):
-        out.extend(bytes.fromhex(x.hex()))
-    return bytes(out)
-
-
-def parse_result(params: Params, data: bytes) -> frozenset:
-    nbytes = (params.n + 7) // 8
-    if nbytes == 0 or len(data) % nbytes:
-        raise FrameError("result payload length mismatch")
-    try:
-        return frozenset(
-            BitVector.from_hex(data[i : i + nbytes].hex(), params.n)
-            for i in range(0, len(data), nbytes)
-        )
-    except ValueError as exc:
-        raise FrameError(f"result payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

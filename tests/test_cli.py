@@ -184,3 +184,12 @@ def test_bench(tmp_path, params_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
     assert all(line.endswith(",yes") for line in lines[1:])
+
+
+def test_gen_without_an_instance_is_usage_error(tmp_path, capsys):
+    # 7-bit elements leave no room for 200 shared ones
+    path = tmp_path / "params7.txt"
+    path.write_text(params_build(7, 1, 1, 1).canonical_text())
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    assert main(["gen", str(path), a, b, "--common", "200"]) == 2
+    assert "error: instance generation retries exhausted" in capsys.readouterr().err

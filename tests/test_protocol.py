@@ -26,7 +26,6 @@ from thlrecon.protocol import (
     MSG_DIGEST,
     MSG_ERROR,
     MSG_HELLO,
-    MSG_RESULT,
     VERSION,
     TcpTransport,
     Transport,
@@ -37,9 +36,7 @@ from thlrecon.protocol import (
     parse_digest,
     read_set_text,
     serialize_digest,
-    session_push,
     session_run,
-    session_serve,
     write_set_text,
 )
 from thlrecon.recon1 import Digest1
@@ -293,103 +290,6 @@ def test_tcp_equals_memory(p1):
     assert ma[0] == da and ma[1].bytes_sent == sa.bytes_sent
 
 
-def test_asymmetric_session(pt):
-    SA, SB, delta = gen_instance(pt, 6, 5)
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ra, rb = _run_pair(
-            lambda: session_push(ea, pt, SA), lambda: session_serve(eb, pt, SB)
-        )
-    assert ra == rb == delta
-
-
-def test_asymmetric_failed_decode_sends_error(p1):
-    # unrelated sets break the promise; the server must answer with an
-    # error frame instead of leaving the client to time out
-    rng = random.Random(20)
-    SA = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
-    SB = {BitVector(rng.getrandbits(63), 63) for _ in range(20)}
-    start = time.monotonic()
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ra, rb = _run_pair(
-            lambda: session_push(ea, p1, SA), lambda: session_serve(eb, p1, SB)
-        )
-    assert time.monotonic() - start < 5
-    assert isinstance(rb, InconsistentDigests)
-    assert isinstance(ra, InconsistentDigests)
-
-
-def test_malformed_push_digest_answered_with_error(monkeypatch):
-    # a DIGEST payload that does not parse is answered with an error
-    # frame, so the client fails at once instead of after PEER_TIMEOUT
-    params = params_build(63, 1, 4, 2)
-    serialize = protocol.serialize_digest
-    monkeypatch.setattr(
-        protocol, "serialize_digest", lambda p, d: serialize(p, d) + b"\x00"
-    )
-    start = time.monotonic()
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ra, rb = _run_pair(
-            lambda: session_push(ea, params, set()),
-            lambda: session_serve(eb, params, set()),
-        )
-    assert time.monotonic() - start < 1
-    assert isinstance(rb, FrameError) and "trailing bytes" in str(rb)
-    assert isinstance(ra, InconsistentDigests) and str(ra) == str(rb)
-
-
-def test_bad_frame_in_place_of_hello_or_digest_answered_with_error(p1):
-    # a wrong message type, a bad header or an oversized payload is
-    # answered with an error frame too, so the client fails at once
-    # instead of after its timeout
-    hello = encode_frame(MSG_HELLO, p1.fingerprint)
-    cases = [
-        (hello + encode_frame(MSG_RESULT, b""), "expected DIGEST"),
-        (b"XXXX" + bytes(FRAME_OVERHEAD - 4), "bad magic"),
-        (encode_frame(MSG_DIGEST, b""), "expected HELLO"),
-        (hello + MAGIC + bytes((VERSION + 1, MSG_DIGEST)) + bytes(4), "version"),
-        (hello + MAGIC + bytes((VERSION, MSG_DIGEST)) + b"\xff" * 4, "exceeds"),
-    ]
-    for frames, text in cases:
-        a, b = socket.socketpair()
-        a.settimeout(3.0)
-        with Transport(a) as ea, Transport(b) as eb:
-            start = time.monotonic()
-
-            def client():
-                a.sendall(frames)
-                return ea.recv_frame(max_payload(p1))
-
-            ra, rb = _run_pair(client, lambda: session_serve(eb, p1, set()))
-            assert time.monotonic() - start < 1, text
-        assert isinstance(rb, FrameError) and text in str(rb)
-        assert ra == (MSG_ERROR, str(rb).encode())
-
-
-def test_failed_error_frame_keeps_the_original_error(p1):
-    # the client is gone, so the error frame cannot be sent; the server
-    # still raises what went wrong, not the failed send
-    a, b = socket.socketpair()
-    a.sendall(b"XXXX" + bytes(FRAME_OVERHEAD - 4))
-    a.close()
-    with Transport(b) as eb:
-        with pytest.raises(FrameError, match="bad magic"):
-            session_serve(eb, p1, set())
-
-
-def test_asymmetric_param_mismatch(p1):
-    other = params_build(63, 1, 3, 1)
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ra, rb = _run_pair(
-            lambda: session_push(ea, p1, set()),
-            lambda: session_serve(eb, other, set()),
-        )
-    assert isinstance(ra, ParamMismatch) and isinstance(rb, ParamMismatch)
-
-
 def test_session_run_peer_decode_error(p1):
     # a failed decode reported after DIGEST is not a parameter mismatch
     SA, _, _ = gen_instance(p1, 9, 5)
@@ -405,25 +305,55 @@ def test_session_run_peer_decode_error(p1):
             session_run(ea, p1, SA)
 
 
-def test_session_serve_reports_client_error(p1):
-    # a client's error frame stands for its error in place of HELLO or
-    # DIGEST, as it does for session_run and session_push
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ea.send_frame(MSG_ERROR, b"client gave up")
-        with pytest.raises(InconsistentDigests, match="client gave up"):
-            session_serve(eb, p1, set())
-        ea.send_frame(MSG_HELLO, p1.fingerprint)
-        ea.send_frame(MSG_ERROR, MISMATCH)
-        with pytest.raises(ParamMismatch):
-            session_serve(eb, p1, set())
+@pytest.mark.parametrize(
+    "frames, error, text",
+    [
+        (lambda hello: b"XXXX" + bytes(FRAME_OVERHEAD - 4), FrameError, "bad magic"),
+        (lambda hello: encode_frame(MSG_DIGEST, b""), FrameError, "expected HELLO"),
+        (lambda hello: hello + hello, FrameError, "expected DIGEST"),
+        (
+            lambda hello: hello + MAGIC + bytes((VERSION + 1, MSG_DIGEST)) + bytes(4),
+            FrameError,
+            "unsupported version",
+        ),
+        (
+            lambda hello: hello + MAGIC + bytes((VERSION, MSG_DIGEST)) + b"\xff" * 4,
+            FrameError,
+            "exceeds",
+        ),
+        (
+            lambda hello: encode_frame(MSG_ERROR, b"peer gave up"),
+            InconsistentDigests,
+            "peer gave up",
+        ),
+    ],
+    ids=["magic", "digest-for-hello", "hello-for-digest", "version", "length", "error"],
+)
+def test_bad_peer_frame_raises_at_once_with_stats(p1, frames, error, text):
+    hello = encode_frame(MSG_HELLO, p1.fingerprint)
+    canned = frames(hello)
+    a, b = socket.socketpair()
+    with Transport(a) as ea, b:
+        b.sendall(canned)
+        start = time.monotonic()
+        with pytest.raises(error, match=text) as e:
+            session_run(ea, p1, set())
+        assert time.monotonic() - start < 1
+    stats = e.value.stats
+    assert stats.outcome == ("frame_error" if error is FrameError else "inconsistent")
+    # a good HELLO is answered with the DIGEST before the bad frame shows
+    sent = FRAME_OVERHEAD + 32
+    if canned.startswith(hello):
+        sent += FRAME_OVERHEAD + len(serialize_digest(p1, encode_digest(p1, [])))
+    assert stats.bytes_sent == sent
+    assert stats.bytes_received == len(canned)
 
 
 def test_hostile_frame_length_rejected_before_read(p1, pt):
     for params in (p1, pt):
         limit = max_payload(params)
         digest = len(serialize_digest(params, encode_digest(params, [])))
-        assert limit == max(32, digest, params.t * params.h * 8, ERROR_ALLOWANCE)
+        assert limit == max(32, digest, ERROR_ALLOWANCE)
     a, b = socket.socketpair()
     with Transport(a) as ea, b:
         b.sendall(
@@ -436,29 +366,6 @@ def test_hostile_frame_length_rejected_before_read(p1, pt):
         with pytest.raises(FrameError, match="exceeds"):
             session_run(ea, p1, set())
         assert time.monotonic() - start < 5  # never waited for the payload
-
-
-def test_server_error_text_truncated(p1, monkeypatch):
-    def fail(*_):
-        raise InconsistentDigests("x" * 1000)
-
-    monkeypatch.setattr(protocol, "decode_digests", fail)
-    ea, eb = Transport.pair()
-    with ea, eb:
-        ea.send_frame(MSG_HELLO, p1.fingerprint)
-        ea.send_frame(MSG_DIGEST, serialize_digest(p1, encode_digest(p1, [])))
-        with pytest.raises(InconsistentDigests):
-            session_serve(eb, p1, set())
-        assert ea.recv_frame(max_payload(p1)) == (MSG_ERROR, b"x" * ERROR_ALLOWANCE)
-
-
-def test_result_with_pad_bits_is_frame_error(p1):
-    # n = 63: the low bit of each 8-byte element's last byte is padding
-    ea, eb = Transport.pair()
-    with ea, eb:
-        eb.send_frame(MSG_RESULT, b"\x01" * 8)
-        with pytest.raises(FrameError, match="pad bits"):
-            session_push(ea, p1, set())
 
 
 def test_tcp_socket_errors_are_frame_errors(p1):
