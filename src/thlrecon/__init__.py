@@ -29,6 +29,7 @@ from .linalg import BinaryMatrix, full_rank_completion
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from .params import (
+    Digest,
     Params,
     digest_cost_bits,
     params_build,
@@ -44,8 +45,8 @@ from .protocol import (
     serialize_digest,
     session_run,
 )
-from .recon1 import Digest1, decode1, encode1
-from .recont import DigestT, decode_t, encode_t
+from .recon1 import decode1, encode1
+from .recont import decode_t, encode_t
 
 __version__ = "0.1.0"
 
@@ -55,9 +56,8 @@ __all__ = [
     "BinaryMatrix", "full_rank_completion",
     "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",
     "Params", "params_build", "params_from_text",
-    "digest_cost_bits",
-    "Digest1", "encode1", "decode1",
-    "DigestT", "encode_t", "decode_t",
+    "Digest", "digest_cost_bits",
+    "encode1", "decode1", "encode_t", "decode_t",
     "map_M", "map_E", "map_f", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",
     "baseline_bits",

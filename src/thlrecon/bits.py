@@ -9,6 +9,8 @@ consecutive positions, one shift-and-mask per run.
 
 from __future__ import annotations
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 class BitVector:
     """An immutable length-``n`` binary string backed by an int."""
@@ -62,6 +64,8 @@ class BitVector:
             raise ValueError(
                 "expected %d hex digits for n=%d, got %d" % (2 * nbytes, n, len(s))
             )
+        if not _HEX_DIGITS.issuperset(s):
+            raise ValueError("expected hex digits, got %r" % s)
         raw = int(s, 16)
         value = int(format(raw, f"0{8 * nbytes}b")[::-1], 2)
         if value >> n:

@@ -400,11 +400,9 @@ class CompositeField(FieldSpec):
         # mu is the one dependency among omega^0..omega^k: the row whose
         # low n bits reduce to zero, last in pivot order
         mu = row_reduce(w | 1 << (n + i) for i, w in enumerate(powers))[1][-1] >> n
-        exp, log, cur = [], [0] * (q1 + 1), 1
-        for i in range(q1):  # z^i, reduced by mu
-            exp.append(cur)
-            log[cur] = i
-            cur = cur << 1 ^ (mu if cur >> (k - 1) else 0)
+        sub = FieldSpec(k, mu)  # z is primitive, so its generator is z
+        sub.ensure_tables()
+        exp, log = list(sub._exp[:q1]), list(sub._log)
         # sums of logs, plus lam's or an inverse's, stay below 3 q1; any
         # index holding the sentinel 3 q1 lands in the zeros
         log[0] = 3 * q1

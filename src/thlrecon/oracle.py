@@ -78,8 +78,11 @@ def gen_instance(params: Params, seed: int, common_size: int = 0):
     offsets share a support of at most ell positions (outside I when
     t > 1), so every pairwise distance is <= ell; splits the difference
     randomly between the two sides and adds shared random elements.
-    Raises ValueError when 200 attempts find no instance.
+    Raises ValueError at once when common_size leaves no n-bit string
+    for the difference, or when 200 attempts find no instance.
     """
+    if common_size >= 1 << params.n:
+        raise ValueError(f"no {params.n}-bit string left beside {common_size} shared")
     rng = random.Random(seed)
     for _ in range(200):
         out = _try_generate(params, rng, common_size)
@@ -133,6 +136,8 @@ def _try_generate(params: Params, rng, common_size):
     SA, SB = set(), set()
     for x in delta:
         (SA if rng.getrandbits(1) else SB).add(x)
+    if common_size + len(delta) > 1 << n:
+        return None
     common = set()
     guard = 0
     while len(common) < common_size:

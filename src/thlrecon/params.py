@@ -10,6 +10,7 @@ fingerprint used by the wire handshake.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 from .bits import hamming, project
@@ -188,6 +189,19 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         nbar_field=ff_make(nbar), delta_field=delta_field,
         s_prime=s_prime,
     )
+
+
+class Digest(tuple):
+    """A digest's fields in wire order, as :func:`digest_layout` lays
+    them out.  Digests are XOR-linear: the XOR of two hosts' digests is
+    the digest of their symmetric difference."""
+
+    __slots__ = ()
+
+    def __xor__(self, other: "Digest") -> "Digest":
+        if len(self) != len(other):
+            raise ValueError("digests of different layouts")
+        return Digest(map(operator.xor, self, other))
 
 
 def digest_layout(params: Params) -> tuple:

@@ -4,10 +4,11 @@ Frames are ``THLR`` + version byte + message-type byte + 4-byte
 big-endian payload length + payload.  A session sends exactly two
 frames (HELLO carrying the parameter fingerprint, then DIGEST) and
 reads the peer's two; both hosts then decode locally.  One section
-table, ``params.digest_layout``, lays out the DIGEST payload for
-serializing, parsing, its cost in bits and the frame cap.  One
-``Transport`` carries frames over any connected stream socket, TCP or
-an in-process pair from ``Transport.pair()``.
+table, ``params.digest_layout``, lays out the DIGEST payload, a
+``params.Digest`` of fields in wire order, for serializing, parsing,
+its cost in bits and the frame cap.  One ``Transport`` carries frames
+over any connected stream socket, TCP or an in-process pair from
+``Transport.pair()``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 
 from .bits import BitVector
 from .errors import FrameError, InconsistentDigests, ParamMismatch, ThlreconError
-from .params import Params, digest_cost_bits, digest_layout
-from .recon1 import Digest1, decode1, encode1
-from .recont import DigestT, decode_t, encode_t
+from .params import Digest, Params, digest_cost_bits, digest_layout
+from .recon1 import decode1, encode1
+from .recont import decode_t, encode_t
 from . import bounds
 
 MAGIC = b"THLR"
@@ -42,18 +43,12 @@ PEER_TIMEOUT = 10.0
 
 
 def serialize_digest(params: Params, d) -> bytes:
-    if params.t == 1:
-        if not isinstance(d, Digest1):
-            raise TypeError("t=1 params require a Digest1")
-        values = (d.w1, d.w2)
-    else:
-        if not isinstance(d, DigestT):
-            raise TypeError("t>1 params require a DigestT")
-        values = tuple(d.w1) + sum(map(tuple, d.w2), ())
+    if not isinstance(d, Digest):
+        raise TypeError("serialize_digest requires a Digest")
     layout = digest_layout(params)
-    if len(values) != sum(map(len, layout)):
+    if len(d) != sum(map(len, layout)):
         raise ValueError("digest does not match the field layout")
-    values = iter(values)
+    values = iter(d)
     acc = pos = 0
     for section in layout:
         pos = (pos + 7) & ~7
@@ -80,12 +75,7 @@ def parse_digest(params: Params, data: bytes):
             raise FrameError("nonzero pad bits")
     if start != len(data):
         raise FrameError("trailing bytes after digest payload")
-    if params.t == 1:
-        return Digest1(*values)
-    t = params.t
-    grid = len(values) - t * t
-    rows = (tuple(values[i : i + t]) for i in range(grid, len(values), t))
-    return DigestT(tuple(values[:grid]), tuple(rows))
+    return Digest(values)
 
 
 def max_payload(params: Params) -> int:

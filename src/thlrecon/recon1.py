@@ -2,10 +2,11 @@
 whose symmetric difference is one cluster of at most h strings,
 pairwise within Hamming distance ell.
 
-Encoding (per host) is one pass over the set.  Each element x has a
-position j = M(x), its syndrome under the distance-(2*ell+1) code C_l,
-and a tail Hbar * x in GF(2^(n-r)): Hbar selects H_l's non-pivot
-columns, so the tail is x projected onto ``params.tail``.
+Encoding (per host) is one pass over the set, and the digest is the
+pair (w1, w2).  Each element x has a position j = M(x), its syndrome
+under the distance-(2*ell+1) code C_l, and a tail Hbar * x in
+GF(2^(n-r)): Hbar selects H_l's non-pivot columns, so the tail is x
+projected onto ``params.tail``.
 
 1. w1 = syndrome, under a distance-(2h+1) binary code over the 2^r
    positions, of the multiset of positions (duplicates cancel mod 2).
@@ -22,25 +23,11 @@ divides by the B_h subset sum to recover the anchor element exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import BitVector, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import map_E, map_M
-from .params import Params, accept
-
-
-@dataclass(frozen=True)
-class Digest1:
-    """Transmitted sketch for the t=1 scheme: w1 is a packed u-bit
-    syndrome, w2 a GF(2^(n-r)) element (both ints, low bits first)."""
-
-    w1: int
-    w2: int
-
-    def __xor__(self, other: "Digest1") -> "Digest1":
-        return Digest1(self.w1 ^ other.w1, self.w2 ^ other.w2)
+from .params import Digest, Params, accept
 
 
 def _w2_term(params: Params, j: int, x: BitVector) -> int:
@@ -49,7 +36,7 @@ def _w2_term(params: Params, j: int, x: BitVector) -> int:
     return poly_mul(params.bh.element_value(j), project(x, params.tail))
 
 
-def encode1(params: Params, S) -> Digest1:
+def encode1(params: Params, S) -> Digest:
     if params.t != 1:
         raise ValueError("encode1 requires a t=1 configuration")
     positions = []
@@ -58,13 +45,13 @@ def encode1(params: Params, S) -> Digest1:
         j = map_M(params, x)
         positions.append(j)
         w2 ^= _w2_term(params, j, x)
-    return Digest1(
+    return Digest((
         params.comp.syndrome_from_positions(positions),
         params.digest_field.reduce(w2),
-    )
+    ))
 
 
-def decode1(params: Params, dA: Digest1, dB: Digest1):
+def decode1(params: Params, dA: Digest, dB: Digest):
     """Exact symmetric difference from the two hosts' digests.
 
     Raises :class:`InconsistentDigests` when the digests do not
@@ -72,9 +59,9 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
     """
     if params.t != 1:
         raise ValueError("decode1 requires a t=1 configuration")
-    d = dA ^ dB
+    w1, w2 = d = dA ^ dB
     try:
-        support = params.comp.decode_positions(d.w1)
+        support = params.comp.decode_positions(w1)
     except DecodingError as exc:
         raise InconsistentDigests("position recovery failed") from exc
     if not support:
@@ -82,7 +69,6 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
 
     k1 = support[0]
     offsets = [0]  # anchor's offset to itself
-    z = d.w2
     denom = params.bh.element_value(k1)
     for ki in support[1:]:
         try:
@@ -90,11 +76,11 @@ def decode1(params: Params, dA: Digest1, dB: Digest1):
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
         offsets.append(e.value)
-        z ^= _w2_term(params, ki, e)
+        w2 ^= _w2_term(params, ki, e)
         denom ^= params.bh.element_value(ki)
     if denom == 0:
         raise InconsistentDigests("zero B_h subset sum")
-    s2 = params.digest_field.div(params.digest_field.reduce(z), denom)
+    s2 = params.digest_field.div(params.digest_field.reduce(w2), denom)
 
     anchor = params.hf_inv.mul_vec(k1 | (s2 << params.r))
     block = tuple(BitVector(anchor ^ e, params.n) for e in offsets)

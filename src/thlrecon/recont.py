@@ -9,7 +9,8 @@ Encoding (per host):
    w1 = Reed-Solomon syndromes of z1 over the stage-1 symbol field.
 2. z2^(k)[j] = xor of f(x_I)^(2^k) * embed(x_Ibar) over the same
    elements, in GF(2^nbar); w2 is the t x t grid with entry (row, k) =
-   sum_j gamma_j^(2^row) * z2^(k)[j].
+   sum_j gamma_j^(2^row) * z2^(k)[j].  The digest is w1's 2th symbols
+   followed by the grid, row by row.
 
 x_I and x_Ibar are run gathers (:func:`bits.project`).  A column's t
 Frobenius powers travel as lanes of one int, lane k at bit k * 3nbar:
@@ -31,33 +32,11 @@ they meet the promise and re-encode to the xor (:func:`params.accept`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Params, accept
-
-
-@dataclass(frozen=True)
-class DigestT:
-    """Transmitted sketch for the t>1 scheme.
-
-    ``w1``: tuple of 2th stage-1 syndrome symbols (ints).
-    ``w2``: t x t grid of GF(2^nbar) ints; w2[row][k] combines the
-    gamma row ``row`` with the Frobenius power ``k`` of f-values.
-    """
-
-    w1: tuple
-    w2: tuple
-
-    def __xor__(self, other: "DigestT") -> "DigestT":
-        w1 = tuple(a ^ b for a, b in zip(self.w1, other.w1))
-        w2 = tuple(
-            tuple(a ^ b for a, b in zip(ra, rb)) for ra, rb in zip(self.w2, other.w2)
-        )
-        return DigestT(w1, w2)
+from .params import Digest, Params, accept
 
 
 def _pack(params: Params, values) -> int:
@@ -87,7 +66,7 @@ def _add_column(params: Params, grid, j: int, z: int):
         grid[r] ^= poly_mul(g, z)
 
 
-def encode_t(params: Params, S) -> DigestT:
+def encode_t(params: Params, S) -> Digest:
     if params.t < 2:
         raise ValueError("encode_t requires a t>1 configuration")
     spec = params.nbar_field
@@ -106,11 +85,11 @@ def encode_t(params: Params, S) -> DigestT:
     grid = [0] * params.t
     for j, col in z2.items():
         _add_column(params, grid, j, col)
-    grid = tuple(_unpack(params, row) for row in grid)
-    return DigestT(params.comp_rs.syndrome_sparse(z1), grid)
+    w1 = params.comp_rs.syndrome_sparse(z1)
+    return Digest(w1 + sum((_unpack(params, row) for row in grid), ()))
 
 
-def decode_t(params: Params, dA: DigestT, dB: DigestT):
+def decode_t(params: Params, dA: Digest, dB: Digest):
     """Exact symmetric difference from the two hosts' digests.
 
     Raises :class:`InconsistentDigests` when the digests do not
@@ -122,14 +101,14 @@ def decode_t(params: Params, dA: DigestT, dB: DigestT):
     return accept(params, _decode_blocks(params, d), d, encode_t)
 
 
-def _decode_blocks(params: Params, d: DigestT):
+def _decode_blocks(params: Params, d: Digest):
     """Candidate blocks (tuples of elements) for the digest sum d."""
     spec = params.nbar_field
-    t = params.t
+    t, u = params.t, params.comp_rs.redundancy
 
     # step 1: per-position f-value sums of the difference
     try:
-        zdot = params.comp_rs.decode(d.w1)
+        zdot = params.comp_rs.decode(d[:u])
     except DecodingError as exc:
         raise InconsistentDigests("stage-1 recovery failed") from exc
 
@@ -141,7 +120,7 @@ def _decode_blocks(params: Params, d: DigestT):
 
     # steps 3-5: center-collapse, cancelling known offsets from the
     # grid's row 0, the only row the center solve reads
-    row0 = [_pack(params, d.w2[0])]
+    row0 = [_pack(params, d[u:u + t])]
     members = {}  # sigma -> [(position, offset)], center first
     for i in sorted(decomposed):
         for sigma in decomposed[i]:

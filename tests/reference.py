@@ -6,8 +6,7 @@ from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import gamma, map_f, map_M
-from thlrecon.params import default_index_set
-from thlrecon.recont import DigestT
+from thlrecon.params import Digest, default_index_set
 
 
 def from_bits(bits) -> BitVector:
@@ -266,7 +265,7 @@ def place_bits(n: int, positions, packed: int, other_positions=(), other_packed:
     return BitVector(v, n)
 
 
-def encode_t_reference(params, S) -> DigestT:
+def encode_t_reference(params, S) -> Digest:
     """recont.encode_t with every GF(2^nbar) product reduced on its own
     (spec.mul) and per-bit projections."""
     spec = params.nbar_field
@@ -285,7 +284,7 @@ def encode_t_reference(params, S) -> DigestT:
                 row[k] ^= spec.mul(g, spec.mul(f, xibar))
                 f = spec.sqr(f)
             g = spec.sqr(g)
-    return DigestT(rs_syndromes(params.comp_rs, z1), tuple(map(tuple, grid)))
+    return Digest(rs_syndromes(params.comp_rs, z1) + sum(map(tuple, grid), ()))
 
 
 def rs_syndromes(code, values) -> tuple:

@@ -192,4 +192,4 @@ def test_gen_without_an_instance_is_usage_error(tmp_path, capsys):
     path.write_text(params_build(7, 1, 1, 1).canonical_text())
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     assert main(["gen", str(path), a, b, "--common", "200"]) == 2
-    assert "error: instance generation retries exhausted" in capsys.readouterr().err
+    assert "error: no 7-bit string left beside 200 shared" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from reference import from_bits as bv
@@ -57,6 +59,16 @@ def test_gen_validity_and_common():
         assert ok
         assert not (set(SA) & set(SB)) & set(delta)
         assert len(set(SA) & set(SB)) == 7
+
+
+def test_gen_rejects_more_shared_elements_than_strings_at_once():
+    # 7-bit elements: 128 shared ones leave no string for the difference
+    p = params_build(7, 1, 1, 1)
+    for common in (128, 136):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="no 7-bit string left"):
+            gen_instance(p, 0, common)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_gen_coverage():

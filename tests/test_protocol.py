@@ -17,7 +17,7 @@ from thlrecon.errors import (
 )
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon import protocol
-from thlrecon.params import digest_cost_bits, digest_layout, params_build
+from thlrecon.params import Digest, digest_cost_bits, digest_layout, params_build
 from thlrecon.protocol import (
     ERROR_ALLOWANCE,
     FRAME_OVERHEAD,
@@ -39,8 +39,6 @@ from thlrecon.protocol import (
     session_run,
     write_set_text,
 )
-from thlrecon.recon1 import Digest1
-from thlrecon.recont import DigestT
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def test_encode_reads_set_once(p1, pt):
 
 
 def test_parse_digest_rejects_garbage(p1):
-    good = serialize_digest(p1, Digest1(1, 2))
+    good = serialize_digest(p1, Digest((1, 2)))
     with pytest.raises(FrameError):
         parse_digest(p1, good[:-1])  # truncated
     with pytest.raises(FrameError):
@@ -88,7 +86,7 @@ def test_parse_digest_rejects_garbage(p1):
 def test_pad_bits_in_either_t1_section_rejected():
     p = params_build(63, 1, 4, 2)
     assert digest_layout(p) == ((52,), (51,))  # 4 and 5 pad bits
-    good = int.from_bytes(serialize_digest(p, Digest1(1, 2)), "little")
+    good = int.from_bytes(serialize_digest(p, Digest((1, 2))), "little")
     for bit in (*range(52, 56), *range(56 + 51, 56 + 56)):
         with pytest.raises(FrameError, match="^nonzero pad bits$"):
             parse_digest(p, (good | 1 << bit).to_bytes(14, "little"))
@@ -96,27 +94,38 @@ def test_pad_bits_in_either_t1_section_rejected():
 
 def test_field_one_bit_too_wide_rejected(p1, pt):
     u, tail = p1.comp.redundancy, p1.n - p1.r
-    serialize_digest(p1, Digest1((1 << u) - 1, (1 << tail) - 1))
-    for d in (Digest1(1 << u, 0), Digest1(0, 1 << tail)):
+    serialize_digest(p1, Digest(((1 << u) - 1, (1 << tail) - 1)))
+    for d in (Digest((1 << u, 0)), Digest((0, 1 << tail))):
         with pytest.raises(ValueError, match="value wider than field width"):
             serialize_digest(p1, d)
     d = encode_digest(pt, [])
-    w2 = ((1 << pt.nbar, 0), (0, 0))
+    grid = (1 << pt.nbar, 0, 0, 0)
     with pytest.raises(ValueError, match="value wider than field width"):
-        serialize_digest(pt, DigestT(d.w1, w2))
-    w1 = (1 << pt.comp_field.degree,) + d.w1[1:]
+        serialize_digest(pt, Digest(d[: pt.comp_rs.redundancy] + grid))
+    w1 = (1 << pt.comp_field.degree,) + d[1:]
     with pytest.raises(ValueError, match="value wider than field width"):
-        serialize_digest(pt, DigestT(w1, d.w2))
+        serialize_digest(pt, Digest(w1))
 
 
 def test_digest_of_the_other_scheme_rejected(p1, pt):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="field layout"):
         serialize_digest(p1, encode_digest(pt, []))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="field layout"):
         serialize_digest(pt, encode_digest(p1, []))
     d = encode_digest(pt, [])
     with pytest.raises(ValueError, match="field layout"):
-        serialize_digest(pt, DigestT(d.w1[1:], d.w2))
+        serialize_digest(pt, Digest(d[1:]))
+    with pytest.raises(TypeError):
+        serialize_digest(pt, tuple(d))
+
+
+def test_xor_of_digests_with_different_layouts_rejected(p1, pt):
+    # t=1 against t>1, and two t>1 grids of different sizes: no XOR
+    # may drop the fields one side lacks
+    p3 = params_build(63, 3, 2, 1)
+    for a, b in ((p1, pt), (pt, p1), (pt, p3), (p3, pt)):
+        with pytest.raises(ValueError, match="different layouts"):
+            encode_digest(a, []) ^ encode_digest(b, [])
 
 
 # The golden-vector points, two for each scheme.
@@ -416,3 +425,13 @@ def test_set_file_roundtrip(p1):
     with pytest.raises(FrameError) as e:
         read_set_text("zz\n", 63)
     assert "line 1" in str(e.value)
+
+
+@pytest.mark.parametrize("line", ["0x12", "+012", "1_23"])
+def test_set_file_line_that_is_not_hex_digits_rejected(line):
+    # int(s, 16) reads all three, each with the four digits n=16 needs;
+    # "0x12" would read as 0012
+    with pytest.raises(ValueError, match="hex digits"):
+        BitVector.from_hex(line, 16)
+    with pytest.raises(FrameError, match="^set file line 2: "):
+        read_set_text(f"0012\n{line}\n", 16)

@@ -8,8 +8,8 @@ from thlrecon.errors import InconsistentDigests
 from thlrecon.gf2 import TABLE_MAX_DEGREE
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance
-from thlrecon.params import digest_cost_bits, params_build
-from thlrecon.recon1 import Digest1, decode1, encode1
+from thlrecon.params import Digest, digest_cost_bits, params_build
+from thlrecon.recon1 import decode1, encode1
 
 
 def pad(bits, n):
@@ -38,18 +38,18 @@ def test_indicator_counts_convention():
 
 def test_indicator_empty_and_cancel(p63):
     # w1 is the syndrome of the positions' mod-2 occupancy (indicator)
-    assert encode1(p63, []).w1 == 0
+    assert encode1(p63, [])[0] == 0
     x = BitVector(123, 63)
     y = x ^ BitVector(0b101, 63)  # within distance ell of x is not required
     # same element twice cancels
-    assert encode1(p63, [x, x]) == Digest1(0, 0)
-    s = p63.comp.decode_positions(encode1(p63, [x, y]).w1)
+    assert encode1(p63, [x, x]) == Digest((0, 0))
+    s = p63.comp.decode_positions(encode1(p63, [x, y])[0])
     assert len(s) == 2 and s == sorted({map_M(p63, x), map_M(p63, y)})
 
 
 def test_encode_empty_and_deterministic(p63):
     d = encode1(p63, [])
-    assert d == Digest1(0, 0)
+    assert d == Digest((0, 0))
     rng = random.Random(0)
     S = [BitVector(rng.getrandbits(63), 63) for _ in range(10)]
     assert encode1(p63, S) == encode1(p63, set(S))
@@ -81,13 +81,12 @@ def test_shift_cancellation(p63):
     y = BitVector(rng.getrandbits(63), 63)
     dA, dB = encode1(p63, SA), encode1(p63, SB)
     dA2, dB2 = encode1(p63, SA | {y}), encode1(p63, SB | {y})
-    assert dA.w1 ^ dB.w1 == dA2.w1 ^ dB2.w1
-    assert dA.w2 ^ dB.w2 == dA2.w2 ^ dB2.w2
+    assert dA ^ dB == dA2 ^ dB2
 
 
 def test_indicator_of_difference_recovered(p63):
     SA, SB, delta = gen_instance(p63, 11, 10)
-    w1 = encode1(p63, SA).w1 ^ encode1(p63, SB).w1
+    w1, _ = encode1(p63, SA) ^ encode1(p63, SB)
     assert p63.comp.decode_positions(w1) == sorted(map_M(p63, x) for x in delta)
 
 
@@ -118,7 +117,7 @@ def test_roundtrip_with_tabled_digest_field():
     for seed in range(20):
         SA, SB, delta = gen_instance(p, seed, 6)
         dA, dB = encode1(p, SA), encode1(p, SB)
-        assert dA.w2 >> 11 == dB.w2 >> 11 == 0
+        assert dA[1] >> 11 == dB[1] >> 11 == 0
         assert decode1(p, dA, dB) == delta
 
 
@@ -128,9 +127,9 @@ def test_corrupted_digest_never_silent(p63):
     rng = random.Random(8)
     for _ in range(30):
         if rng.getrandbits(1):
-            bad = Digest1(dA.w1 ^ (1 << rng.randrange(p63.comp.redundancy)), dA.w2)
+            bad = dA ^ Digest((1 << rng.randrange(p63.comp.redundancy), 0))
         else:
-            bad = Digest1(dA.w1, dA.w2 ^ (1 << rng.randrange(63 - p63.r)))
+            bad = dA ^ Digest((0, 1 << rng.randrange(63 - p63.r)))
         try:
             got = decode1(p63, bad, dB)
             assert got != delta

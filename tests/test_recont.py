@@ -7,8 +7,8 @@ from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
-from thlrecon.params import digest_cost_bits, params_build
-from thlrecon.recont import DigestT, decode_t, encode_t
+from thlrecon.params import Digest, digest_cost_bits, params_build
+from thlrecon.recont import decode_t, encode_t
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +18,8 @@ def p63():
 
 def test_empty_set_zero_digest(p63):
     d = encode_t(p63, [])
-    assert all(v == 0 for v in d.w1)
-    assert all(v == 0 for row in d.w2 for v in row)
+    assert len(d) == p63.comp_rs.redundancy + p63.t * p63.t
+    assert all(v == 0 for v in d)
 
 
 def test_identical_sets(p63):
@@ -92,18 +92,16 @@ def test_corrupted_digest_never_silent(p63):
     SA, SB, delta = gen_instance(p63, 9, 5)
     dA, dB = encode_t(p63, SA), encode_t(p63, SB)
     rng = random.Random(10)
-    a = p63.comp_field.degree
+    a, u, t = p63.comp_field.degree, p63.comp_rs.redundancy, p63.t
     for _ in range(30):
-        w1 = list(dA.w1)
-        w2 = [list(r) for r in dA.w2]
+        bad = list(dA)
         if rng.getrandbits(1):
-            i = rng.randrange(len(w1))
-            w1[i] ^= 1 << rng.randrange(a)
+            bad[rng.randrange(u)] ^= 1 << rng.randrange(a)
         else:
-            w2[rng.randrange(p63.t)][rng.randrange(p63.t)] ^= (
+            bad[u + rng.randrange(t) * t + rng.randrange(t)] ^= (
                 1 << rng.randrange(p63.nbar)
             )
-        bad = DigestT(tuple(w1), tuple(tuple(r) for r in w2))
+        bad = Digest(bad)
         try:
             got = decode_t(p63, bad, dB)
             assert got != delta
@@ -127,7 +125,7 @@ def test_stage1_recovery_matches_direct(p63):
 
     SA, SB, delta = gen_instance(p63, 21, 10)
     dsum = encode_t(p63, SA) ^ encode_t(p63, SB)
-    zdot = p63.comp_rs.decode(dsum.w1)
+    zdot = p63.comp_rs.decode(dsum[: p63.comp_rs.redundancy])
     direct = {}
     for x in delta:
         j = map_M(p63, x)
@@ -144,11 +142,12 @@ def test_grid_bit_flips_rejected():
     dA, dB = encode_t(p, SA), encode_t(p, SB)
     assert decode_t(p, dA, dB) == delta
     rng = random.Random(11)
+    u = p.comp_rs.redundancy
     for row in range(p.t):
         for k in range(p.t):
-            w2 = [list(r) for r in dA.w2]
-            w2[row][k] ^= 1 << rng.randrange(p.nbar)
-            bad = DigestT(dA.w1, tuple(tuple(r) for r in w2))
+            bad = list(dA)
+            bad[u + row * p.t + k] ^= 1 << rng.randrange(p.nbar)
+            bad = Digest(bad)
             with pytest.raises(InconsistentDigests):
                 decode_t(p, bad, dB)
 
@@ -171,7 +170,7 @@ def test_encode_matches_reduced_per_product_reference(point):
 
 def test_decode_t_rejects_t1_params():
     p = params_build(63, 1, 2, 1)
-    d = DigestT((), ())
+    d = Digest(())
     with pytest.raises(ValueError, match="t>1"):
         decode_t(p, d, d)
 
@@ -185,10 +184,10 @@ def test_oversized_or_negative_row0_entry_rejected():
     SA, SB, delta = gen_instance(p, 4, 10)
     dA, dB = encode_t(p, SA), encode_t(p, SB)
     assert decode_t(p, dA, dB) == delta
+    u = p.comp_rs.redundancy
     for k in range(p.t):
-        v = dA.w2[0][k]
+        v = dA[u + k]
         for bad in (v ^ 1 << p.nbar, v ^ 1 << 3 * p.nbar, v | 1 << 4 * p.nbar, ~v, -1):
-            row0 = dA.w2[0][:k] + (bad,) + dA.w2[0][k + 1:]
-            d = DigestT(dA.w1, (row0,) + dA.w2[1:])
+            d = Digest(dA[: u + k] + (bad,) + dA[u + k + 1:])
             with pytest.raises(InconsistentDigests):
                 decode_t(p, d, dB)
