@@ -279,15 +279,28 @@ class BchCode:
 
     def syndrome_from_positions(self, positions) -> int:
         """Packed syndrome of the 0/1 vector supported on ``positions``
-        (0-based, duplicates cancel mod 2)."""
+        (0-based, duplicates cancel mod 2).  A long code with exp/log
+        tables reads each odd power (g^i)^(2k+1) straight from the exp
+        table.  Raises ValueError for a position outside [0, n)."""
+        positions = list(positions)
+        if positions and not 0 <= min(positions) <= max(positions) < self.length:
+            raise ValueError("position out of range")
+        v = 0
         if self._cols is not None:
-            v = 0
             for i in positions:
                 v ^= self._cols[i]
             return v
-        v = 0
-        for i in positions:
-            v ^= self._column(i)
+        spec = self.field
+        exp, order = spec._exp, spec.order
+        if exp is None:
+            for i in positions:
+                v ^= self._column(i)
+            return v
+        for k in range(self.design_errors):
+            a, s = 2 * k + 1, 0
+            for i in positions:
+                s ^= exp[a * i % order]
+            v |= s << (k * spec.degree)
         return v
 
     def syndrome_bits(self, x: int) -> int:
@@ -425,7 +438,10 @@ class BhSequence:
     (x_i^0, x_i^1, ..., x_i^{h-1}) of the field element with bit
     pattern i, w bits each, zero-padded into the target field.  Any h
     such columns form a Vandermonde system, hence the subset property.
-    Elements are computed on demand; m may be in the millions.
+    Elements are computed on demand; m may be in the millions.  Each
+    even power is the square of a lower one, by the column field's
+    squaring map kept as a :class:`BinaryMatrix` (squaring is linear
+    over F_2), and each odd power is the power below it times x_i.
     """
 
     def __init__(self, m: int, h: int, target: FieldSpec):
@@ -440,7 +456,10 @@ class BhSequence:
                 "packed column width %d exceeds target degree %d"
                 % (total, target.degree)
             )
-        self._col_field = ff_make(self.width)
+        w = self.width
+        self._col_field = spec = ff_make(w)
+        squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
+        self._square = BinaryMatrix(w, w, transpose(squares, w))
 
     @staticmethod
     def packed_width(m: int, h: int) -> int:
@@ -453,12 +472,12 @@ class BhSequence:
             raise IndexError("B_h index out of range")
         if self.order == 1:
             return i + 1  # distinct nonzero patterns
-        spec = self._col_field
-        packed = 1 | i << self.width  # x^0 and x^1 = i
-        p = i
+        spec, square, w = self._col_field, self._square, self.width
+        powers, packed = [1, i], 1 | i << w  # x^0 and x^1 = i
         for k in range(2, self.order):
-            p = spec.mul(p, i)
-            packed |= p << (k * self.width)
+            p = spec.mul(powers[-1], i) if k & 1 else square.mul_vec(powers[k >> 1])
+            powers.append(p)
+            packed |= p << (k * w)
         return packed
 
 

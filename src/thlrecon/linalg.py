@@ -3,10 +3,13 @@
 Matrices store one int per row, column ``j`` in bit ``j``.  Gaussian
 elimination is written once, in :func:`row_reduce`, which completion
 and inversion each read.  The one matrix-vector product,
-:meth:`BinaryMatrix.mul_vec`, reads per-byte tables of the matrix's
-columns (Method of Four Russians; Albrecht, Bard & Hart, ACM TOMS
-2010): one lookup and XOR per byte of the vector instead of one
-popcount per row.  A selection matrix, such as the t=1 tail H_bar
+:meth:`BinaryMatrix.mul_vec`, takes whichever of two ways costs fewer
+steps, by the matrix's shape.  A matrix with at least as many rows as
+bytes in a vector reads per-byte tables of its columns (Method of Four
+Russians; Albrecht, Bard & Hart, ACM TOMS 2010): one lookup and XOR
+per byte of the vector.  A shorter, wider one, such as the t=1 C_l
+parity H_l at 18x511, builds no tables and takes one parity of
+``row & x`` per row.  A selection matrix, such as the t=1 tail H_bar
 (unit rows at H_l's non-pivot columns), is never multiplied: it is
 :func:`bits.project` onto those columns, with no tables.
 """
@@ -24,7 +27,7 @@ class BinaryMatrix:
 
     Its product tables are built on the first product, or ahead of it by
     :meth:`ensure_tables`; a matrix that is never multiplied holds
-    none."""
+    none, and one with fewer rows than tables an empty list."""
 
     __slots__ = ("rows", "cols", "row_data", "_tables")
 
@@ -44,23 +47,30 @@ class BinaryMatrix:
     def ensure_tables(self):
         """The product tables, built once.  Table k holds at index b the
         XOR of columns 8k + j over the set bits j of b; the last table
-        covers the columns that remain."""
+        covers the columns that remain.  None are built when the matrix
+        has fewer rows than tables: a parity per row is then cheaper."""
         if self._tables is None:
-            cols = transpose(self.row_data, self.cols)
             tables = []
-            for k in range(0, self.cols, _TABLE_BITS):
-                t = [0]
-                for c in cols[k : k + _TABLE_BITS]:
-                    t += [v ^ c for v in t]
-                tables.append(t)
+            if self.rows * _TABLE_BITS >= self.cols:
+                cols = transpose(self.row_data, self.cols)
+                for k in range(0, self.cols, _TABLE_BITS):
+                    t = [0]
+                    for c in cols[k : k + _TABLE_BITS]:
+                        t += [v ^ c for v in t]
+                    tables.append(t)
             self._tables = tables
         return self._tables
 
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product; x holds component j in bit j and is
-        below 2^cols.  XORs one table entry per byte of x."""
+        below 2^cols.  XORs one table entry per byte of x, or, with no
+        tables, sets bit k to the parity of row k AND x."""
         tables = self.ensure_tables()
         v = 0
+        if not tables:
+            for row in reversed(self.row_data):
+                v = v << 1 | (row & x).bit_count() & 1
+            return v
         for t, b in zip(tables, x.to_bytes(len(tables), "little")):
             v ^= t[b]
         return v

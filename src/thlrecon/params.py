@@ -110,7 +110,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     r = cl.redundancy
     N = 1 << r
     h_l = cl.parity
-    h_l.ensure_tables()  # every encode maps elements through it
+    h_l.ensure_tables()  # every encode maps elements through it; short, wide: none
 
     # the comp code's field (t = 1: GF(2^(r+1)); t > 1: the stage-1
     # symbol field) needs discrete logs

@@ -214,8 +214,11 @@ def session_run(transport: Transport, params: Params, local_set):
     :class:`ParamMismatch` before any digest bytes when fingerprints
     differ, :class:`FrameError` when the peer's frames are malformed or
     stop, and :class:`InconsistentDigests` from decoding; each carries
-    the session's SessionStats as ``exc.stats``.
+    the session's SessionStats as ``exc.stats``.  The local digest is
+    encoded first, so an element of the wrong length raises
+    ``ValueError`` (with no stats) before anything is sent.
     """
+    local_digest = encode_digest(params, local_set)
     stats = SessionStats(
         digest_bits=digest_cost_bits(params),
         baseline_bits=bounds.baseline_bits(params),
@@ -226,7 +229,6 @@ def session_run(transport: Transport, params: Params, local_set):
         if _expect(transport, limit, MSG_HELLO) != params.fingerprint:
             transport.send_frame(MSG_ERROR, MISMATCH)
             raise ParamMismatch(MISMATCH.decode())
-        local_digest = encode_digest(params, local_set)
         transport.send_frame(MSG_DIGEST, serialize_digest(params, local_digest))
         peer_digest = parse_digest(params, _expect(transport, limit, MSG_DIGEST))
         delta = decode_digests(params, local_digest, peer_digest)

@@ -12,7 +12,9 @@ projected onto ``params.tail``.
    positions, of the multiset of positions (duplicates cancel mod 2).
 2. w2 = sum over elements of b_j * tail, where b is a B_h sequence
    over the position space: unreduced products, XORed and then
-   reduced once.
+   reduced once.  b_j packs the powers j^0 .. j^(h-1) in GF(2^r),
+   found by a chain: each even power the square of a lower one, by a
+   squaring matrix, and each odd power the one below it times j.
 
 Both parts are linear in the set, so xoring the two hosts' digests
 gives the digest of the difference.  Decoding recovers the difference's

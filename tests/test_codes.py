@@ -9,9 +9,16 @@ from reference import (
     rs_syndromes,
     roots_by_search,
 )
-from thlrecon.codes import bch_build, bh_sequence, find_roots, poly_mul_ff, rs_code
+from thlrecon.codes import (
+    bch_build,
+    bh_sequence,
+    find_roots,
+    odd_powers,
+    poly_mul_ff,
+    rs_code,
+)
 from thlrecon.errors import DecodingError
-from thlrecon.gf2 import ff_make
+from thlrecon.gf2 import TABLE_MAX_DEGREE, ff_make
 from thlrecon.params import params_build
 
 
@@ -156,6 +163,34 @@ def test_syndrome_bits_matches_positions(n, e):
         assert code.syndrome_bits(x) == code.syndrome_from_positions(positions)
 
 
+# a long code with exp/log tables (also the t1-bulk comp code's
+# shape) and one past the table limit, locator degree 23
+@pytest.mark.parametrize("n,e", [(1 << 13, 2), (1 << 18, 4), ((1 << 22) + 1, 1)])
+def test_long_code_syndrome_is_sum_of_odd_power_columns(n, e):
+    code = bch_build(n, e)
+    spec = code.field
+    assert code._cols is None
+    assert (spec._exp is None) == (code.locator_degree > TABLE_MAX_DEGREE)
+    g = spec.generator()
+    rng = random.Random(n)
+    for size in (0, 1, 2, 7, 40):
+        pos = [rng.randrange(n) for _ in range(size)] + [0, n - 1]
+        pos += pos[: size // 2]  # duplicates cancel
+        want = 0
+        for i in pos:
+            want ^= odd_powers(spec, spec.pow(g, i), e)
+        assert code.syndrome_from_positions(pos) == want, (size, pos)
+
+
+@pytest.mark.parametrize("n,e", [(63, 2), (1 << 13, 2)])
+@pytest.mark.parametrize("bad", [-1, "n", "n+5"])
+def test_syndrome_positions_out_of_range_rejected(n, e, bad):
+    code = bch_build(n, e)
+    i = {"n": n, "n+5": n + 5}.get(bad, bad)
+    with pytest.raises(ValueError, match="position out of range"):
+        code.syndrome_from_positions([3, i, 5])
+
+
 def test_syndrome_op_and_linearity():
     code = bch_build(15, 2)
     rng = random.Random(5)
@@ -222,10 +257,12 @@ def test_rs_uncorrectable():
 def test_root_at_or_beyond_the_length_rejected():
     # a locator root at position n or past it is no error pattern of a
     # code shortened to n, even where its syndrome would re-encode
-    code = bch_build(5000, 1)  # unreduced: every position has a column
+    # unreduced codes over one locator field: the full-length code gives
+    # the syndromes of the positions the shortened one lacks
+    code, full = bch_build(5000, 1), bch_build(8191, 1)
     for j in (5000, 8190):
         with pytest.raises(DecodingError):
-            code.decode_positions(code.syndrome_from_positions([j]))
+            code.decode_positions(full.syndrome_from_positions([j]))
     short, wide = rs_code(ff_make(4), 10, 5), rs_code(ff_make(4), 15, 5)
     for j in (10, 14):
         with pytest.raises(DecodingError):
@@ -305,7 +342,9 @@ def test_bh_m32_h3_exhaustive():
             assert xor_all(sub) != 0
 
 
-@pytest.mark.parametrize("m,h", [(16, 2), (300, 3), (1 << 18, 4)])
+@pytest.mark.parametrize(
+    "m,h", [(16, 2), (300, 3), (1 << 18, 4), (1 << 12, 6), (1 << 18, 5)]
+)
 def test_bh_elements_are_packed_powers(m, h):
     seq = bh_sequence(m, h, ff_make(120))
     spec, w = seq._col_field, seq.width

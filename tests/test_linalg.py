@@ -138,14 +138,16 @@ def test_nullspace():
 
 def test_mul_vec_matches_row_products():
     # widths 1..70 cover a partial last table at every offset; rows may
-    # be zero, and so may the row count
+    # be zero, and so may the row count.  Heights below cols / 8 take row
+    # parities, as H_l does at 18x511; hf_inv at 511x511 reads tables.
     rng = random.Random(8)
-    for cols in range(1, 71):
-        for height in (0, 1, rng.randint(2, 90)):
-            rows = [rng.getrandbits(cols) for _ in range(height)]
-            if height > 1:
-                rows[rng.randrange(height)] = 0
-            m = BinaryMatrix(height, cols, rows)
-            xs = [0, (1 << cols) - 1] + [rng.getrandbits(cols) for _ in range(20)]
-            for x in xs:
-                assert m.mul_vec(x) == mul_vec_rows(m, x), (cols, height, x)
+    shapes = [(h, c) for c in range(1, 71) for h in (0, 1, rng.randint(2, 90))]
+    for height, cols in shapes + [(18, 511), (511, 511)]:
+        rows = [rng.getrandbits(cols) for _ in range(height)]
+        if height > 1:
+            rows[rng.randrange(height)] = 0
+        m = BinaryMatrix(height, cols, rows)
+        xs = [0, (1 << cols) - 1] + [rng.getrandbits(cols) for _ in range(20)]
+        for x in xs:
+            assert m.mul_vec(x) == mul_vec_rows(m, x), (cols, height, x)
+        assert bool(m.ensure_tables()) == (8 * height >= cols), (cols, height)

@@ -36,13 +36,16 @@ def test_t2_63_pinned():
 
 
 def test_tables_only_for_multiplied_matrices():
-    p = params_build(63, 1, 4, 2)
+    p, p511 = params_build(63, 1, 4, 2), params_build(511, 1, 4, 2)
     # encodes and the decode anchor multiply by these: set-up builds
     # their product tables, so no encode state is left to first use
     assert all(m._tables is not None for m in (p.cl.parity, p.hf_inv))
     # comp syndromes are column sums, and BCH(4096, 4) tables would be
     # megabytes no session reads
     assert p.comp.parity._tables is None and p.comp._lift._tables is None
+    assert p.cl.parity._tables  # H_l at 12x63: tables beat 12 row parities
+    # H_l at 18x511 has fewer rows than byte tables: row parities, no tables
+    assert p511.cl.parity._tables == [] and p511.hf_inv._tables
     # t > 1: map_f and gamma multiply in the beta and delta fields per
     # element; the grid field GF(2^120) is past the table limit
     p = params_build(127, 3, 2, 1)

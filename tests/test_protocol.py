@@ -271,6 +271,17 @@ def test_session_failures_carry_stats(p1):
         assert exc.stats.bytes_received == exc.stats.bytes_sent
 
 
+def test_bad_local_element_fails_before_sending(p1, pt):
+    # the local digest is encoded before HELLO, so nothing goes out
+    for params in (p1, pt):
+        bad = {BitVector(1, params.n), BitVector(1, params.n - 1)}
+        ea, eb = Transport.pair()
+        with ea, eb:
+            with pytest.raises(ValueError, match="element length"):
+                session_run(ea, params, bad)
+            assert ea.bytes_sent == 0
+
+
 def test_tcp_equals_memory(p1):
     assert TcpTransport is Transport
     SA, SB, delta = gen_instance(p1, 5, 10)
