@@ -2,9 +2,9 @@
 
 A :class:`BitVector` is an element of F_2^n.  Positions are 1-based in
 documentation (position ``p`` is stored in bit ``p - 1`` of ``value``),
-matching the usual [n] index convention.  :func:`project` and
-:func:`place` move the bits at a list of positions as runs of
-consecutive positions, one shift-and-mask per run.
+matching the usual [n] index convention.  A :class:`Positions` selection
+finds its runs of consecutive positions once, when it is built, and
+:func:`project` and :func:`place` move its bits one shift-and-mask per run.
 """
 
 from __future__ import annotations
@@ -85,53 +85,38 @@ def hamming(x: BitVector, y: BitVector) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-# id(positions) -> (positions, runs); a handful of selections per
-# configuration (I, Ibar, the t=1 tail), cleared when it fills.
-_RUNS: dict = {}
-_RUNS_MAX = 64
+class Positions(tuple):
+    """A selection of 1-based positions, such as I, Ibar or the t=1
+    tail, that compares and hashes as the tuple of its positions.
+    ``runs`` holds (shift in x, shift in the packed int, mask) per run
+    of entries that name consecutive positions, in order."""
+
+    def __new__(cls, positions=()):
+        self = super().__new__(cls, positions)
+        runs = []  # [first position, its index in the selection, length]
+        for i, p in enumerate(self):
+            if runs and p == runs[-1][0] + runs[-1][2]:
+                runs[-1][2] += 1
+            else:
+                runs.append([p, i, 1])
+        self.runs = tuple((p - 1, i, (1 << k) - 1) for p, i, k in runs)
+        return self
 
 
-def _runs(positions) -> tuple:
-    """(shift in x, shift in the packed int, mask) per run of list
-    entries that name consecutive positions, in list order.  A tuple's
-    runs are cached by its id, which hashes in constant time; the entry
-    keeps the tuple alive, so the id names it until the cache is
-    cleared.  Any other iterable is read afresh."""
-    if type(positions) is tuple:
-        hit = _RUNS.get(id(positions))
-        if hit is not None:
-            return hit[1]
-    runs = []  # [first position, its index in the list, length]
-    for i, p in enumerate(positions):
-        if runs and p == runs[-1][0] + runs[-1][2]:
-            runs[-1][2] += 1
-        else:
-            runs.append([p, i, 1])
-    runs = tuple((p - 1, i, (1 << k) - 1) for p, i, k in runs)
-    if type(positions) is tuple:
-        if len(_RUNS) >= _RUNS_MAX:
-            _RUNS.clear()
-        _RUNS[id(positions)] = (positions, runs)
-    return runs
-
-
-def project(x: BitVector, positions) -> int:
-    """Pack the bits of ``x`` at the given 1-based positions into an
-    int, first position in bit 0: one shift-and-mask per run of
-    consecutive positions."""
+def project(x: BitVector, positions: Positions) -> int:
+    """Pack the bits of ``x`` at the given positions into an int, first
+    position in bit 0: one shift-and-mask per run."""
     v = 0
     x = x.value
-    for src, dst, mask in _runs(positions):
+    for src, dst, mask in positions.runs:
         v |= ((x >> src) & mask) << dst
     return v
 
 
-def place(n: int, positions, packed: int, other_positions=(), other_packed: int = 0) -> BitVector:
-    """Inverse of :func:`project`: scatter ``packed`` over ``positions``
-    and ``other_packed`` over ``other_positions``, one run at a time."""
+def place(n: int, positions: Positions, packed: int) -> BitVector:
+    """Inverse of :func:`project`: scatter ``packed`` over
+    ``positions``, one run at a time."""
     v = 0
-    for src, dst, mask in _runs(positions):
+    for src, dst, mask in positions.runs:
         v |= ((packed >> dst) & mask) << src
-    for src, dst, mask in _runs(other_positions):
-        v |= ((other_packed >> dst) & mask) << src
     return BitVector(v, n)

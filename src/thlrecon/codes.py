@@ -250,10 +250,9 @@ class BchCode:
         self.field.ensure_tables()
         self._g = self.field.generator()
         self.redundancy = e * s  # rank reduction narrows it
-        self._reduced = n <= _DENSE_LIMIT
         self.parity = None  # rank-reduced parity check; short codes only
         self._cols = None
-        if self._reduced:
+        if n <= _DENSE_LIMIT:
             self._build_reduced()
 
     def _column(self, i: int) -> int:
@@ -305,13 +304,11 @@ class BchCode:
 
     def syndrome_bits(self, x: int) -> int:
         """Packed syndrome of the 0/1 vector x below 2^n, position i in
-        bit i: the parity matrix times x for a rank-reduced code, the
-        sum of the odd-power columns at x's set bits for a long one."""
-        if self._reduced:
-            return self.parity.mul_vec(x)
-        return self.syndrome_from_positions(
-            i for i in range(self.length) if (x >> i) & 1
-        )
+        bit i: the parity matrix times x.  Only a rank-reduced code has
+        the matrix; a long one takes positions instead."""
+        if self.parity is None:
+            raise ValueError("syndrome_bits needs a rank-reduced code")
+        return self.parity.mul_vec(x)
 
     # -- decoding --------------------------------------------------------
 
@@ -322,7 +319,7 @@ class BchCode:
             return []
         spec, e = self.field, self.design_errors
         # a rank-reduced syndrome lifts to the full odd-power one
-        full = self._lift.mul_vec(synd) if self._reduced else synd
+        full = synd if self.parity is None else self._lift.mul_vec(synd)
         _, roots = locate(spec, power_sums(spec, full, e), e)
         positions = sorted(position(spec, root, self.length) for root in roots)
         if self.syndrome_from_positions(positions) != synd:

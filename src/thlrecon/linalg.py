@@ -10,8 +10,8 @@ Russians; Albrecht, Bard & Hart, ACM TOMS 2010): one lookup and XOR
 per byte of the vector.  A shorter, wider one, such as the t=1 C_l
 parity H_l at 18x511, builds no tables and takes one parity of
 ``row & x`` per row.  A selection matrix, such as the t=1 tail H_bar
-(unit rows at H_l's non-pivot columns), is never multiplied: it is
-:func:`bits.project` onto those columns, with no tables.
+(unit rows at H_l's non-pivot columns), is never multiplied:
+:func:`bits.project` reads the runs of the ``params.tail`` selection.
 """
 
 from __future__ import annotations

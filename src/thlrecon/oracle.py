@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .bits import BitVector, hamming, project
+from .bits import BitVector, Positions, hamming, project
 from .params import Params
 
 # Exhaustive partition search is exponential in the difference size.
@@ -34,7 +34,7 @@ def oracle_is_thl(SA, SB, t: int, h: int, ell: int, I=None):
         raise ValueError("difference too large for exhaustive search")
     if not delta:
         return True, ()
-    I = tuple(I) if I else None
+    I = Positions(I) if I else None
 
     def compatible(block, x):
         if len(block) >= h:

@@ -13,7 +13,7 @@ import hashlib
 import operator
 from dataclasses import dataclass, field
 
-from .bits import hamming, project
+from .bits import Positions, hamming, project
 from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
 from .errors import InconsistentDigests, ParamsError
 from .gf2 import DLOG_MAX_DEGREE, FieldSpec, ff_make
@@ -94,11 +94,11 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     if t == 1:
         if I:
             raise ParamsError("i_empty_for_t1", "index set I applies only when t > 1")
-        I = ()
+        I = Positions()  # accept projects every block onto it
     else:
         if I is None:
             I = default_index_set(n)
-        I = tuple(sorted(set(int(i) for i in I)))
+        I = Positions(sorted(set(int(i) for i in I)))
         if not I:
             raise ParamsError("i_nonempty", "t > 1 requires a nonempty index set I")
         if I[0] < 1 or I[-1] > n:
@@ -136,12 +136,12 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         hf_inv.ensure_tables()  # the anchor of every decode
         # H_bar's rows are the unit vectors at H_l's non-pivot columns,
         # so H_bar x is the projection of x onto them
-        tail = tuple(row.bit_length() for row in h_bar.row_data)
+        tail = Positions(row.bit_length() for row in h_bar.row_data)
         digest_field = ff_make(n - r)
         bh = bh_sequence(N, h, digest_field)
         comp = bch_build(N, h)
         return Params(
-            n=n, t=1, h=h, ell=ell, I=(),
+            n=n, t=1, h=h, ell=ell, I=I,
             r=r, N=N, cl=cl, tail=tail, hf_inv=hf_inv,
             digest_field=digest_field, bh=bh, comp=comp,
         )
@@ -149,7 +149,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     # multi-cluster derivations
     m = len(I)
     nbar = n - m
-    ibar = tuple(p for p in range(1, n + 1) if p not in set(I))
+    ibar = Positions(p for p in range(1, n + 1) if p not in I)
     if 2 * t + 1 > (1 << (m + 1)) - 1:
         raise ParamsError(
             "f_width", f"2t+1={2 * t + 1} exceeds the nonzero patterns of {m + 1} bits"
@@ -216,6 +216,20 @@ def digest_layout(params: Params) -> tuple:
     )
 
 
+def check_digest(params: Params, d) -> None:
+    """Raise unless ``d`` is a :class:`Digest` whose fields fit
+    :func:`digest_layout`: TypeError for another type, ValueError for
+    another field count or a field outside [0, 2^width)."""
+    if not isinstance(d, Digest):
+        raise TypeError(f"expected a Digest, got {type(d).__name__}")
+    widths = [w for section in digest_layout(params) for w in section]
+    if len(d) != len(widths):
+        raise ValueError("digest does not match the field layout")
+    for width, v in zip(widths, d):
+        if v < 0 or v >> width:
+            raise ValueError("value wider than field width")
+
+
 def digest_cost_bits(params: Params) -> int:
     """Exact digest size in bits, pad bits excluded."""
     return sum(map(sum, digest_layout(params)))
@@ -267,6 +281,8 @@ def parse_params_text(text: str) -> dict:
         val = val.strip()
         if key not in ("n", "t", "h", "ell", "I"):
             raise ParamsError("params_file", f"line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ParamsError("params_file", f"line {lineno}: duplicate key {key!r}")
         try:
             if key == "I":
                 out["I"] = tuple(int(v) for v in val.split(",") if v.strip()) or None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bits import BitVector
 from .errors import FrameError, InconsistentDigests, ParamMismatch, ThlreconError
-from .params import Digest, Params, digest_cost_bits, digest_layout
+from .params import Digest, Params, check_digest, digest_cost_bits, digest_layout
 from .recon1 import decode1, encode1
 from .recont import decode_t, encode_t
 from . import bounds
@@ -43,18 +43,12 @@ PEER_TIMEOUT = 10.0
 
 
 def serialize_digest(params: Params, d) -> bytes:
-    if not isinstance(d, Digest):
-        raise TypeError("serialize_digest requires a Digest")
-    layout = digest_layout(params)
-    if len(d) != sum(map(len, layout)):
-        raise ValueError("digest does not match the field layout")
+    check_digest(params, d)
     values = iter(d)
     acc = pos = 0
-    for section in layout:
+    for section in digest_layout(params):
         pos = (pos + 7) & ~7
         for width, v in zip(section, values):
-            if v < 0 or v >> width:
-                raise ValueError("value wider than field width")
             acc |= v << pos
             pos += width
     return acc.to_bytes((pos + 7) // 8, "little")

@@ -29,7 +29,7 @@ from .bits import BitVector, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import map_E, map_M
-from .params import Digest, Params, accept
+from .params import Digest, Params, accept, check_digest
 
 
 def _w2_term(params: Params, j: int, x: BitVector) -> int:
@@ -61,6 +61,8 @@ def decode1(params: Params, dA: Digest, dB: Digest):
     """
     if params.t != 1:
         raise ValueError("decode1 requires a t=1 configuration")
+    check_digest(params, dA)
+    check_digest(params, dB)
     w1, w2 = d = dA ^ dB
     try:
         support = params.comp.decode_positions(w1)

@@ -12,7 +12,8 @@ Encoding (per host):
    sum_j gamma_j^(2^row) * z2^(k)[j].  The digest is w1's 2th symbols
    followed by the grid, row by row.
 
-x_I and x_Ibar are run gathers (:func:`bits.project`).  A column's t
+x_I and x_Ibar are run gathers: :func:`bits.project` reads the runs
+that ``params.I`` and ``params.ibar`` found when built.  A column's t
 Frobenius powers travel as lanes of one int, lane k at bit k * 3nbar:
 one carry-less product of x_Ibar with an element's packed f-powers adds
 its z2 column, and one of gamma_j^(2^row) with a column adds it to grid
@@ -36,7 +37,7 @@ from .bits import BitVector, place, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Digest, Params, accept
+from .params import Digest, Params, accept, check_digest
 
 
 def _pack(params: Params, values) -> int:
@@ -97,6 +98,8 @@ def decode_t(params: Params, dA: Digest, dB: Digest):
     """
     if params.t < 2:
         raise ValueError("decode_t requires a t>1 configuration")
+    check_digest(params, dA)
+    check_digest(params, dB)
     d = dA ^ dB
     return accept(params, _decode_blocks(params, d), d, encode_t)
 
@@ -104,7 +107,7 @@ def decode_t(params: Params, dA: Digest, dB: Digest):
 def _decode_blocks(params: Params, d: Digest):
     """Candidate blocks (tuples of elements) for the digest sum d."""
     spec = params.nbar_field
-    t, u = params.t, params.comp_rs.redundancy
+    n, t, u = params.n, params.t, params.comp_rs.redundancy
 
     # step 1: per-position f-value sums of the difference
     try:
@@ -126,7 +129,7 @@ def _decode_blocks(params: Params, d: Digest):
         for sigma in decomposed[i]:
             block = members.setdefault(sigma, [])
             if not block:
-                block.append((i, BitVector(0, params.n)))
+                block.append((i, BitVector(0, n)))
                 continue
             try:
                 e = map_E(params, block[0][0], i)
@@ -152,9 +155,10 @@ def _decode_blocks(params: Params, d: Digest):
     # steps 7-8: reassemble the blocks
     blocks = []
     for sigma in sigmas:
-        # sigma = map_f(x_I), whose lowest |I| bits are x_I itself
+        # sigma = map_f(x_I), whose lowest |I| bits are x_I itself; I
+        # and Ibar are disjoint, so XOR joins the two placements
         xI = sigma & ((1 << len(params.I)) - 1)
-        center = place(params.n, params.I, xI, params.ibar, cbars[sigma])
+        center = place(n, params.I, xI) ^ place(n, params.ibar, cbars[sigma])
         blocks.append(tuple(center ^ e for _, e in members[sigma]))
     return tuple(blocks)
 

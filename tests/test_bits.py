@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from reference import from_bits, place_bits, project_bits
-from thlrecon.bits import BitVector, hamming, place, project, weight
+from reference import from_bits, greedy_completion, place_bits, project_bits
+from thlrecon.bits import BitVector, Positions, hamming, place, project, weight
 from thlrecon.params import params_build
 
 
@@ -59,15 +59,16 @@ def test_hex_width_and_pad_validation():
 
 def test_project_and_place_inverse():
     x = from_bits([1, 1, 0, 1, 0, 1])
-    I = (2, 5, 6)
-    ibar = (1, 3, 4)
+    I = Positions((2, 5, 6))
+    ibar = Positions((1, 3, 4))
     pI = project(x, I)
     pbar = project(x, ibar)
     assert pI == 0b101  # positions 2,5,6 = 1,0,1 -> bits 0,1,2
-    assert place(6, I, pI, ibar, pbar) == x
+    assert place(6, I, pI) ^ place(6, ibar, pbar) == x
 
 
 def _check_selections(n, selections, rng):
+    selections = [Positions(sel) for sel in selections]
     for _ in range(20):
         x = BitVector(rng.getrandbits(n), n)
         for sel in selections:
@@ -76,14 +77,18 @@ def _check_selections(n, selections, rng):
             a = rng.getrandbits(len(sel) + 3)
             assert place(n, sel, a) == place_bits(n, sel, a), sel
         for sel, other in zip(selections, selections[1:]):
+            # selections may overlap, so the placements join by OR
             a, b = rng.getrandbits(len(sel)), rng.getrandbits(len(other))
-            assert place(n, sel, a, other, b) == place_bits(n, sel, a, other, b)
+            joined = place(n, sel, a).value | place(n, other, b).value
+            assert joined == place_bits(n, sel, a, other, b).value
 
 
-@pytest.mark.parametrize(
-    "point",
-    [(63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2), (63, 2, 2, 1), (127, 3, 2, 1)],
-)
+GOLDEN_POINTS = [
+    (63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2), (63, 2, 2, 1), (127, 3, 2, 1)
+]
+
+
+@pytest.mark.parametrize("point", GOLDEN_POINTS)
 def test_project_place_match_per_bit_at_golden_points(point):
     p = params_build(*point)
     sel = p.tail if p.t == 1 else p.I
@@ -114,8 +119,40 @@ def test_project_place_match_per_bit_on_odd_lists():
 def test_place_inverts_project_on_a_partition():
     rng = random.Random(4)
     n = 100
-    I = tuple(sorted(rng.sample(range(1, n + 1), 12)))
-    ibar = tuple(q for q in range(1, n + 1) if q not in I)
+    I = Positions(sorted(rng.sample(range(1, n + 1), 12)))
+    ibar = Positions(q for q in range(1, n + 1) if q not in I)
     for _ in range(50):
         x = BitVector(rng.getrandbits(n), n)
-        assert place(n, I, project(x, I), ibar, project(x, ibar)) == x
+        assert place(n, I, project(x, I)) ^ place(n, ibar, project(x, ibar)) == x
+
+
+def _runs_per_bit(sel):
+    """Positions.runs one entry at a time: a run grows while each
+    position follows the one before it."""
+    runs = []
+    for i, p in enumerate(sel):
+        if i and p == sel[i - 1] + 1:
+            src, dst, mask = runs[-1]
+            runs[-1] = (src, dst, mask << 1 | 1)
+        else:
+            runs.append((p - 1, i, 1))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("point", GOLDEN_POINTS)
+def test_params_selections_are_positions(point):
+    # the plain tuples params_build made before selections carried
+    # their runs: the default I (empty at t=1), Ibar its complement and
+    # the t=1 tail, the unit rows of H_l's completion
+    p = params_build(*point)
+    plain = {"I": tuple(range(1, (p.n - 1).bit_length() + 1)) if p.t > 1 else ()}
+    if p.t > 1:
+        plain["ibar"] = tuple(q for q in range(1, p.n + 1) if q not in plain["I"])
+    else:
+        h_bar = greedy_completion(p.cl.parity)
+        plain["tail"] = tuple(row.bit_length() for row in h_bar.row_data)
+    for name, want in plain.items():
+        sel = getattr(p, name)
+        assert type(sel) is Positions, name
+        assert sel == want and hash(sel) == hash(want), name
+        assert sel.runs == _runs_per_bit(want), name

@@ -138,6 +138,9 @@ def test_usage_exit_code(tmp_path, capsys):
     bad.write_text("n=abc\nt=1\nh=2\nell=1\n")
     assert main(["digest", str(bad), str(a), str(tmp_path / "o")]) == 2
     assert "params_file: line 1:" in capsys.readouterr().err
+    bad.write_text("n=63\nt=1\nh=2\nell=1\nn=127\n")
+    assert main(["digest", str(bad), str(a), str(tmp_path / "o")]) == 2
+    assert "params_file: line 5: duplicate key 'n'" in capsys.readouterr().err
 
 
 def test_bounds_grid_csv(capsys):

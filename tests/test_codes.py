@@ -142,7 +142,7 @@ def test_bch_long_unreduced_path():
     # length beyond the dense limit: raw odd-power syndromes,
     # gcd/trace root finding, positions via discrete log
     code = bch_build(1 << 13, 2)
-    assert code._reduced is False
+    assert code.parity is None
     assert code.redundancy == 2 * code.locator_degree
     rng = random.Random(99)
     for _ in range(50):
@@ -150,10 +150,8 @@ def test_bch_long_unreduced_path():
         assert code.decode_positions(code.syndrome_from_positions(pos)) == pos
 
 
-# C_l of each golden point, the longest rank-reduced code and a long one
-@pytest.mark.parametrize(
-    "n,e", [(63, 2), (127, 1), (511, 2), (63, 1), (4096, 4), (1 << 13, 2)]
-)
+# C_l of each golden point and the longest rank-reduced code
+@pytest.mark.parametrize("n,e", [(63, 2), (127, 1), (511, 2), (63, 1), (4096, 4)])
 def test_syndrome_bits_matches_positions(n, e):
     code = bch_build(n, e)
     rng = random.Random(n + e)
@@ -161,6 +159,14 @@ def test_syndrome_bits_matches_positions(n, e):
     for x in xs:
         positions = [i for i in range(n) if (x >> i) & 1]
         assert code.syndrome_bits(x) == code.syndrome_from_positions(positions)
+
+
+def test_syndrome_bits_rejects_a_long_code():
+    # a long code keeps no parity matrix; its syndromes come from
+    # positions
+    code = bch_build(1 << 13, 2)
+    with pytest.raises(ValueError, match="syndrome_bits needs a rank-reduced code"):
+        code.syndrome_bits(1)
 
 
 # a long code with exp/log tables (also the t1-bulk comp code's

@@ -129,6 +129,12 @@ def test_params_text_roundtrip():
         parse_params_text("n=63\nbogus=1\nt=1\nh=2\nell=1\n")
 
 
+def test_params_text_rejects_a_repeated_key():
+    with pytest.raises(ParamsError) as e:
+        parse_params_text("n=63\nt=1\nh=2\nell=1\nn=127\n")
+    assert str(e.value) == "params_file: line 5: duplicate key 'n'"
+
+
 @pytest.mark.parametrize(
     "text,line",
     [("n=abc\nt=1\nh=2\nell=1\n", 1), ("n=63\nt=2\nh=2\nell=1\nI=1,x\n", 5)],

@@ -119,6 +119,26 @@ def test_digest_of_the_other_scheme_rejected(p1, pt):
         serialize_digest(pt, tuple(d))
 
 
+@pytest.mark.parametrize("point", [(63, 1, 4, 2), (511, 1, 4, 2), (127, 3, 2, 1)])
+def test_decode_rejects_a_field_outside_its_width(point):
+    # unchecked, such a field fails deep in a decoder as an IndexError
+    # or an OverflowError
+    p = params_build(*point)
+    SA, _, _ = gen_instance(p, 0, 4)
+    good = encode_digest(p, SA)
+    widths = [w for section in digest_layout(p) for w in section]
+    for i, width in enumerate(widths):
+        for v in (1 << width, -1):
+            bad = Digest(good[:i] + (v,) + good[i + 1:])
+            for call in (
+                lambda: decode_digests(p, bad, good),
+                lambda: decode_digests(p, good, bad),
+                lambda: serialize_digest(p, bad),
+            ):
+                with pytest.raises(ValueError, match="value wider than field width"):
+                    call()
+
+
 def test_xor_of_digests_with_different_layouts_rejected(p1, pt):
     # t=1 against t>1, and two t>1 grids of different sizes: no XOR
     # may drop the fields one side lacks
