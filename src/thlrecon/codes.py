@@ -13,7 +13,8 @@ Two code families are built here:
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
   bounded-distance decoder returning symbol positions and values.  At
   degrees 24 and 26 its arithmetic runs in GF((2^k)^2), converted only
-  at the code's boundary, so symbols and positions stay standard.
+  at the code's boundary, so symbols and positions stay standard.  Under
+  a cap it builds per-position syndrome tables and root positions once.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain, each step written once: power sums unpacked as they were packed
@@ -21,9 +22,9 @@ chain, each step written once: power sums unpacked as they were packed
 (:func:`locate`), roots from one table of x^(2^k) modulo the locator,
 which also shows whether it splits (:func:`find_roots` returns None
 when it does not; it takes remainders by :func:`poly_rem` and never
-divides), then a re-encode check.  BCH and Reed-Solomon positions come
-from the roots by discrete log (:func:`position`), which stays cheap
-at any length.
+divides), then a re-encode check.  BCH positions, and Reed-Solomon ones
+above the cap, come from the roots by discrete log (:func:`position`),
+which stays cheap at any length.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .linalg import BinaryMatrix, row_reduce, transpose
 # narrows the syndrome (and so the digest); longer codes keep the raw
 # odd-power map, as reduction would touch every column.
 _DENSE_LIMIT = 4096
+
+# Up to this many entries (N positions x ceil(a/4) nibbles x 16, about
+# 1 MB) a Reed-Solomon code builds per-position tables, and t > 1 params
+# their gamma powers; above it each is computed per call.
+_POSITION_TABLE_LIMIT = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +340,8 @@ class RsCode:
     """Reed-Solomon code over GF(2^a), locators g^j for j in [0, N).
     Symbols are in the standard basis; the arithmetic runs in the work
     field of :meth:`FieldSpec.work_field`, entered and left at the
-    boundary of :meth:`syndrome_sparse` and :meth:`decode`."""
+    boundary of :meth:`syndrome_sparse` and :meth:`decode`.  Under the
+    cap the constructor builds ``syndrome_tables`` and ``root_positions``."""
 
     def __init__(self, field: FieldSpec, length: int, d: int):
         if d < 1 or d > length:
@@ -358,6 +365,34 @@ class RsCode:
         self._hi = [1]
         for _ in range((length - 1) >> b):
             self._hi.append(work.mul(self._hi[-1], step))
+        self.syndrome_tables = self.root_positions = None
+        if length * -(-field.degree // 4) * 16 <= _POSITION_TABLE_LIMIT:
+            self._build_tables()
+
+    def _build_tables(self):
+        """The dict root (g^j)^-1 -> j, and per position j, ceil(a/4)
+        nibble tables: entry 16k + v packs v x^(4k) x_j^(i+1) in lane i at
+        bit i(a+1).  A step by x shifts the lanes and folds their top bits
+        by an integer product, carry-free as the lanes' terms never overlap."""
+        work, a = self._work, self.field.degree
+        carries = sum(1 << (i * (a + 1) + a) for i in range(self.redundancy))
+        self.syndrome_tables, self.root_positions = [], {}
+        for j in range(self.length):
+            xj = p = self.locator(j)
+            self.root_positions[work.inv(xj)] = j
+            packed = 0
+            for i in range(self.redundancy):
+                packed |= self._from_work(p) << (i * (a + 1))
+                p = work.mul(p, xj)
+            row = []
+            for _ in range(-(-a // 4)):
+                table = [0]
+                for _ in range(4):
+                    table += [e ^ packed for e in table]
+                    c = (packed << 1) & carries
+                    packed = (packed << 1) ^ c ^ (c >> a) * self.field._low
+                row += table
+            self.syndrome_tables.append(row)
 
     def locator(self, j: int) -> int:
         """g^j in the work field: one product of two table entries."""
@@ -365,20 +400,29 @@ class RsCode:
         return self._work.mul(self._lo[j & ((1 << b) - 1)], self._hi[j >> b])
 
     def syndrome_sparse(self, values: dict) -> tuple:
-        """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector."""
-        spec, to_work = self._work, self._to_work
-        out = [0] * self.redundancy
+        """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector: a lookup
+        per nibble of v_j, or d - 1 work-field products above the table
+        cap.  ValueError for j outside [0, length) or v_j outside [0, 2^a)."""
+        spec, tables, a = self._work, self.syndrome_tables, self.field.degree
+        acc, out = 0, [0] * self.redundancy
         for j, v in values.items():
             if not 0 <= j < self.length:
                 raise ValueError("position out of range")
-            if v == 0:
-                continue
-            xj = self.locator(j)
-            term = to_work(v)
-            for i in range(self.redundancy):
-                term = spec.mul(term, xj)  # v x_j^(i+1)
-                out[i] ^= term
-        return tuple(map(self._from_work, out))
+            if v < 0 or v >> a:
+                raise ValueError("symbol out of range")
+            if tables is not None:
+                row, k = tables[j], 0
+                while v:
+                    acc ^= row[k | v & 15]
+                    v, k = v >> 4, k + 16
+            elif v:
+                xj, term = self.locator(j), self._to_work(v)
+                for i in range(self.redundancy):
+                    term = spec.mul(term, xj)  # v x_j^(i+1)
+                    out[i] ^= term
+        if tables is None:
+            return tuple(map(self._from_work, out))
+        return tuple(acc >> i * (a + 1) & self.field.order for i in range(len(out)))
 
     def decode(self, syndromes) -> dict:
         """Error vector {position: value} of weight <= (d-1)/2 matching
@@ -386,6 +430,8 @@ class RsCode:
         syndromes = tuple(syndromes)
         if len(syndromes) != self.redundancy:
             raise ValueError("syndrome length mismatch")
+        if any(s < 0 or s >> self.field.degree for s in syndromes):
+            raise ValueError("symbol out of range")
         if not any(syndromes):
             return {}
         spec = self._work
@@ -397,8 +443,11 @@ class RsCode:
         omega = poly_mul_ff(spec, sums, loc)[: self.redundancy]
         dloc = loc[1::2]
         errors = {}
+        table = self.root_positions
         for root in roots:
-            j = position(spec, root, self.length)
+            j = position(spec, root, self.length) if table is None else table.get(root)
+            if j is None:  # a root beyond the length
+                raise DecodingError("uncorrectable syndrome")
             num = poly_eval(spec, omega, root)
             value = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
             errors[j] = self._from_work(value)

@@ -16,7 +16,8 @@ The rest serve the multi-cluster scheme:
 * ``f_sum_decompose``: inverts an xor of up to t distinct f-values
   (power-sum decoding).
 * ``gamma``: per-position columns over GF(2^nbar), any <= 2*s' of
-  which are F_2-linearly independent (the same packer).
+  which are F_2-linearly independent (the same packer); under the table
+  cap of :mod:`codes`, ``params_build`` tabulates them with their squares.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ def f_sum_decompose(params: Params, zeta: int):
 
 
 def gamma(params: Params, i: int) -> int:
-    """Position column over GF(2^nbar): packed odd powers
-    (delta, delta^3, ..., delta^(2s'-1)) of delta = i with a forced
-    leading bit in GF(2^(r+1))."""
+    """Position column over GF(2^nbar): packed odd powers (delta, delta^3,
+    ..., delta^(2s'-1)) of delta = i with a forced leading bit in
+    GF(2^(r+1)), or row 0 of ``params.gamma_powers`` when it is built."""
     if not 0 <= i < params.N:
         raise IndexError("position index out of range")
+    if params.gamma_powers is not None:
+        return params.gamma_powers[i][0]
     return odd_powers(params.delta_field, i | (1 << params.r), params.s_prime)

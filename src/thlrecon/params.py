@@ -14,7 +14,9 @@ import operator
 from dataclasses import dataclass, field
 
 from .bits import Positions, hamming, project
-from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
+from .codes import (
+    BchCode, BhSequence, RsCode, bch_build, bh_sequence, odd_powers, rs_code,
+)
 from .errors import InconsistentDigests, ParamsError
 from .gf2 import DLOG_MAX_DEGREE, FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
@@ -57,6 +59,7 @@ class Params:
     nbar_field: FieldSpec = field(repr=False, default=None)
     delta_field: FieldSpec = field(repr=False, default=None)
     s_prime: int = field(repr=False, default=0)
+    gamma_powers: tuple = field(repr=False, default=None)  # [j][row], small N only
 
     @property
     def fingerprint(self) -> bytes:
@@ -182,12 +185,16 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     beta_field, delta_field = ff_make(m + 1), ff_make(r + 1)
     for spec in (beta_field, delta_field):
         spec.ensure_tables()  # map_f and gamma multiply in them per element
+    nbar_field, gammas = ff_make(nbar), None
+    if comp_rs.root_positions is not None:  # N is under the position-table cap
+        columns = (odd_powers(delta_field, j | N, s_prime) for j in range(N))
+        gammas = tuple(tuple(nbar_field.frob(g, k) for k in range(t)) for g in columns)
     return Params(
         n=n, t=t, h=h, ell=ell, I=I, r=r, N=N, cl=cl,
         nbar=nbar, ibar=ibar, beta_field=beta_field,
         comp_field=comp_field, comp_rs=comp_rs,
-        nbar_field=ff_make(nbar), delta_field=delta_field,
-        s_prime=s_prime,
+        nbar_field=nbar_field, delta_field=delta_field,
+        s_prime=s_prime, gamma_powers=gammas,
     )
 
 

@@ -20,7 +20,8 @@ its z2 column, and one of gamma_j^(2^row) with a column adds it to grid
 row ``row``.  Products stay unreduced: a lane sums products of at most
 three factors below 2^nbar, so with no carries it stays below 2^(3nbar)
 and never reaches the next lane.  Each lane of each row is folded once
-at the end, which gives the grid of reduced products.
+at the end, which gives the grid of reduced products.  Under the table
+cap of :mod:`codes`, gamma_j^(2^row) and syndromes come from set-up.
 
 Decoding xors the digests, recovers the per-position f-value sums
 (stage 1), decomposes each into block signatures, collapses every
@@ -58,12 +59,12 @@ def _unpack(params: Params, packed: int) -> tuple:
 def _add_column(params: Params, grid, j: int, z: int):
     """grid[row] ^= gamma_j^(2^row) * z for packed lanes z (the t
     Frobenius powers of one grid column), the products left unreduced;
-    gamma_j^(2^row) is reduced, so every lane stays below 2^(3nbar)."""
-    spec = params.nbar_field
-    g = gamma(params, j)
+    gamma_j^(2^row), read from ``params.gamma_powers`` or squared, is
+    reduced, so every lane stays below 2^(3nbar)."""
+    g, table = gamma(params, j), params.gamma_powers
     for r in range(len(grid)):
         if r:
-            g = spec.sqr(g)
+            g = params.nbar_field.sqr(g) if table is None else table[j][r]
         grid[r] ^= poly_mul(g, z)
 
 

@@ -1,11 +1,11 @@
 """Brute-force references and matrix helpers that only tests use."""
 
 from thlrecon.bits import BitVector
-from thlrecon.codes import locate, poly_eval, poly_mul_ff
+from thlrecon.codes import locate, odd_powers, poly_eval, poly_mul_ff
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
-from thlrecon.maps_t import gamma, map_f, map_M
+from thlrecon.maps_t import map_f, map_M
 from thlrecon.params import Digest, default_index_set
 
 
@@ -265,9 +265,16 @@ def place_bits(n: int, positions, packed: int, other_positions=(), other_packed:
     return BitVector(v, n)
 
 
+def gamma_column(params, j: int) -> int:
+    """maps_t.gamma(params, j) computed, never read from the set-up
+    table: the odd powers of delta = j with a forced leading bit."""
+    return odd_powers(params.delta_field, j | (1 << params.r), params.s_prime)
+
+
 def encode_t_reference(params, S) -> Digest:
     """recont.encode_t with every GF(2^nbar) product reduced on its own
-    (spec.mul) and per-bit projections."""
+    (spec.mul), per-bit projections and gamma columns squared row by
+    row."""
     spec = params.nbar_field
     t = params.t
     z1 = {}
@@ -277,7 +284,7 @@ def encode_t_reference(params, S) -> Digest:
         fx = map_f(params, project_bits(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
         xibar = project_bits(x, params.ibar)
-        g = gamma(params, j)
+        g = gamma_column(params, j)
         for row in grid:
             f = fx
             for k in range(t):

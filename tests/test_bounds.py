@@ -10,7 +10,7 @@ from thlrecon.bounds import (
     log2_big,
     sphere_size,
 )
-from thlrecon.params import params_build
+from thlrecon.params import digest_cost_bits, params_build
 
 
 def test_sphere_size():
@@ -52,6 +52,32 @@ def test_chromatic_bounds_fixture_pinned():
     lo, hi = chromatic_bounds((31, 1, 2, 2))
     assert lo == pytest.approx(27.042898, abs=1e-4)
     assert hi == pytest.approx(78.914204, abs=1e-4)
+
+
+# (digest bits, log2 lower, log2 upper, naive bits) at the five golden
+# points, which include the three benchmark workload points, and the
+# two README examples.  The digest is linear in n: the t = 1 w2 takes
+# n - r bits and each t > 1 grid entry nbar bits.
+DIGEST_SIZES = {
+    (63, 1, 4, 2): (103, 67.3707, 185.6938, 256),
+    (127, 1, 2, 1): (136, 120.0, 267.0, 256),
+    (511, 1, 4, 2): (569, 518.4094, 1117.8132, 2048),
+    (63, 2, 2, 1): (340, 113.0, 271.4150, 256),
+    (127, 3, 2, 1): (1368, 357.4150, 794.5081, 768),
+    (127, 1, 4, 1): (152, 120.0, 289.7631, 512),
+    (127, 2, 4, 1): (736, 239.0, 576.9412, 1024),
+}
+
+
+@pytest.mark.parametrize("point", sorted(DIGEST_SIZES))
+def test_digest_sizes_pinned(point):
+    # two t > 1 points cost more than shipping the difference, and
+    # (127, 2, 4, 1) less
+    p = params_build(*point)
+    bits, lower, upper, naive = DIGEST_SIZES[point]
+    assert digest_cost_bits(p) == bits
+    assert chromatic_bounds(p) == pytest.approx((lower, upper), abs=1e-4)
+    assert baseline_bits(p) == naive
 
 
 def test_chromatic_bounds_grid_monotone():

@@ -315,6 +315,106 @@ def test_rs_locators_are_generator_powers(m, length):
         assert code.locator(j) == into(spec.pow(g, j)), j
 
 
+# The t > 1 stage-1 codes under the position-table cap, by params point
+# and index set: symbols in GF(2^24), GF(2^14), GF(2^21), GF(2^16) and
+# GF(2^26), where 24 and 26 compute in composite work fields.
+TABLED = [
+    ((127, 3, 2, 1), None),
+    ((63, 2, 2, 1), None),
+    ((63, 3, 2, 1), None),
+    ((127, 2, 2, 1), None),
+    ((127, 2, 2, 1), tuple(range(1, 13))),
+]
+
+
+def _sparse_vector(rng, code, weight):
+    # repeated symbols and zero symbols included
+    a = code.field.degree
+    pool = [0, 1, (1 << a) - 1] + [rng.randrange(1 << a) for _ in range(3)]
+    return {rng.randrange(code.length): rng.choice(pool) for _ in range(weight)}
+
+
+def _outcome(decode, syndromes):
+    try:
+        return decode(syndromes)
+    except DecodingError as exc:
+        return type(exc), str(exc)
+
+
+def test_rs_position_tables_follow_the_cap():
+    # N * ceil(a/4) * 16 entries: 128 * 6 * 16 and 64 * 4 * 16 are under
+    # 2^14, 4096 * 4 * 16 is not; the gamma powers follow the same cap
+    for point, tabled in (((127, 3, 2, 1), True), ((63, 2, 2, 1), True),
+                          ((63, 2, 3, 2), False)):
+        p = params_build(*point)
+        code = p.comp_rs
+        assert (code.syndrome_tables is not None) is tabled, point
+        assert (code.root_positions is not None) is tabled, point
+        assert (p.gamma_powers is not None) is tabled, point
+    assert rs_code(ff_make(4), 15, 5).syndrome_tables is not None
+    assert rs_code(ff_make(12), 4095, 5).syndrome_tables is None
+
+
+@pytest.mark.parametrize("point,I", TABLED)
+def test_rs_table_syndromes_match_reference(point, I):
+    code = params_build(*point, I=I).comp_rs
+    assert code.syndrome_tables is not None
+    rng = random.Random(point[1] * code.field.degree)
+    for _ in range(40):
+        values = _sparse_vector(rng, code, rng.randint(0, code.redundancy))
+        assert code.syndrome_sparse(values) == rs_syndromes(code, values)
+
+
+@pytest.mark.parametrize("point,I", TABLED)
+def test_rs_table_decode_matches_reference(point, I):
+    # within the radius, one past it, random syndromes, and errors at
+    # positions from the length to the group order, which the shortened
+    # code lacks: the decode and its error, type and text, match the
+    # reference's dlog chain in the standard field
+    code = params_build(*point, I=I).comp_rs
+    spec = code.field
+    rng = random.Random(point[1] * spec.degree + 1)
+    cases = []
+    for weight in (1, code.max_errors, code.max_errors + 1):
+        cases.append(rs_syndromes(code, _sparse_vector(rng, code, weight)))
+    for _ in range(3):
+        cases.append(tuple(rng.randrange(1 << spec.degree) for _ in range(code.redundancy)))
+        beyond = {rng.randrange(code.length, spec.order): rng.randrange(1, 1 << spec.degree)}
+        cases.append(rs_syndromes(code, beyond))
+        beyond[rng.randrange(code.length)] = rng.randrange(1, 1 << spec.degree)
+        cases.append(rs_syndromes(code, beyond))
+    for syndromes in cases:
+        assert _outcome(code.decode, syndromes) == _outcome(
+            lambda s: rs_decode(code, s), syndromes
+        )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rs_code(ff_make(4), 15, 5),  # tables
+        lambda: params_build(127, 3, 2, 1).comp_rs,  # tables, GF((2^12)^2)
+        lambda: params_build(63, 2, 3, 2).comp_rs,  # over the cap
+        lambda: rs_code(ff_make(12), 4095, 5),  # over the cap
+    ],
+)
+def test_rs_rejects_a_symbol_outside_its_field(build):
+    # a symbol of 2^a or more, or below 0, is no field element: a
+    # nibble lookup would drop its high bits, log[-1] read the last
+    # table entry, and the basis change overflow
+    code = build()
+    a, u = code.field.degree, code.redundancy
+    assert code.syndrome_sparse({3: (1 << a) - 1})
+    for bad in (-1, 1 << a, 1 << a | 1, 1 << 4 * a):
+        with pytest.raises(ValueError, match="symbol out of range"):
+            code.syndrome_sparse({3: bad})
+        with pytest.raises(ValueError, match="symbol out of range"):
+            code.syndrome_sparse({3: 1, 5: bad})
+        for k in (0, u - 1):
+            with pytest.raises(ValueError, match="symbol out of range"):
+                code.decode((0,) * k + (bad,) + (0,) * (u - k - 1))
+
+
 # -- B_h sequences ----------------------------------------------------------
 
 

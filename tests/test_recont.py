@@ -1,11 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
-from reference import encode_t_reference, nullspace
+from reference import encode_t_reference, gamma_column, nullspace
 from thlrecon.bits import BitVector, project
+from thlrecon.codes import RsCode
 from thlrecon.errors import InconsistentDigests
-from thlrecon.maps_t import map_M
+from thlrecon.maps_t import gamma, map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import Digest, digest_cost_bits, params_build
 from thlrecon.recont import decode_t, encode_t
@@ -166,6 +168,37 @@ def test_encode_matches_reduced_per_product_reference(point):
         SA, _, _ = gen_instance(p, seed, 6)
         S = set(SA) | {BitVector(rng.getrandbits(p.n), p.n) for _ in range(30)}
         assert encode_t(p, S) == encode_t_reference(p, S)
+
+
+@pytest.mark.parametrize("point", [(127, 3, 2, 1), (63, 2, 2, 1), (63, 3, 2, 1), (127, 2, 4, 1)])
+def test_gamma_table_matches_the_chain(point):
+    # the set-up table holds gamma_j squared row times for every j < N
+    # and row < t; gamma reads row 0, and computes the same without it
+    p = params_build(*point)
+    chain = dataclasses.replace(p, gamma_powers=None)
+    assert len(p.gamma_powers) == p.N
+    for j in range(p.N):
+        g = gamma_column(p, j)
+        assert gamma(p, j) == gamma(chain, j) == g
+        assert len(p.gamma_powers[j]) == p.t
+        for row in range(p.t):
+            assert p.gamma_powers[j][row] == g
+            g = p.nbar_field.sqr(g)
+
+
+def test_encode_and_decode_on_the_chain_match_the_tables():
+    # the golden points now run on the tables; the same instances
+    # through per-call gamma powers, syndromes and discrete logs give
+    # the same digests and differences
+    p = params_build(127, 3, 2, 1)
+    rs = RsCode(p.comp_field, p.N, p.comp_rs.distance)
+    rs.syndrome_tables = rs.root_positions = None
+    chain = dataclasses.replace(p, comp_rs=rs, gamma_powers=None)
+    for seed in range(3):
+        SA, SB, delta = gen_instance(p, seed, 40)
+        dA, dB = encode_t(p, SA), encode_t(p, SB)
+        assert (encode_t(chain, SA), encode_t(chain, SB)) == (dA, dB)
+        assert decode_t(p, dA, dB) == decode_t(chain, dA, dB) == delta
 
 
 def test_decode_t_rejects_t1_params():
