@@ -6,7 +6,7 @@ distance ell, exchange fixed-size syndrome digests in a single round
 and each recovers the exact difference locally.
 """
 
-from .bits import BitVector, Positions, hamming, place, project, weight
+from .bits import BitVector, Positions, hamming, place, project
 from .bounds import (
     asymptotic_rates,
     baseline_bits,
@@ -51,7 +51,7 @@ from .recont import decode_t, encode_t
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector", "Positions", "hamming", "weight", "project", "place",
+    "BitVector", "Positions", "hamming", "project", "place",
     "FieldSpec", "ff_make",
     "BinaryMatrix", "full_rank_completion",
     "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",

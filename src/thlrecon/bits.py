@@ -73,11 +73,6 @@ class BitVector:
         return cls(value, n)
 
 
-def weight(x: BitVector) -> int:
-    """Hamming weight."""
-    return x.value.bit_count()
-
-
 def hamming(x: BitVector, y: BitVector) -> int:
     """Hamming distance between equal-length vectors."""
     if x.n != y.n:

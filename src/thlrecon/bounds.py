@@ -51,21 +51,19 @@ def _unpack(params):
     return n, t, h, ell
 
 
-def chromatic_bounds(params, code_size="auto"):
+def chromatic_bounds(params):
     """(log2_lower, log2_upper) color-count bounds for (t,h,ell)
     reconciliation of n-bit strings, from exact big-integer sums.
 
     The lower bound counts difference configurations built from a code
     of minimum distance ell+1 and radius-floor(ell/2) spheres; the
     upper bound counts all configurations with radius-ell spheres.
-    ``code_size`` is the size of the chosen distance-(ell+1) code;
-    "auto" uses the Gilbert-Varshamov estimate 2^n / V(n, ell).
+    The code's size is the Gilbert-Varshamov estimate 2^n / V(n, ell).
     """
     n, t, h, ell = _unpack(params)
     if n > 512:
         raise ValueError("n > 512 rejected for runtime")
-    if code_size == "auto":
-        code_size = (1 << n) // sphere_size(Q, n, ell)
+    code_size = (1 << n) // sphere_size(Q, n, ell)
     r1 = sphere_size(Q, n, ell // 2) - 1
     r2 = sphere_size(Q, n, ell) - 1
     inner1 = sum(math.comb(r1, k) for k in range(h))

@@ -62,8 +62,6 @@ def poly_eval(spec, a, x):
 
 
 def poly_mul_ff(spec, a, b):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -251,7 +249,6 @@ class BchCode:
         s = (n + 1).bit_length() - 1
         if (1 << s) - 1 < n:
             s += 1
-        self.locator_degree = s
         self.field = ff_make(s)
         self.field.ensure_tables()
         self._g = self.field.generator()
@@ -506,6 +503,7 @@ class BhSequence:
         self._col_field = spec = ff_make(w)
         squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
         self._square = BinaryMatrix(w, w, transpose(squares, w))
+        self._square.ensure_tables()
 
     @staticmethod
     def packed_width(m: int, h: int) -> int:

@@ -58,10 +58,6 @@ for _v in range(256):
 _SPARSE_BITS = 8
 
 
-def poly_degree(f: int) -> int:
-    return f.bit_length() - 1
-
-
 def poly_square(f: int) -> int:
     """f(x)^2 = f(x^2) over F_2: interleave the bits with zeros."""
     r = 0
@@ -124,7 +120,7 @@ def poly_is_irreducible(f: int) -> bool:
     Comput. Complexity 1992).  Blocks grow 1, 2, 4, ... up to 64, so
     the half of all candidates that fail at k = 1 stay cheap, and the
     last block ends at m//2."""
-    m = poly_degree(f)
+    m = f.bit_length() - 1
     if m <= 0:
         return False
     reduce = FieldSpec(m, f).reduce

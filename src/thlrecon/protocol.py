@@ -136,7 +136,7 @@ class Transport:
             if not chunk:
                 raise FrameError("connection closed mid-frame")
             buf.extend(chunk)
-        self.bytes_received += n
+            self.bytes_received += len(chunk)
         return bytes(buf)
 
     def recv_frame(self, limit: int):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reference import from_bits, greedy_completion, place_bits, project_bits
-from thlrecon.bits import BitVector, Positions, hamming, place, project, weight
+from thlrecon.bits import BitVector, Positions, hamming, place, project
 from thlrecon.params import params_build
 
 
@@ -19,11 +19,6 @@ def test_hamming_example():
     y = from_bits([1, 1, 0, 0, 1])
     assert hamming(x, y) == 3
     assert hamming(x, x) == 0
-
-
-def test_weight():
-    assert weight(BitVector(0, 5)) == 0
-    assert weight(from_bits([1, 0, 1, 1, 1])) == 4
 
 
 def test_length_mismatch():

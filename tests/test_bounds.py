@@ -40,10 +40,9 @@ def test_log2_big():
 def test_chromatic_bounds_basic():
     lo, hi = chromatic_bounds((31, 1, 2, 2))
     assert lo <= hi
-    # t=1, h=1: lower sum reduces to the code size itself
-    code_size = 1234
-    lo1, _ = chromatic_bounds((31, 1, 1, 2), code_size=code_size)
-    assert lo1 == pytest.approx(math.log2(code_size))
+    # t=1, h=1: lower sum reduces to the Gilbert-Varshamov code size
+    lo1, _ = chromatic_bounds((31, 1, 1, 2))
+    assert lo1 == pytest.approx(math.log2(2**31 // sphere_size(2, 31, 2)))
 
 
 def test_chromatic_bounds_fixture_pinned():

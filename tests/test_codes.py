@@ -143,7 +143,7 @@ def test_bch_long_unreduced_path():
     # gcd/trace root finding, positions via discrete log
     code = bch_build(1 << 13, 2)
     assert code.parity is None
-    assert code.redundancy == 2 * code.locator_degree
+    assert code.redundancy == 2 * code.field.degree
     rng = random.Random(99)
     for _ in range(50):
         pos = sorted(rng.sample(range(code.length), rng.randint(0, 2)))
@@ -176,7 +176,7 @@ def test_long_code_syndrome_is_sum_of_odd_power_columns(n, e):
     code = bch_build(n, e)
     spec = code.field
     assert code._cols is None
-    assert (spec._exp is None) == (code.locator_degree > TABLE_MAX_DEGREE)
+    assert (spec._exp is None) == (spec.degree > TABLE_MAX_DEGREE)
     g = spec.generator()
     rng = random.Random(n)
     for size in (0, 1, 2, 7, 40):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from reference import f_inverse, f_sum_decompose_exhaustive, nullspace
-from thlrecon.bits import BitVector, project, weight
+from thlrecon.bits import BitVector, project
 from thlrecon.errors import DecodingError
 from thlrecon.maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from thlrecon.params import params_build

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from reference import from_bits as bv
-from thlrecon.bits import BitVector, hamming, weight
+from thlrecon.bits import BitVector, hamming
 from thlrecon.oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from thlrecon.params import params_build
 

@@ -46,6 +46,8 @@ def test_tables_only_for_multiplied_matrices():
     assert p.cl.parity._tables  # H_l at 12x63: tables beat 12 row parities
     # H_l at 18x511 has fewer rows than byte tables: row parities, no tables
     assert p511.cl.parity._tables == [] and p511.hf_inv._tables
+    # the B_h squaring matrix gives the even powers
+    assert p.bh._square._tables and p511.bh._square._tables
     # t > 1: map_f and gamma multiply in the beta and delta fields per
     # element; the grid field GF(2^120) is past the table limit
     p = params_build(127, 3, 2, 1)
@@ -94,6 +96,29 @@ def test_i_rules():
     assert e.value.constraint == "i_subset"
 
 
+@pytest.mark.parametrize(
+    "point,I,constraint",
+    [
+        ((3, 1, 1, 1), None, "n_range"),
+        ((2049, 1, 1, 1), None, "n_range"),
+        ((63, 1, 0, 1), None, "h_range"),
+        ((63, 1, 1, 0), None, "ell_range"),
+        ((63, 2, 2, 1), (), "i_nonempty"),
+        ((15, 2, 1, 1), range(1, 16), "i_subset"),
+        ((5, 1, 1, 2), None, "digest_width"),
+        ((4, 4, 1, 1), None, "f_width"),
+        ((4, 2, 1, 1), None, "q_width"),
+        ((23, 3, 1, 4), None, "comp_field_degree"),
+        ((14, 2, 4, 1), None, "comp_distance"),
+        ((14, 2, 3, 2), None, "gamma_width"),
+    ],
+)
+def test_each_constraint_named(point, I, constraint):
+    with pytest.raises(ParamsError) as e:
+        params_build(*point, I=I)
+    assert e.value.constraint == constraint
+
+
 def test_fingerprint_deterministic_and_sensitive():
     a = params_build(63, 2, 2, 1)
     b = params_build(63, 2, 2, 1)
@@ -127,6 +152,8 @@ def test_params_text_roundtrip():
         parse_params_text("n=63\nt=1\n")  # missing keys
     with pytest.raises(ParamsError):
         parse_params_text("n=63\nbogus=1\nt=1\nh=2\nell=1\n")
+    blank = parse_params_text("n=63\n\nt=1\nh=2\nell=1\n")
+    assert blank == {"n": 63, "t": 1, "h": 2, "ell": 1}
 
 
 def test_params_text_rejects_a_repeated_key():
@@ -137,8 +164,12 @@ def test_params_text_rejects_a_repeated_key():
 
 @pytest.mark.parametrize(
     "text,line",
-    [("n=abc\nt=1\nh=2\nell=1\n", 1), ("n=63\nt=2\nh=2\nell=1\nI=1,x\n", 5)],
-    ids=["n", "I"],
+    [
+        ("n=abc\nt=1\nh=2\nell=1\n", 1),
+        ("n=63\nt=2\nh=2\nell=1\nI=1,x\n", 5),
+        ("n=63\nt 1\n", 2),
+    ],
+    ids=["n", "I", "no-equals"],
 )
 def test_params_text_rejects_non_integers(text, line):
     with pytest.raises(ParamsError) as e:
@@ -150,7 +181,7 @@ def test_params_text_rejects_non_integers(text, line):
 @pytest.mark.parametrize(
     "n,t,h,ell",
     [(63, 2, 2, 1), (63, 2, 3, 2), (63, 3, 2, 1), (127, 2, 2, 1),
-     (127, 2, 3, 2), (127, 3, 2, 1)],
+     (127, 2, 3, 2), (127, 3, 2, 1), (16, 2, 2, 2)],
 )
 def test_t_grid_builds(n, t, h, ell):
     p = params_build(n, t, h, ell)

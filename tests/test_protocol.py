@@ -366,8 +366,15 @@ def test_session_run_peer_decode_error(p1):
             InconsistentDigests,
             "peer gave up",
         ),
+        # the peer stops mid-frame: every byte it sent is counted
+        (lambda hello: hello[:7], FrameError, "closed mid-frame"),
+        (lambda hello: hello[:15], FrameError, "closed mid-frame"),
+        (lambda hello: hello + hello[:12], FrameError, "closed mid-frame"),
     ],
-    ids=["magic", "digest-for-hello", "hello-for-digest", "version", "length", "error"],
+    ids=[
+        "magic", "digest-for-hello", "hello-for-digest", "version", "length", "error",
+        "cut-hello-header", "cut-hello-payload", "cut-second-frame",
+    ],
 )
 def test_bad_peer_frame_raises_at_once_with_stats(p1, frames, error, text):
     hello = encode_frame(MSG_HELLO, p1.fingerprint)
@@ -375,6 +382,7 @@ def test_bad_peer_frame_raises_at_once_with_stats(p1, frames, error, text):
     a, b = socket.socketpair()
     with Transport(a) as ea, b:
         b.sendall(canned)
+        b.shutdown(socket.SHUT_WR)
         start = time.monotonic()
         with pytest.raises(error, match=text) as e:
             session_run(ea, p1, set())

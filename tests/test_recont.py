@@ -6,8 +6,8 @@ import pytest
 from reference import encode_t_reference, gamma_column, nullspace
 from thlrecon.bits import BitVector, project
 from thlrecon.codes import RsCode
-from thlrecon.errors import InconsistentDigests
-from thlrecon.maps_t import gamma, map_M
+from thlrecon.errors import DecodingError, InconsistentDigests
+from thlrecon.maps_t import gamma, map_E, map_f, map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import Digest, digest_cost_bits, params_build
 from thlrecon.recont import decode_t, encode_t
@@ -52,7 +52,7 @@ def test_common_elements_cancel(p63):
 @pytest.mark.parametrize(
     "n,t,h,ell",
     [(63, 2, 2, 1), (63, 2, 3, 2), (63, 3, 2, 1), (127, 2, 2, 1),
-     (127, 2, 3, 2), (127, 3, 2, 1), (31, 4, 2, 1)],
+     (127, 2, 3, 2), (127, 3, 2, 1), (31, 4, 2, 1), (16, 2, 2, 2)],
 )
 def test_roundtrip_random(n, t, h, ell):
     p = params_build(n, t, h, ell)
@@ -122,9 +122,30 @@ def test_cost_bits():
     assert digest_cost_bits(p2) - stage1 == 9 * 57
 
 
-def test_stage1_recovery_matches_direct(p63):
-    from thlrecon.maps_t import map_f
+def test_same_f_value_at_undecodable_offset_rejected():
+    # one f-value at two positions puts them in one block, whose offset
+    # is the C_l decode of i ^ j; a syndrome outside the decoding
+    # radius has none
+    p = params_build(63, 2, 3, 2)
+    sigma = map_f(p, 5)
+    i = 0
+    j = next(j for j in range(1, p.N) if _offset_fails(p, i, j))
+    stage1 = p.comp_rs.syndrome_sparse({i: sigma, j: sigma})
+    d = Digest(stage1 + (0,) * (p.t * p.t))
+    zero = Digest((0,) * len(d))
+    with pytest.raises(InconsistentDigests, match="offset recovery failed"):
+        decode_t(p, d, zero)
 
+
+def _offset_fails(p, i, j):
+    try:
+        map_E(p, i, j)
+    except DecodingError:
+        return True
+    return False
+
+
+def test_stage1_recovery_matches_direct(p63):
     SA, SB, delta = gen_instance(p63, 21, 10)
     dsum = encode_t(p63, SA) ^ encode_t(p63, SB)
     zdot = p63.comp_rs.decode(dsum[: p63.comp_rs.redundancy])
