@@ -19,12 +19,10 @@ Two code families are built here:
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain, each step written once: power sums unpacked as they were packed
 (:func:`power_sums`), Berlekamp-Massey for the locator polynomial
-(:func:`locate`), roots from one table of x^(2^k) modulo the locator,
-which also shows whether it splits (:func:`find_roots` returns None
-when it does not; it takes remainders by :func:`poly_rem` and never
-divides), then a re-encode check.  BCH positions, and Reed-Solomon ones
-above the cap, come from the roots by discrete log (:func:`position`),
-which stays cheap at any length.
+(:func:`locate`), its roots, sought in the affine space its minimal
+affine multiple gives (:func:`find_roots`, None unless it splits), then
+a re-encode check.  BCH positions, and Reed-Solomon ones above the cap,
+come from the roots by discrete log (:func:`position`).
 """
 
 from __future__ import annotations
@@ -43,6 +41,9 @@ _DENSE_LIMIT = 4096
 # their gamma powers; above it each is computed per call.
 _POSITION_TABLE_LIMIT = 1 << 14
 
+# find_roots tries each point of an affine root space this small.
+_ROOT_SCAN_LIMIT = 1 << 5
+
 
 # ---------------------------------------------------------------------------
 # polynomials with coefficients in GF(2^m), stored low degree first
@@ -57,7 +58,7 @@ def poly_trim(a):
 def poly_eval(spec, a, x):
     r = 0
     for c in reversed(a):
-        r = spec.mul(r, x) ^ c
+        r = spec.mul(r, x) ^ c if r else c
     return r
 
 
@@ -87,7 +88,7 @@ def poly_rem(spec, a, b):
 def poly_gcd_ff(spec, a, b):
     """Monic gcd of a monic ``a`` and ``b``, by remainders modulo each
     divisor made monic."""
-    b = poly_trim(list(b))
+    b = poly_rem(spec, b, a)
     while b:
         inv = spec.inv(b[-1])
         a, b = [spec.mul(c, inv) for c in b], a
@@ -132,52 +133,102 @@ def berlekamp_massey(spec, syndromes):
     return poly_trim(C), L
 
 
+def _linearized(spec, coeffs, y):
+    """y^(2^k) + sum_(i<k) coeffs[i] y^(2^i) for k = len(coeffs)."""
+    r = 0
+    for a in coeffs:
+        r ^= spec.mul(a, y)
+        y = spec.sqr(y)
+    return r ^ y
+
+
+def first_dependency(spec, columns):
+    """(j, c) for the first of ``columns`` (equal-length vectors over
+    ``spec``) with columns[j] = sum_(i<j) c[i] columns[i], or None: a
+    system's unique solution, with its right-hand side placed last."""
+    basis = []  # (pivot, reduced column and its coefficients)
+    for j, v in enumerate(columns):
+        n, v = len(v), list(v) + [0] * j + [1]
+        for p, w in basis:
+            if v[p]:
+                c = spec.div(v[p], w[p])
+                v = [a ^ spec.mul(c, b) if b else a for a, b in zip(v, w)] + v[len(w):]
+        p = next((i for i in range(n) if v[i]), None)
+        if p is None:
+            return j, v[n:-1]
+        basis.append((p, v))
+    return None
+
+
 def find_roots(spec: FieldSpec, poly):
     """Roots in GF(2^m) of ``poly`` if it is a product of distinct
     linear factors, else None.
 
-    One table T[k] = x^(2^k) mod P (k = 0..m, P monic) serves both
-    steps.  It is built by squaring coefficient-wise, as in
-    characteristic two (sum a_i x^i)^2 = sum a_i^2 x^(2i), and
-    :func:`poly_rem`; nothing here divides polynomials.  The split
-    test: P is such a product exactly when T[m] = x mod P.  Then for
-    any c, Tr(c x) (Tr(c x) + 1) = c (x^(2^m) + x) = 0 mod P, with
-    Tr(c x) = sum_(k<m) c^(2^k) T[k], so each root of a factor p is a
-    root of just one of Tr(c x) and Tr(c x) + 1, and p splits into
-    gcd(p, Tr(c x)) and gcd(p, Tr(c x) + 1) at the first basis element
-    c that separates two of its roots (Berlekamp's trace algorithm);
-    both parts go on from the next c.
+    T[i] = x^(2^i) mod P (P made monic, of degree d) is squared
+    coefficient-wise and reduced by :func:`poly_rem` until the first
+    dependency T[k] = c + sum_(i<k) a_i T[i], the minimal affine multiple
+    (Berlekamp, Rumsey & Solomon, Inform. Control 1967); a split P has
+    T[m] = T[0].  Each root y has L(y) = c, L(y) = y^(2^k) + sum a_i
+    y^(2^i) being F_2-linear: one :func:`row_reduce` of its images of
+    the basis gives V = x0 + K, its <= 2^k solutions, each tried when
+    few, else cut by hyperplanes (:func:`_split`); d roots mean a split.
     """
     poly = poly_trim(list(poly))
-    if len(poly) <= 1:
-        return []
+    d = len(poly) - 1
+    if d < 2:  # a constant has no roots, c0 + c1 x one
+        return [spec.div(poly[0], poly[1])] if d > 0 else []
     inv = spec.inv(poly[-1])
     poly = [spec.mul(c, inv) for c in poly]
-    table = [poly_rem(spec, [0, 1], poly)]
-    for _ in range(spec.degree):
-        sq = [0] * (2 * len(table[-1]) - 1)
-        sq[::2] = [spec.sqr(a) for a in table[-1]]
-        table.append(poly_rem(spec, sq, poly))
-    if table[-1] != table[0]:
+    m, table = spec.degree, [[0, 1] + [0] * (d - 2)]  # T[0] = x
+    for _ in range(min(d - 1, m)):  # d + 1 vectors of length d are dependent
+        t = poly_rem(spec, [b for a in table[-1] for b in (spec.sqr(a), 0)], poly)
+        table.append(t + [0] * (d - len(t)))
+    dep = first_dependency(spec, [[1] + [0] * (d - 1)] + table)
+    if dep is None:
         return None
-    roots = []
-    stack = [(poly, 0)]  # a factor, and the basis element to try next
+    c, coeffs = dep[1][0], dep[1][1:]
+    images = (_linearized(spec, coeffs, 1 << j) | 1 << (m + j) for j in range(m))
+    x0, image, kernel = 0, 0, []  # a row with no image bits holds a kernel vector
+    for p, r in zip(*row_reduce(images)):
+        if p >= m:
+            kernel.append(r >> m)
+        elif c >> p & 1:
+            x0, image = x0 ^ r >> m, image ^ r
+    if image & spec.order != c or 1 << len(kernel) < d:  # no solution, or too few
+        return None
+    if 1 << len(kernel) > _ROOT_SCAN_LIMIT:
+        roots = _split(spec, poly, table, x0, kernel)
+    else:
+        points = [x0]
+        for v in kernel:
+            points += [y ^ v for y in points]
+        roots = [y for y in points if not poly_eval(spec, poly, y)]
+    return roots if len(roots) == d else None
+
+
+def _split(spec, poly, table, x0, kernel):
+    """Roots of ``poly`` in x0 + span(kernel) by Berlekamp's trace
+    algorithm (Math. Comp. 1970) over the flag span(kernel[i:]): gcds with
+    S(x) + S(z), z = y or y + kernel[i], S the subspace polynomial of
+    span(kernel[i+1:]), halve a factor's root space y + span(kernel[i:])."""
+    cuts, s = [], [1]  # s: S, one coefficient per x^(2^j)
+    for b in reversed(kernel):
+        f = [0] * (len(poly) - 1)  # S(x) mod P, as S is linearized
+        for a, t in zip(s, table):
+            f = [u ^ spec.mul(a, v) for u, v in zip(f, t)]
+        cuts.append((s, f))
+        e = _linearized(spec, s[:-1], b)
+        s = [spec.mul(e, a) ^ spec.sqr(z) for a, z in zip(s + [0], [0] + s)]
+    roots, stack = [], [(poly, 0, x0)]
     while stack:
-        p, i = stack.pop()
+        p, i, y = stack.pop()  # a factor with its roots in y + span(kernel[i:])
         if len(p) == 2:
             roots.append(p[0])
-            continue
-        c, trace = 1 << i, [0] * (len(poly) - 1)
-        for t in table[:-1]:
-            for j, tj in enumerate(t):
-                trace[j] ^= spec.mul(c, tj)
-            c = spec.sqr(c)
-        g = poly_gcd_ff(spec, p, trace)
-        if 0 < len(g) - 1 < len(p) - 1:
-            trace[0] ^= 1
-            stack += [(g, i + 1), (poly_gcd_ff(spec, p, trace), i + 1)]
-        else:
-            stack.append((p, i + 1))
+        elif len(p) > 2 and i < len(kernel):
+            s, f = cuts[-1 - i]
+            for z in (y, y ^ kernel[i]):
+                g = poly_gcd_ff(spec, p, [f[0] ^ _linearized(spec, s[:-1], z)] + f[1:])
+                stack.append((g, i + 1, z))
     return roots
 
 
@@ -337,8 +388,8 @@ class RsCode:
     """Reed-Solomon code over GF(2^a), locators g^j for j in [0, N).
     Symbols are in the standard basis; the arithmetic runs in the work
     field of :meth:`FieldSpec.work_field`, entered and left at the
-    boundary of :meth:`syndrome_sparse` and :meth:`decode`.  Under the
-    cap the constructor builds ``syndrome_tables`` and ``root_positions``."""
+    boundary of :meth:`syndrome_sparse` and :meth:`decode`.  Set-up builds
+    ``syndrome_tables`` and ``root_positions`` under the cap, else logs."""
 
     def __init__(self, field: FieldSpec, length: int, d: int):
         if d < 1 or d > length:
@@ -350,7 +401,6 @@ class RsCode:
         self.distance = d
         self.redundancy = d - 1
         self.max_errors = (d - 1) // 2
-        field.ensure_tables()
         self._work, self._to_work, self._from_work = field.work_field()
         # g^j = lo[j mod 2^b] * hi[j >> b], 2^b >= sqrt(length)
         work, g = self._work, self._work.generator()
@@ -365,6 +415,8 @@ class RsCode:
         self.syndrome_tables = self.root_positions = None
         if length * -(-field.degree // 4) * 16 <= _POSITION_TABLE_LIMIT:
             self._build_tables()
+        else:
+            field.ensure_tables()  # positions come from dlog
 
     def _build_tables(self):
         """The dict root (g^j)^-1 -> j, and per position j, ceil(a/4)
@@ -499,11 +551,12 @@ class BhSequence:
                 "packed column width %d exceeds target degree %d"
                 % (total, target.degree)
             )
-        w = self.width
-        self._col_field = spec = ff_make(w)
-        squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
-        self._square = BinaryMatrix(w, w, transpose(squares, w))
-        self._square.ensure_tables()
+        w, self._col_field, self._square = self.width, None, None
+        if h >= 3:  # element_value multiplies only from x^2 on
+            self._col_field = spec = ff_make(w)
+            squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
+            self._square = BinaryMatrix(w, w, transpose(squares, w))
+            self._square.ensure_tables()
 
     @staticmethod
     def packed_width(m: int, h: int) -> int:

@@ -100,20 +100,20 @@ def transpose(rows, cols: int):
 def row_reduce(rows):
     """Reduced row echelon form, each row's pivot at its lowest set bit;
     returns (pivot_cols, reduced_rows), both in pivot order."""
-    reduced = []
-    pivots = []
+    by_pivot, pivots = {}, 0  # pivot bit -> its row, clear at the others
     for r in rows:
-        for p, pr in zip(pivots, reduced):
-            if (r >> p) & 1:
-                r ^= pr
-        if r == 0:
-            continue
-        p = (r & -r).bit_length() - 1
-        reduced = [pr ^ r if (pr >> p) & 1 else pr for pr in reduced]
-        reduced.append(r)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
+        x = r & pivots
+        while x:  # one XOR per pivot bit of r
+            r ^= by_pivot[x & -x]
+            x &= x - 1
+        if r:
+            low = r & -r
+            for b, pr in by_pivot.items():
+                if pr & low:
+                    by_pivot[b] = pr ^ r
+            by_pivot[low], pivots = r, pivots | low
+    bits = sorted(by_pivot)
+    return [b.bit_length() - 1 for b in bits], [by_pivot[b] for b in bits]
 
 
 def invert(m: BinaryMatrix) -> BinaryMatrix:

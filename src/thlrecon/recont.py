@@ -35,6 +35,7 @@ they meet the promise and re-encode to the xor (:func:`params.accept`).
 from __future__ import annotations
 
 from .bits import BitVector, place, project
+from .codes import first_dependency
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
@@ -169,41 +170,17 @@ def _solve_centers(params: Params, sigmas, gsums, row0):
     row 0.
 
     Row 0 is a Moore system in the signatures over GF(2^nbar), with
-    unknowns gamma-sum times center.  On a valid instance it is
-    nonsingular, since any <= 2t distinct f-values are F_2-linearly
-    independent, and every gamma sum is nonzero, since a block's
-    <= h <= 2s' gamma columns are independent too.  More than t
-    signatures give more unknowns than rows, which the solve rejects.
+    unknowns gamma-sum times center: row 0's dependency on the signature
+    columns (:func:`codes.first_dependency`).  On a valid instance they
+    are independent, as any <= 2t distinct f-values are F_2-linearly,
+    and every gamma sum is nonzero, as a block's <= h <= 2s' gamma
+    columns are independent.  More than t signatures are dependent.
     The other rows need no check here: :func:`params.accept`
     re-encodes the whole digest, so decoding never collapses them.
     """
     spec = params.nbar_field
-    rows = [[spec.frob(s, k) for s in sigmas] for k in range(params.t)]
-    sol = _field_solve(spec, rows, row0, len(sigmas))
-    if sol is None or not all(gsums[s] for s in sigmas):
+    cols = [[spec.frob(s, k) for k in range(params.t)] for s in sigmas]
+    dep = first_dependency(spec, cols + [row0])
+    if dep is None or dep[0] < len(sigmas) or not all(gsums[s] for s in sigmas):
         raise InconsistentDigests("center recovery failed")
-    return {s: spec.div(d, gsums[s]) for s, d in zip(sigmas, sol)}
-
-
-def _field_solve(spec, rows, rhs, ncols):
-    """Gaussian elimination over an extension field; returns the unique
-    solution or None when the system is singular/inconsistent."""
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows = len(aug)
-    piv = 0
-    for col in range(ncols):
-        sel = next((i for i in range(piv, nrows) if aug[i][col]), None)
-        if sel is None:
-            return None
-        aug[piv], aug[sel] = aug[sel], aug[piv]
-        inv = spec.inv(aug[piv][col])
-        aug[piv] = [spec.mul(inv, v) for v in aug[piv]]
-        for i in range(nrows):
-            if i != piv and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a ^ spec.mul(c, b) for a, b in zip(aug[i], aug[piv])]
-        piv += 1
-    for i in range(piv, nrows):
-        if aug[i][ncols]:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
+    return {s: spec.div(d, gsums[s]) for s, d in zip(sigmas, dep[1])}

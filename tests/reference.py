@@ -1,7 +1,9 @@
 """Brute-force references and matrix helpers that only tests use."""
 
 from thlrecon.bits import BitVector
-from thlrecon.codes import locate, odd_powers, poly_eval, poly_mul_ff
+from thlrecon.codes import (
+    locate, odd_powers, poly_eval, poly_gcd_ff, poly_mul_ff, poly_rem, poly_trim,
+)
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
@@ -110,6 +112,44 @@ def roots_by_search(spec, poly):
             v = spec.mul(v, x) ^ c
         if v == 0:
             roots.append(x)
+    return roots
+
+
+def find_roots_trace(spec, poly):
+    """codes.find_roots by Berlekamp's trace algorithm over the whole
+    field: the table T[k] = x^(2^k) mod P for k = 0..m, the split test
+    T[m] = x, then gcds with Tr(c x) = sum_(k<m) c^(2^k) T[k] and
+    Tr(c x) + 1 for c = 1, 2, 4, .. until every factor is linear."""
+    poly = poly_trim(list(poly))
+    if len(poly) <= 1:
+        return []
+    inv = spec.inv(poly[-1])
+    poly = [spec.mul(c, inv) for c in poly]
+    table = [poly_rem(spec, [0, 1], poly)]
+    for _ in range(spec.degree):
+        sq = [0] * (2 * len(table[-1]) - 1)
+        sq[::2] = [spec.sqr(a) for a in table[-1]]
+        table.append(poly_rem(spec, sq, poly))
+    if table[-1] != table[0]:
+        return None
+    roots = []
+    stack = [(poly, 0)]  # a factor, and the basis element to try next
+    while stack:
+        p, i = stack.pop()
+        if len(p) == 2:
+            roots.append(p[0])
+            continue
+        c, trace = 1 << i, [0] * (len(poly) - 1)
+        for t in table[:-1]:
+            for j, tj in enumerate(t):
+                trace[j] ^= spec.mul(c, tj)
+            c = spec.sqr(c)
+        g = poly_gcd_ff(spec, p, trace)
+        if 0 < len(g) - 1 < len(p) - 1:
+            trace[0] ^= 1
+            stack += [(g, i + 1), (poly_gcd_ff(spec, p, trace), i + 1)]
+        else:
+            stack.append((p, i + 1))
     return roots
 
 

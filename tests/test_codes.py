@@ -5,14 +5,18 @@ import pytest
 
 from reference import (
     decode_syndrome_exhaustive,
+    find_roots_trace,
     rs_decode,
     rs_syndromes,
     roots_by_search,
 )
+from thlrecon import codes
 from thlrecon.codes import (
+    _ROOT_SCAN_LIMIT,
     bch_build,
     bh_sequence,
     find_roots,
+    first_dependency,
     odd_powers,
     poly_mul_ff,
     rs_code,
@@ -71,6 +75,97 @@ def test_find_roots_large_fields(m, work):
     # x^2 + x + a is irreducible when the trace of a is 1
     a = next(c for c in (1 << i for i in range(m)) if _trace(spec, c) == 1)
     assert find_roots(spec, poly_mul_ff(spec, poly, [a, 1, 1])) is None
+
+
+def _outcome_roots(roots):
+    return None if roots is None else sorted(roots)
+
+
+def _quadratic(spec):
+    # x^2 + x + a is irreducible when the trace of a is 1
+    a = next(c for c in (1 << i for i in range(spec.degree)) if _trace(spec, c) == 1)
+    return [a, 1, 1]
+
+
+def _locators(spec, rng, d):
+    """Locators of degree d: split (with and without a zero root), with a
+    repeated root, with an irreducible quadratic factor, and random."""
+    m = spec.degree
+    roots = rng.sample(range(1, 1 << m), d)
+    yield "split", _from_roots(spec, roots)
+    yield "split", _from_roots(spec, roots[:-1] + [0])
+    if d >= 2:
+        yield "repeated", _from_roots(spec, roots[:-1] + roots[:1])
+        part = _from_roots(spec, roots[:-2])
+        yield "irreducible", poly_mul_ff(spec, part, _quadratic(spec))
+    low = [rng.randrange(1 << m) for _ in range(d)]
+    yield "random", low + [rng.randrange(1, 1 << m)]
+
+
+# the fields where the decoders find roots: the workloads' C_l and comp
+# fields GF(2^6), GF(2^13) and GF(2^19), the B_h-size GF(2^8), and the
+# t > 1 work field GF((2^12)^2)
+@pytest.mark.parametrize(
+    "m, work", [(6, False), (8, False), (13, False), (19, False), (24, True)],
+    ids=["6", "8", "13", "19", "work24"],
+)
+def test_find_roots_matches_trace_oracle(m, work):
+    spec = ff_make(m).work_field()[0] if work else ff_make(m)
+    rng = random.Random(m)
+    seen = set()
+    for d in range(1, 7):
+        for _ in range(6):
+            for kind, poly in _locators(spec, rng, d):
+                got = _outcome_roots(find_roots(spec, poly))
+                assert got == _outcome_roots(find_roots_trace(spec, poly)), (kind, poly)
+                if kind != "random":
+                    assert (got is None) == (kind != "split"), (kind, poly)
+                seen.add((kind, got is None))
+    assert ("random", True) in seen and ("split", False) in seen
+
+
+def test_find_roots_splits_large_root_spaces(monkeypatch):
+    # 16 roots in GF(2^13) span an affine space of more points than the
+    # scan tries, so the hyperplane split runs; it meets the oracle on
+    # split locators and on ones with an irreducible quadratic factor
+    calls = []
+    split = codes._split
+    monkeypatch.setattr(codes, "_split", lambda *a: calls.append(a) or split(*a))
+    spec = ff_make(13)
+    rng = random.Random(16)
+    for _ in range(4):
+        roots = rng.sample(range(1 << 13), 16)
+        poly = _from_roots(spec, roots)
+        assert sorted(find_roots(spec, poly)) == sorted(roots)
+        assert find_roots_trace(spec, poly) is not None
+        bad = poly_mul_ff(spec, poly, _quadratic(spec))
+        assert find_roots(spec, bad) is None and find_roots_trace(spec, bad) is None
+    assert calls and all(1 << len(a[-1]) > _ROOT_SCAN_LIMIT for a in calls)
+
+
+def test_find_roots_degree_above_the_field_degree():
+    # d > m: the table may end at k = m with no dependency
+    spec = ff_make(6)
+    rng = random.Random(6)
+    for d in (7, 10, 20):
+        roots = rng.sample(range(1 << 6), d)
+        assert sorted(find_roots(spec, _from_roots(spec, roots))) == sorted(roots)
+        bad = poly_mul_ff(spec, _from_roots(spec, roots[:-2]), _quadratic(spec))
+        assert find_roots(spec, bad) is None and find_roots_trace(spec, bad) is None
+        rand = [rng.randrange(64) for _ in range(d)] + [1]
+        assert _outcome_roots(find_roots(spec, rand)) == _outcome_roots(
+            find_roots_trace(spec, rand)
+        )
+
+
+def test_first_dependency():
+    spec = ff_make(8)
+    a, b = [1, 2, 3], [4, 5, 6]
+    c = [x ^ spec.mul(7, y) for x, y in zip(a, b)]
+    assert first_dependency(spec, [a, b, c, [1, 1, 1]]) == (2, [1, 7])
+    assert first_dependency(spec, [a, b, [0, 0, 1]]) is None
+    assert first_dependency(spec, [a, a]) == (1, [1])
+    assert first_dependency(spec, [[0, 0]]) == (0, [])
 
 
 # -- binary BCH -------------------------------------------------------------
@@ -355,6 +450,24 @@ def test_rs_position_tables_follow_the_cap():
     assert rs_code(ff_make(12), 4095, 5).syndrome_tables is None
 
 
+def test_rs_under_the_cap_builds_no_field_tables():
+    # GF(2^21) exp/log tables would take 16.8 MB; under the cap the
+    # code's own tables give syndromes and root positions, so decoding
+    # matches the reference's dlog chain without them
+    p = params_build(63, 3, 2, 1)
+    code, spec = p.comp_rs, p.comp_field
+    assert spec.degree == 21 and code.root_positions is not None
+    rng = random.Random(21)
+    cases = [rs_syndromes(code, _sparse_vector(rng, code, w)) for w in (1, 2, 6, 7)]
+    for _ in range(3):
+        cases.append(tuple(rng.randrange(1 << 21) for _ in range(code.redundancy)))
+    for syndromes in cases:
+        assert _outcome(code.decode, syndromes) == _outcome(
+            lambda s: rs_decode(code, s), syndromes
+        )
+    assert spec._exp is None and spec._log is None
+
+
 @pytest.mark.parametrize("point,I", TABLED)
 def test_rs_table_syndromes_match_reference(point, I):
     code = params_build(*point, I=I).comp_rs
@@ -453,7 +566,7 @@ def test_bh_m32_h3_exhaustive():
 )
 def test_bh_elements_are_packed_powers(m, h):
     seq = bh_sequence(m, h, ff_make(120))
-    spec, w = seq._col_field, seq.width
+    spec, w = ff_make(seq.width), seq.width
     rng = random.Random(m)
     for i in list(range(6)) + [rng.randrange(m) for _ in range(20)]:
         want = sum(spec.pow(i, k) << (k * w) for k in range(h))

@@ -46,8 +46,11 @@ def test_tables_only_for_multiplied_matrices():
     assert p.cl.parity._tables  # H_l at 12x63: tables beat 12 row parities
     # H_l at 18x511 has fewer rows than byte tables: row parities, no tables
     assert p511.cl.parity._tables == [] and p511.hf_inv._tables
-    # the B_h squaring matrix gives the even powers
+    # the B_h squaring matrix gives the even powers; with h <= 2 there
+    # are none to give, and no column field is built
     assert p.bh._square._tables and p511.bh._square._tables
+    bh2 = params_build(63, 1, 2, 1).bh
+    assert bh2._col_field is None and bh2._square is None
     # t > 1: map_f and gamma multiply in the beta and delta fields per
     # element; the grid field GF(2^120) is past the table limit
     p = params_build(127, 3, 2, 1)
