@@ -45,8 +45,6 @@ from .protocol import (
     serialize_digest,
     session_run,
 )
-from .recon1 import decode1, encode1
-from .recont import decode_t, encode_t
 
 __version__ = "0.1.0"
 
@@ -57,7 +55,6 @@ __all__ = [
     "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",
     "Params", "params_build", "params_from_text",
     "Digest", "digest_cost_bits",
-    "encode1", "decode1", "encode_t", "decode_t",
     "map_M", "map_E", "map_f", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",
     "baseline_bits",

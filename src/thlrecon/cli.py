@@ -87,14 +87,13 @@ def cmd_reconcile(args):
         delta = protocol.decode_digests(params, local, peer)
         _print_outcome(delta)
         return EXIT_OK
+    host, _, port = (args.connect or args.listen).rpartition(":")
+    addr = (host or "127.0.0.1", int(port))
     if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        sock = socket.create_connection((host or "127.0.0.1", int(port)))
+        sock = socket.create_connection(addr)
     else:
-        host, _, port = args.listen.rpartition(":")
-        srv = socket.create_server((host or "127.0.0.1", int(port)))
-        sock, _addr = srv.accept()
-        srv.close()
+        with socket.create_server(addr) as srv:
+            sock, _addr = srv.accept()
     with protocol.Transport(sock) as transport:
         delta, stats = protocol.session_run(transport, params, S)
     _print_outcome(delta, stats)

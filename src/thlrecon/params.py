@@ -81,6 +81,11 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     Raises :class:`ParamsError` naming the first violated constraint.
     Identical inputs yield identical derivations on every host.
     """
+    try:
+        n, t, h, ell = map(operator.index, (n, t, h, ell))
+        I = None if I is None else tuple(map(operator.index, I))
+    except TypeError:
+        raise ParamsError("integers", "n, t, h, ell and I must be integers") from None
     if not 4 <= n <= 2048:
         raise ParamsError("n_range", f"n={n} outside [4, 2048]")
     if t < 1:
@@ -101,7 +106,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     else:
         if I is None:
             I = default_index_set(n)
-        I = Positions(sorted(set(int(i) for i in I)))
+        I = Positions(sorted(set(I)))
         if not I:
             raise ParamsError("i_nonempty", "t > 1 requires a nonempty index set I")
         if I[0] < 1 or I[-1] > n:

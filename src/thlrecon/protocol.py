@@ -3,7 +3,8 @@
 Frames are ``THLR`` + version byte + message-type byte + 4-byte
 big-endian payload length + payload.  A session sends exactly two
 frames (HELLO carrying the parameter fingerprint, then DIGEST) and
-reads the peer's two; both hosts then decode locally.  One section
+reads the peer's two; both hosts then decode locally with
+:func:`decode_digests`, the one decoder of both schemes.  One section
 table, ``params.digest_layout``, lays out the DIGEST payload, a
 ``params.Digest`` of fields in wire order, for serializing, parsing,
 its cost in bits and the frame cap.  One ``Transport`` carries frames
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 from .bits import BitVector
 from .errors import FrameError, InconsistentDigests, ParamMismatch, ThlreconError
-from .params import Digest, Params, check_digest, digest_cost_bits, digest_layout
+from .params import Digest, Params, accept, check_digest
+from .params import digest_cost_bits, digest_layout
 from .recon1 import decode1, encode1
 from .recont import decode_t, encode_t
 from . import bounds
@@ -83,10 +85,16 @@ def encode_digest(params: Params, S):
     return encode1(params, S) if params.t == 1 else encode_t(params, S)
 
 
-def decode_digests(params: Params, d_local, d_peer):
-    if params.t == 1:
-        return decode1(params, d_local, d_peer)
-    return decode_t(params, d_local, d_peer)
+def decode_digests(params: Params, d_local, d_peer) -> frozenset:
+    """Exact symmetric difference from the two hosts' digests.  Each must
+    pass :func:`params.check_digest`; the scheme's decoder recovers
+    candidate blocks from their xor, and :func:`params.accept` checks
+    them.  Raises :class:`InconsistentDigests` when either step fails."""
+    check_digest(params, d_local)
+    check_digest(params, d_peer)
+    d = d_local ^ d_peer
+    blocks = decode1(params, d) if params.t == 1 else decode_t(params, d)
+    return accept(params, blocks, d, encode_digest)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ projected onto ``params.tail``.
    squaring matrix, and each odd power the one below it times j.
 
 Both parts are linear in the set, so xoring the two hosts' digests
-gives the digest of the difference.  Decoding recovers the difference's
-positions from w1, peels cluster offsets with the C_l decoder, and
-divides by the B_h subset sum to recover the anchor element exactly
-(the sum it divides is again folded once).
+gives the digest of the difference (:func:`protocol.decode_digests`).
+:func:`decode1` recovers its positions from w1, peels cluster offsets
+with the C_l decoder, and divides by the B_h subset sum to recover the
+anchor element exactly (the sum it divides is again folded once).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bits import BitVector, project
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import map_E, map_M
-from .params import Digest, Params, accept, check_digest
+from .params import Digest, Params
 
 
 def _w2_term(params: Params, j: int, x: BitVector) -> int:
@@ -39,8 +39,6 @@ def _w2_term(params: Params, j: int, x: BitVector) -> int:
 
 
 def encode1(params: Params, S) -> Digest:
-    if params.t != 1:
-        raise ValueError("encode1 requires a t=1 configuration")
     positions = []
     w2 = 0
     for x in S:
@@ -53,23 +51,16 @@ def encode1(params: Params, S) -> Digest:
     ))
 
 
-def decode1(params: Params, dA: Digest, dB: Digest):
-    """Exact symmetric difference from the two hosts' digests.
-
-    Raises :class:`InconsistentDigests` when the digests do not
-    describe a valid single-cluster instance.
-    """
-    if params.t != 1:
-        raise ValueError("decode1 requires a t=1 configuration")
-    check_digest(params, dA)
-    check_digest(params, dB)
-    w1, w2 = d = dA ^ dB
+def decode1(params: Params, d: Digest) -> tuple:
+    """Candidate blocks for the digest sum d: () for an empty support,
+    else the one cluster; :class:`InconsistentDigests` if a step fails."""
+    w1, w2 = d
     try:
         support = params.comp.decode_positions(w1)
     except DecodingError as exc:
         raise InconsistentDigests("position recovery failed") from exc
     if not support:
-        return accept(params, (), d, encode1)
+        return ()
 
     k1 = support[0]
     offsets = [0]  # anchor's offset to itself
@@ -88,4 +79,4 @@ def decode1(params: Params, dA: Digest, dB: Digest):
 
     anchor = params.hf_inv.mul_vec(k1 | (s2 << params.r))
     block = tuple(BitVector(anchor ^ e, params.n) for e in offsets)
-    return accept(params, (block,), d, encode1)
+    return (block,)

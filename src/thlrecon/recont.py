@@ -23,13 +23,14 @@ and never reaches the next lane.  Each lane of each row is folded once
 at the end, which gives the grid of reduced products.  Under the table
 cap of :mod:`codes`, gamma_j^(2^row) and syndromes come from set-up.
 
-Decoding xors the digests, recovers the per-position f-value sums
-(stage 1), decomposes each into block signatures, collapses every
-non-center position onto its block center (the known offsets cancel
-out of the grid's row 0), solves a Moore system over GF(2^nbar) for
-the center Ibar-parts, and reassembles the blocks.  Both digest parts
-are linear in the set, so the blocks are the difference exactly when
-they meet the promise and re-encode to the xor (:func:`params.accept`).
+:func:`decode_t` takes the xor of the two hosts' digests, recovers the
+per-position f-value sums (stage 1), decomposes each into block
+signatures, collapses every non-center position onto its block center
+(the known offsets cancel out of the grid's row 0), solves a Moore
+system over GF(2^nbar) for the center Ibar-parts, and reassembles the
+blocks.  Both digest parts are linear in the set, so the blocks are the
+difference exactly when they meet the promise and re-encode to the xor
+(:func:`protocol.decode_digests` ends with :func:`params.accept`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .codes import first_dependency
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
-from .params import Digest, Params, accept, check_digest
+from .params import Digest, Params
 
 
 def _pack(params: Params, values) -> int:
@@ -70,8 +71,6 @@ def _add_column(params: Params, grid, j: int, z: int):
 
 
 def encode_t(params: Params, S) -> Digest:
-    if params.t < 2:
-        raise ValueError("encode_t requires a t>1 configuration")
     spec = params.nbar_field
     # Stage per position first: one grid column per occupied position
     # costs less than one per element.
@@ -92,22 +91,9 @@ def encode_t(params: Params, S) -> Digest:
     return Digest(w1 + sum((_unpack(params, row) for row in grid), ()))
 
 
-def decode_t(params: Params, dA: Digest, dB: Digest):
-    """Exact symmetric difference from the two hosts' digests.
-
-    Raises :class:`InconsistentDigests` when the digests do not
-    describe a valid multi-cluster instance.
-    """
-    if params.t < 2:
-        raise ValueError("decode_t requires a t>1 configuration")
-    check_digest(params, dA)
-    check_digest(params, dB)
-    d = dA ^ dB
-    return accept(params, _decode_blocks(params, d), d, encode_t)
-
-
-def _decode_blocks(params: Params, d: Digest):
-    """Candidate blocks (tuples of elements) for the digest sum d."""
+def decode_t(params: Params, d: Digest) -> tuple:
+    """Candidate blocks (tuples of elements) for the digest sum d.
+    Raises :class:`InconsistentDigests` when a step fails."""
     spec = params.nbar_field
     n, t, u = params.n, params.t, params.comp_rs.redundancy
 
@@ -127,8 +113,10 @@ def _decode_blocks(params: Params, d: Digest):
     # grid's row 0, the only row the center solve reads
     row0 = [_pack(params, d[u:u + t])]
     members = {}  # sigma -> [(position, offset)], center first
+    gsums = {}  # sigma -> sum of its members' gamma columns
     for i in sorted(decomposed):
         for sigma in decomposed[i]:
+            gsums[sigma] = gsums.get(sigma, 0) ^ gamma(params, i)
             block = members.setdefault(sigma, [])
             if not block:
                 block.append((i, BitVector(0, n)))
@@ -144,13 +132,6 @@ def _decode_blocks(params: Params, d: Digest):
                 _add_column(params, row0, i, poly_mul(ebar, lanes))
 
     sigmas = sorted(members)
-    gsums = {}
-    for sigma in sigmas:
-        g = 0
-        for i, _ in members[sigma]:
-            g ^= gamma(params, i)
-        gsums[sigma] = g
-
     # step 6: solve for the center Ibar-parts
     cbars = _solve_centers(params, sigmas, gsums, _unpack(params, row0[0]))
 

@@ -29,12 +29,13 @@ from thlrecon.params import digest_cost_bits, params_build
 from thlrecon.protocol import (
     FRAME_OVERHEAD,
     Transport,
+    decode_digests,
     encode_digest,
     serialize_digest,
     session_run,
 )
-from thlrecon.recon1 import decode1, encode1
-from thlrecon.recont import decode_t, encode_t
+from thlrecon.recon1 import encode1
+from thlrecon.recont import encode_t
 
 T1_GRID = [
     (n, h, ell)
@@ -98,7 +99,7 @@ def test_criterion_1_exact_reconciliation_t1(report):
         for p in feasible:
             for seed in range(TRIALS):
                 SA, SB, delta = gen_instance(p, seed, seed % 51)
-                got = decode1(p, encode1(p, SA), encode1(p, SB))
+                got = decode_digests(p, encode1(p, SA), encode1(p, SB))
                 assert got == delta, (p.n, p.h, p.ell, seed)
         elapsed = time.monotonic() - t0
         assert elapsed < 120.0, elapsed
@@ -113,7 +114,7 @@ def test_criterion_2_exact_reconciliation_t_gt_1(report):
             p = params_build(n, t, h, ell)
             for seed in range(TRIALS):
                 SA, SB, delta = gen_instance(p, seed, seed % 51)
-                got = decode_t(p, encode_t(p, SA), encode_t(p, SB))
+                got = decode_digests(p, encode_t(p, SA), encode_t(p, SB))
                 assert got == delta, (n, t, h, ell, seed)
         elapsed = time.monotonic() - t0
         assert elapsed < 300.0, elapsed

@@ -1,7 +1,11 @@
+import queue
+import socket
 import threading
+import types
 
 import pytest
 
+from thlrecon import cli
 from thlrecon.cli import main
 from thlrecon.params import params_build
 from thlrecon.protocol import read_set_text
@@ -59,22 +63,35 @@ def test_end_to_end_t2(tmp_path, params_file_t2, capsys):
     )
 
 
-def test_reconcile_tcp(tmp_path, params_file, capsys):
+def _listening(monkeypatch, create_server=socket.create_server):
+    """A queue that gets each socket ``reconcile --listen`` listens on,
+    made by ``create_server``.  The tests listen on port 0, so the OS
+    picks a free port and no fixed one can be taken."""
+    servers = queue.Queue()
+
+    def create(addr):
+        srv = create_server(addr)
+        servers.put(srv)
+        return srv
+
+    monkeypatch.setattr(cli, "socket", types.SimpleNamespace(
+        create_server=create, create_connection=socket.create_connection,
+    ))
+    return servers
+
+
+def test_reconcile_tcp(tmp_path, params_file, capsys, monkeypatch):
     a, b, d = _gen(tmp_path, params_file, seed=2)
     capsys.readouterr()
-    port = 39817
+    servers = _listening(monkeypatch)
     rcs = {}
 
     def listen():
-        rcs["listen"] = main(
-            ["reconcile", params_file, b, "--listen", f"127.0.0.1:{port}"]
-        )
+        rcs["listen"] = main(["reconcile", params_file, b, "--listen", "127.0.0.1:0"])
 
     t = threading.Thread(target=listen)
     t.start()
-    import time
-
-    time.sleep(0.2)
+    port = servers.get(timeout=10).getsockname()[1]
     rcs["connect"] = main(
         ["reconcile", params_file, a, "--connect", f"127.0.0.1:{port}"]
     )
@@ -89,29 +106,46 @@ def test_reconcile_tcp(tmp_path, params_file, capsys):
     assert read_set_text(out, 63) == expected
 
 
-def test_mismatch_exit_code(tmp_path, params_file, capsys):
+def test_mismatch_exit_code(tmp_path, params_file, capsys, monkeypatch):
     other = tmp_path / "other.txt"
     other.write_text(params_build(63, 1, 3, 1).canonical_text())
     a, b, _ = _gen(tmp_path, params_file, seed=3)
-    port = 39818
+    servers = _listening(monkeypatch)
     rcs = {}
 
     def listen():
-        rcs["listen"] = main(
-            ["reconcile", str(other), b, "--listen", f"127.0.0.1:{port}"]
-        )
+        rcs["listen"] = main(["reconcile", str(other), b, "--listen", "127.0.0.1:0"])
 
     t = threading.Thread(target=listen)
     t.start()
-    import time
-
-    time.sleep(0.2)
+    port = servers.get(timeout=10).getsockname()[1]
     rcs["connect"] = main(
         ["reconcile", params_file, a, "--connect", f"127.0.0.1:{port}"]
     )
     t.join(10)
     capsys.readouterr()
     assert rcs == {"listen": 3, "connect": 3}
+
+
+class _FailingListener(socket.socket):
+    def accept(self):
+        raise OSError("accept failed")
+
+
+def test_listener_closed_when_accept_fails(tmp_path, params_file, capsys, monkeypatch):
+    a, _, _ = _gen(tmp_path, params_file, seed=6)
+    capsys.readouterr()
+
+    def create_server(addr):
+        srv = _FailingListener()
+        srv.bind(addr)
+        srv.listen()
+        return srv
+
+    servers = _listening(monkeypatch, create_server)
+    assert main(["reconcile", params_file, a, "--listen", "127.0.0.1:0"]) == 2
+    assert "accept failed" in capsys.readouterr().err
+    assert servers.get_nowait().fileno() == -1  # closed
 
 
 def test_inconsistent_exit_code(tmp_path, params_file, capsys):

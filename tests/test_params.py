@@ -114,6 +114,15 @@ def test_i_rules():
         ((23, 3, 1, 4), None, "comp_field_degree"),
         ((14, 2, 4, 1), None, "comp_distance"),
         ((14, 2, 3, 2), None, "gamma_width"),
+        ((63.0, 1, 2, 1), None, "integers"),
+        (("63", 1, 2, 1), None, "integers"),
+        ((63, 1.0, 2, 1), None, "integers"),
+        ((63, 1, 2.0, 1), None, "integers"),
+        ((63, 1, 2, 1.0), None, "integers"),
+        ((63, 2, 2, 1), (1.5, 2), "integers"),
+        ((63, 2, 2, 1), (1, "2"), "integers"),
+        ((63, 2, 2, 1), ("a",), "integers"),
+        ((63, 2, 2, 1), 3, "integers"),
     ],
 )
 def test_each_constraint_named(point, I, constraint):

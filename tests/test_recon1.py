@@ -9,7 +9,8 @@ from thlrecon.gf2 import TABLE_MAX_DEGREE
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance
 from thlrecon.params import Digest, digest_cost_bits, params_build
-from thlrecon.recon1 import decode1, encode1
+from thlrecon.protocol import decode_digests
+from thlrecon.recon1 import encode1
 
 
 def pad(bits, n):
@@ -59,20 +60,20 @@ def test_decode_identical_sets(p63):
     rng = random.Random(1)
     S = frozenset(BitVector(rng.getrandbits(63), 63) for _ in range(10))
     d = encode1(p63, S)
-    assert decode1(p63, d, d) == frozenset()
+    assert decode_digests(p63, d, d) == frozenset()
 
 
 def test_paper_example_padded(p63):
     SA = {pad([0, 0, 0, 0, 0], 63), pad([1, 0, 1, 1, 1], 63)}
     SB = {pad([0, 0, 0, 0, 0], 63), pad([1, 1, 0, 0, 1], 63)}
-    delta = decode1(p63, encode1(p63, SA), encode1(p63, SB))
+    delta = decode_digests(p63, encode1(p63, SA), encode1(p63, SB))
     assert delta == frozenset({pad([1, 0, 1, 1, 1], 63), pad([1, 1, 0, 0, 1], 63)})
 
 
 def test_symmetry(p63):
     SA, SB, delta = gen_instance(p63, 42, 8)
     dA, dB = encode1(p63, SA), encode1(p63, SB)
-    assert decode1(p63, dA, dB) == decode1(p63, dB, dA) == delta
+    assert decode_digests(p63, dA, dB) == decode_digests(p63, dB, dA) == delta
 
 
 def test_shift_cancellation(p63):
@@ -95,7 +96,7 @@ def test_roundtrip_random(n, h, ell):
     p = params_build(n, 1, h, ell)
     for seed in range(100):
         SA, SB, delta = gen_instance(p, seed, 10)
-        assert decode1(p, encode1(p, SA), encode1(p, SB)) == delta
+        assert decode_digests(p, encode1(p, SA), encode1(p, SB)) == delta
 
 
 @pytest.mark.parametrize("h", [1, 3])
@@ -105,12 +106,12 @@ def test_roundtrip_without_field_tables(h):
     assert p.comp.field.degree > TABLE_MAX_DEGREE
     for seed in range(10):
         SA, SB, delta = gen_instance(p, seed, 10)
-        assert decode1(p, encode1(p, SA), encode1(p, SB)) == delta
+        assert decode_digests(p, encode1(p, SA), encode1(p, SB)) == delta
 
 
 def test_roundtrip_with_tabled_digest_field():
     # GF(2^11) with exp/log tables reads only reduced operands, so w2
-    # and decode1's sum must each be folded before they reach it
+    # and the decoder's sum must each be folded before they reach it
     p = params_build(15, 1, 2, 1)
     assert p.digest_field.degree == 11
     p.digest_field.ensure_tables()
@@ -118,7 +119,7 @@ def test_roundtrip_with_tabled_digest_field():
         SA, SB, delta = gen_instance(p, seed, 6)
         dA, dB = encode1(p, SA), encode1(p, SB)
         assert dA[1] >> 11 == dB[1] >> 11 == 0
-        assert decode1(p, dA, dB) == delta
+        assert decode_digests(p, dA, dB) == delta
 
 
 def test_corrupted_digest_never_silent(p63):
@@ -131,7 +132,7 @@ def test_corrupted_digest_never_silent(p63):
         else:
             bad = dA ^ Digest((0, 1 << rng.randrange(63 - p63.r)))
         try:
-            got = decode1(p63, bad, dB)
+            got = decode_digests(p63, bad, dB)
             assert got != delta
         except InconsistentDigests:
             pass

@@ -10,7 +10,8 @@ from thlrecon.errors import DecodingError, InconsistentDigests
 from thlrecon.maps_t import gamma, map_E, map_f, map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import Digest, digest_cost_bits, params_build
-from thlrecon.recont import decode_t, encode_t
+from thlrecon.protocol import decode_digests, encode_digest
+from thlrecon.recont import encode_t
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +29,14 @@ def test_identical_sets(p63):
     rng = random.Random(0)
     S = frozenset(BitVector(rng.getrandbits(63), 63) for _ in range(15))
     d = encode_t(p63, S)
-    assert decode_t(p63, d, d) == frozenset()
+    assert decode_digests(p63, d, d) == frozenset()
 
 
 def test_singleton(p63):
     x = BitVector(0b1011001, 63)
     dA = encode_t(p63, {x})
     dB = encode_t(p63, set())
-    assert decode_t(p63, dA, dB) == frozenset({x})
+    assert decode_digests(p63, dA, dB) == frozenset({x})
 
 
 def test_common_elements_cancel(p63):
@@ -58,7 +59,7 @@ def test_roundtrip_random(n, t, h, ell):
     p = params_build(n, t, h, ell)
     for seed in range(100):
         SA, SB, delta = gen_instance(p, seed, 10)
-        assert decode_t(p, encode_t(p, SA), encode_t(p, SB)) == delta
+        assert decode_digests(p, encode_t(p, SA), encode_t(p, SB)) == delta
 
 
 def test_blocks_sharing_a_position(p63):
@@ -85,7 +86,7 @@ def test_blocks_sharing_a_position(p63):
         SA = {x, y}
         SB = {x ^ e1, y ^ e2}
         delta = oracle_symdiff(SA, SB)
-        assert decode_t(p63, encode_t(p63, SA), encode_t(p63, SB)) == delta
+        assert decode_digests(p63, encode_t(p63, SA), encode_t(p63, SB)) == delta
         return
     raise AssertionError("could not build a shared-position instance")
 
@@ -105,7 +106,7 @@ def test_corrupted_digest_never_silent(p63):
             )
         bad = Digest(bad)
         try:
-            got = decode_t(p63, bad, dB)
+            got = decode_digests(p63, bad, dB)
             assert got != delta
         except InconsistentDigests:
             pass
@@ -134,7 +135,7 @@ def test_same_f_value_at_undecodable_offset_rejected():
     d = Digest(stage1 + (0,) * (p.t * p.t))
     zero = Digest((0,) * len(d))
     with pytest.raises(InconsistentDigests, match="offset recovery failed"):
-        decode_t(p, d, zero)
+        decode_digests(p, d, zero)
 
 
 def _offset_fails(p, i, j):
@@ -163,7 +164,7 @@ def test_grid_bit_flips_rejected():
     p = params_build(63, 3, 2, 1)
     SA, SB, delta = gen_instance(p, 4, 10)
     dA, dB = encode_t(p, SA), encode_t(p, SB)
-    assert decode_t(p, dA, dB) == delta
+    assert decode_digests(p, dA, dB) == delta
     rng = random.Random(11)
     u = p.comp_rs.redundancy
     for row in range(p.t):
@@ -172,7 +173,7 @@ def test_grid_bit_flips_rejected():
             bad[u + row * p.t + k] ^= 1 << rng.randrange(p.nbar)
             bad = Digest(bad)
             with pytest.raises(InconsistentDigests):
-                decode_t(p, bad, dB)
+                decode_digests(p, bad, dB)
 
 
 @pytest.mark.parametrize(
@@ -219,28 +220,37 @@ def test_encode_and_decode_on_the_chain_match_the_tables():
         SA, SB, delta = gen_instance(p, seed, 40)
         dA, dB = encode_t(p, SA), encode_t(p, SB)
         assert (encode_t(chain, SA), encode_t(chain, SB)) == (dA, dB)
-        assert decode_t(p, dA, dB) == decode_t(chain, dA, dB) == delta
+        assert decode_digests(p, dA, dB) == decode_digests(chain, dA, dB) == delta
 
 
-def test_decode_t_rejects_t1_params():
-    p = params_build(63, 1, 2, 1)
-    d = Digest(())
-    with pytest.raises(ValueError, match="t>1"):
-        decode_t(p, d, d)
+def test_decode_digests_rejects_the_other_schemes_digest():
+    # both digests meet the layout check before either scheme decodes:
+    # a digest of the other scheme has another field count, on either
+    # side and in both directions, and a plain tuple is no Digest
+    p1, pt = params_build(63, 1, 2, 1), params_build(63, 2, 2, 1)
+    for p, other in ((p1, pt), (pt, p1)):
+        good, wrong = encode_digest(p, []), encode_digest(other, [])
+        for pair in ((wrong, wrong), (good, wrong), (wrong, good)):
+            with pytest.raises(ValueError) as e:
+                decode_digests(p, *pair)
+            assert str(e.value) == "digest does not match the field layout"
+        for pair in ((tuple(good), good), (good, tuple(good))):
+            with pytest.raises(TypeError):
+                decode_digests(p, *pair)
 
 
 def test_oversized_or_negative_row0_entry_rejected():
     # a grid entry of 2^(3nbar) or more is wider than a packed lane, so
-    # it would spill into the next lane; decode_t rejects it before
+    # it would spill into the next lane; decode_digests rejects it before
     # packing, as it rejects any entry outside its nbar bits
     p = params_build(63, 3, 2, 1)
     SA, SB, delta = gen_instance(p, 4, 10)
     dA, dB = encode_t(p, SA), encode_t(p, SB)
-    assert decode_t(p, dA, dB) == delta
+    assert decode_digests(p, dA, dB) == delta
     u = p.comp_rs.redundancy
     for k in range(p.t):
         v = dA[u + k]
         for bad in (v ^ 1 << p.nbar, v ^ 1 << 3 * p.nbar, v | 1 << 4 * p.nbar, ~v, -1):
             d = Digest(dA[: u + k] + (bad,) + dA[u + k + 1:])
             with pytest.raises(ValueError, match="value wider than field width"):
-                decode_t(p, d, dB)
+                decode_digests(p, d, dB)
