@@ -14,8 +14,10 @@ ints.  Fields of small degree lazily build exp/log tables which also
 make discrete logarithms O(1), stepping the exp table by two lookups
 (a -> g a is linear over the halves of a); larger fields fall back to the
 carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
-bit of a sparse multiplier) reduced by :meth:`FieldSpec.reduce`, a fold
-over the sparse modulus, a quotient-free extended Euclid for inverses
+bit of a sparse multiplier; :func:`comb_table` and :func:`comb_mul`
+split the comb for callers with several products by one operand)
+reduced by :meth:`FieldSpec.reduce`, a fold over the sparse modulus,
+a quotient-free extended Euclid for inverses
 and Pohlig-Hellman logs (one baby-step giant-step table per prime
 power of the group order).  ``reduce`` is linear, so a sum of unreduced
 products needs one fold: the digest encoders accumulate that way.
@@ -78,30 +80,41 @@ def poly_mod(a: int, m: int) -> int:
     return a
 
 
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product.  A multiplier ``a`` with few set bits (a
-    sparse modulus, the generator x) costs one shift-and-xor per bit;
-    any other runs a 4-bit comb over a's bytes, high first, reading a
-    16-entry table of b's multiples (Lopez & Dahab, INDOCRYPT 2000)."""
-    r = 0
-    if a.bit_count() <= _SPARSE_BITS:
-        while a:
-            lsb = a & -a
-            r ^= b << (lsb.bit_length() - 1)
-            a ^= lsb
-        return r
+def comb_table(b: int) -> tuple:
+    """The 16 multiples c * b, c < 16, that :func:`comb_mul` reads."""
     b2 = b << 1
     b3 = b2 ^ b
     b4 = b << 2
     b8 = b << 3
     b12 = b8 ^ b4
-    table = (
+    return (
         0, b, b2, b3, b4, b4 ^ b, b4 ^ b2, b4 ^ b3,
         b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b12, b12 ^ b, b12 ^ b2, b12 ^ b3,
     )
+
+
+def comb_mul(a: int, table: tuple) -> int:
+    """Carry-less product a * b for ``table`` = comb_table(b): a 4-bit
+    comb over a's bytes, high first (Lopez & Dahab, INDOCRYPT 2000).
+    A caller with several products by one b builds its table once."""
+    r = 0
     for c in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
         r = (r << 8) ^ (table[c >> 4] << 4) ^ table[c & 15]
     return r
+
+
+def poly_mul(a: int, b: int) -> int:
+    """Carry-less product.  A multiplier ``a`` with few set bits (a
+    sparse modulus, the generator x) costs one shift-and-xor per bit;
+    any other runs :func:`comb_mul` over b's :func:`comb_table`."""
+    if a.bit_count() <= _SPARSE_BITS:
+        r = 0
+        while a:
+            lsb = a & -a
+            r ^= b << (lsb.bit_length() - 1)
+            a ^= lsb
+        return r
+    return comb_mul(a, comb_table(b))
 
 
 def poly_gcd(a: int, b: int) -> int:

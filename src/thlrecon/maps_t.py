@@ -13,6 +13,11 @@ The rest serve the multi-cluster scheme:
   have the property that any 1..2t distinct values xor to nonzero
   (odd-power packing by ``codes.odd_powers``, the binary BCH
   designed-distance argument).
+* ``f_lanes``: an I-projection's f-value, its t Frobenius powers as
+  lanes of one int (``pack_lanes``, ``unpack_lanes``: lane k at bit
+  k * 3nbar) and that int's comb table; under the table cap of
+  :mod:`codes`, with 2^|I| <= N, ``params_build`` tabulates them for
+  every I-projection.
 * ``f_sum_decompose``: inverts an xor of up to t distinct f-values
   (power-sum decoding).
 * ``gamma``: per-position columns over GF(2^nbar), any <= 2*s' of
@@ -22,10 +27,15 @@ The rest serve the multi-cluster scheme:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .bits import BitVector
 from .codes import locate, odd_powers, power_sums
 from .errors import DecodingError
-from .params import Params
+from .gf2 import comb_table
+
+if TYPE_CHECKING:  # params_build builds its tables through f_lanes
+    from .params import Params
 
 
 def map_M(params: Params, x: BitVector) -> int:
@@ -81,6 +91,35 @@ def f_sum_decompose(params: Params, zeta: int):
     if acc != zeta:
         raise DecodingError("undecodable")
     return sorted(values)
+
+
+def pack_lanes(params: Params, values) -> int:
+    """values[k] in lane k, at bit k * 3nbar.  A lane of a sum of
+    products of at most three factors below 2^nbar has no carries, so
+    it stays below 2^(3nbar) and never reaches the next lane."""
+    acc = 0
+    for k, v in enumerate(values):
+        acc ^= v << (3 * params.nbar * k)
+    return acc
+
+
+def unpack_lanes(params: Params, packed: int) -> tuple:
+    """The t lanes of ``packed``, each reduced into GF(2^nbar)."""
+    w = 3 * params.nbar
+    lanes = ((packed >> (k * w)) & ((1 << w) - 1) for k in range(params.t))
+    return tuple(map(params.nbar_field.reduce, lanes))
+
+
+def f_lanes(params: Params, xI: int) -> tuple:
+    """(f, F, comb_table(F)) for f = map_f(xI) and F its Frobenius
+    powers f^(2^k), k < t, in GF(2^nbar), packed as lanes: entry xI of
+    ``params.f_lane_table`` when it is built, else computed."""
+    table = params.f_lane_table
+    if table is not None and 0 <= xI < len(table):
+        return table[xI]
+    f = map_f(params, xI)  # raises for xI outside |I| bits
+    lanes = pack_lanes(params, [params.nbar_field.frob(f, k) for k in range(params.t)])
+    return f, lanes, comb_table(lanes)
 
 
 def gamma(params: Params, i: int) -> int:

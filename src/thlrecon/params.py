@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bits import Positions, hamming, project
 from .codes import (
@@ -20,6 +20,7 @@ from .codes import (
 from .errors import InconsistentDigests, ParamsError
 from .gf2 import DLOG_MAX_DEGREE, FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
+from .maps_t import f_lanes
 
 
 def default_index_set(n: int) -> tuple:
@@ -60,10 +61,16 @@ class Params:
     delta_field: FieldSpec = field(repr=False, default=None)
     s_prime: int = field(repr=False, default=0)
     gamma_powers: tuple = field(repr=False, default=None)  # [j][row], small N only
+    f_lane_table: tuple = field(repr=False, default=None)  # [x_I], small N only
 
-    @property
-    def fingerprint(self) -> bytes:
-        return hashlib.sha256(self.canonical_text().encode("ascii")).digest()
+    # SHA-256 of canonical_text(), set by __post_init__, so replace()
+    # recomputes it; a cached_property would give the instance a
+    # materialized __dict__ and slow every other attribute read
+    fingerprint: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        text = self.canonical_text().encode("ascii")
+        object.__setattr__(self, "fingerprint", hashlib.sha256(text).digest())
 
     def canonical_text(self) -> str:
         return (
@@ -191,16 +198,21 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
     for spec in (beta_field, delta_field):
         spec.ensure_tables()  # map_f and gamma multiply in them per element
     nbar_field, gammas = ff_make(nbar), None
-    if comp_rs.root_positions is not None:  # N is under the position-table cap
+    tabled = comp_rs.root_positions is not None  # N is under the position-table cap
+    if tabled:
         columns = (odd_powers(delta_field, j | N, s_prime) for j in range(N))
         gammas = tuple(tuple(nbar_field.frob(g, k) for k in range(t)) for g in columns)
-    return Params(
+    params = Params(
         n=n, t=t, h=h, ell=ell, I=I, r=r, N=N, cl=cl,
         nbar=nbar, ibar=ibar, beta_field=beta_field,
         comp_field=comp_field, comp_rs=comp_rs,
         nbar_field=nbar_field, delta_field=delta_field,
         s_prime=s_prime, gamma_powers=gammas,
     )
+    if tabled and 1 << m <= N:  # at most N entries, as for the gamma powers
+        lanes = tuple(f_lanes(params, v) for v in range(1 << m))
+        params = replace(params, f_lane_table=lanes)
+    return params
 
 
 class Digest(tuple):

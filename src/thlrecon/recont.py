@@ -14,14 +14,17 @@ Encoding (per host):
 
 x_I and x_Ibar are run gathers: :func:`bits.project` reads the runs
 that ``params.I`` and ``params.ibar`` found when built.  A column's t
-Frobenius powers travel as lanes of one int, lane k at bit k * 3nbar:
-one carry-less product of x_Ibar with an element's packed f-powers adds
-its z2 column, and one of gamma_j^(2^row) with a column adds it to grid
-row ``row``.  Products stay unreduced: a lane sums products of at most
-three factors below 2^nbar, so with no carries it stays below 2^(3nbar)
-and never reaches the next lane.  Each lane of each row is folded once
-at the end, which gives the grid of reduced products.  Under the table
-cap of :mod:`codes`, gamma_j^(2^row) and syndromes come from set-up.
+Frobenius powers travel as lanes of one int (:func:`maps_t.pack_lanes`,
+lane k at bit k * 3nbar): one carry-less product of x_Ibar with an
+element's packed f-powers adds its z2 column, and one of
+gamma_j^(2^row) with a column adds it to grid row ``row``; a column's t
+row products share one comb table.  Products stay unreduced: a lane
+sums products of at most three factors below 2^nbar, so with no
+carries it stays below 2^(3nbar) and never reaches the next lane.  Each
+lane of each row is folded once at the end, which gives the grid of
+reduced products.  Under the table cap of :mod:`codes`, gamma_j^(2^row),
+syndromes and, when 2^|I| <= N, each I-projection's packed f-powers
+with their comb table (:func:`maps_t.f_lanes`) come from set-up.
 
 :func:`decode_t` takes the xor of the two hosts' digests, recovers the
 per-position f-value sums (stage 1), decomposes each into block
@@ -38,64 +41,49 @@ from __future__ import annotations
 from .bits import BitVector, place, project
 from .codes import first_dependency
 from .errors import DecodingError, InconsistentDigests
-from .gf2 import poly_mul
-from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
+from .gf2 import comb_mul, comb_table, poly_mul
+from .maps_t import (
+    f_lanes, f_sum_decompose, gamma, map_E, map_M, pack_lanes, unpack_lanes,
+)
 from .params import Digest, Params
-
-
-def _pack(params: Params, values) -> int:
-    """values[k] in lane k, at bit k * 3nbar (see the module docstring)."""
-    acc = 0
-    for k, v in enumerate(values):
-        acc ^= v << (3 * params.nbar * k)
-    return acc
-
-
-def _unpack(params: Params, packed: int) -> tuple:
-    """The t lanes of ``packed``, each reduced into GF(2^nbar)."""
-    w = 3 * params.nbar
-    lanes = ((packed >> (k * w)) & ((1 << w) - 1) for k in range(params.t))
-    return tuple(map(params.nbar_field.reduce, lanes))
 
 
 def _add_column(params: Params, grid, j: int, z: int):
     """grid[row] ^= gamma_j^(2^row) * z for packed lanes z (the t
     Frobenius powers of one grid column), the products left unreduced;
     gamma_j^(2^row), read from ``params.gamma_powers`` or squared, is
-    reduced, so every lane stays below 2^(3nbar)."""
-    g, table = gamma(params, j), params.gamma_powers
+    reduced, so every lane stays below 2^(3nbar).  The rows share z's
+    comb table."""
+    g, table, comb = gamma(params, j), params.gamma_powers, comb_table(z)
     for r in range(len(grid)):
         if r:
             g = params.nbar_field.sqr(g) if table is None else table[j][r]
-        grid[r] ^= poly_mul(g, z)
+        grid[r] ^= comb_mul(g, comb)
 
 
 def encode_t(params: Params, S) -> Digest:
-    spec = params.nbar_field
     # Stage per position first: one grid column per occupied position
     # costs less than one per element.
     z1 = {}
     z2 = {}  # position -> packed f^(2^k) * embed(x_Ibar) summed, unreduced
     for x in S:
         j = map_M(params, x)
-        fx = map_f(params, project(x, params.I))
+        fx, _, comb = f_lanes(params, project(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
-        f = [fx]  # fx is embedded by zero-padding
-        for _ in range(1, params.t):
-            f.append(spec.sqr(f[-1]))
-        z2[j] = z2.get(j, 0) ^ poly_mul(project(x, params.ibar), _pack(params, f))
+        z2[j] = z2.get(j, 0) ^ comb_mul(project(x, params.ibar), comb)
     grid = [0] * params.t
     for j, col in z2.items():
         _add_column(params, grid, j, col)
     w1 = params.comp_rs.syndrome_sparse(z1)
-    return Digest(w1 + sum((_unpack(params, row) for row in grid), ()))
+    return Digest(w1 + sum((unpack_lanes(params, row) for row in grid), ()))
 
 
 def decode_t(params: Params, d: Digest) -> tuple:
     """Candidate blocks (tuples of elements) for the digest sum d.
     Raises :class:`InconsistentDigests` when a step fails."""
-    spec = params.nbar_field
     n, t, u = params.n, params.t, params.comp_rs.redundancy
+    # a signature sigma = map_f(x_I) holds x_I itself in its lowest |I| bits
+    xI_mask = (1 << len(params.I)) - 1
 
     # step 1: per-position f-value sums of the difference
     try:
@@ -111,7 +99,7 @@ def decode_t(params: Params, d: Digest) -> tuple:
 
     # steps 3-5: center-collapse, cancelling known offsets from the
     # grid's row 0, the only row the center solve reads
-    row0 = [_pack(params, d[u:u + t])]
+    row0 = [pack_lanes(params, d[u:u + t])]
     members = {}  # sigma -> [(position, offset)], center first
     gsums = {}  # sigma -> sum of its members' gamma columns
     for i in sorted(decomposed):
@@ -128,20 +116,19 @@ def decode_t(params: Params, d: Digest) -> tuple:
             block.append((i, e))
             ebar = project(e, params.ibar)
             if ebar:
-                lanes = _pack(params, [spec.frob(sigma, k) for k in range(t)])
+                lanes = f_lanes(params, sigma & xI_mask)[1]
                 _add_column(params, row0, i, poly_mul(ebar, lanes))
 
     sigmas = sorted(members)
     # step 6: solve for the center Ibar-parts
-    cbars = _solve_centers(params, sigmas, gsums, _unpack(params, row0[0]))
+    cbars = _solve_centers(params, sigmas, gsums, unpack_lanes(params, row0[0]))
 
     # steps 7-8: reassemble the blocks
     blocks = []
     for sigma in sigmas:
-        # sigma = map_f(x_I), whose lowest |I| bits are x_I itself; I
-        # and Ibar are disjoint, so XOR joins the two placements
-        xI = sigma & ((1 << len(params.I)) - 1)
-        center = place(n, params.I, xI) ^ place(n, params.ibar, cbars[sigma])
+        # I and Ibar are disjoint, so XOR joins the two placements
+        center = place(n, params.I, sigma & xI_mask)
+        center ^= place(n, params.ibar, cbars[sigma])
         blocks.append(tuple(center ^ e for _, e in members[sigma]))
     return tuple(blocks)
 
@@ -159,8 +146,8 @@ def _solve_centers(params: Params, sigmas, gsums, row0):
     The other rows need no check here: :func:`params.accept`
     re-encodes the whole digest, so decoding never collapses them.
     """
-    spec = params.nbar_field
-    cols = [[spec.frob(s, k) for k in range(params.t)] for s in sigmas]
+    spec, xI_mask = params.nbar_field, (1 << len(params.I)) - 1
+    cols = [unpack_lanes(params, f_lanes(params, s & xI_mask)[1]) for s in sigmas]
     dep = first_dependency(spec, cols + [row0])
     if dep is None or dep[0] < len(sigmas) or not all(gsums[s] for s in sigmas):
         raise InconsistentDigests("center recovery failed")

@@ -438,7 +438,8 @@ def _outcome(decode, syndromes):
 
 def test_rs_position_tables_follow_the_cap():
     # N * ceil(a/4) * 16 entries: 128 * 6 * 16 and 64 * 4 * 16 are under
-    # 2^14, 4096 * 4 * 16 is not; the gamma powers follow the same cap
+    # 2^14, 4096 * 4 * 16 is not; the gamma powers and the f lanes (2^|I|
+    # = N at the first two points) follow the same cap
     for point, tabled in (((127, 3, 2, 1), True), ((63, 2, 2, 1), True),
                           ((63, 2, 3, 2), False)):
         p = params_build(*point)
@@ -446,6 +447,7 @@ def test_rs_position_tables_follow_the_cap():
         assert (code.syndrome_tables is not None) is tabled, point
         assert (code.root_positions is not None) is tabled, point
         assert (p.gamma_powers is not None) is tabled, point
+        assert (p.f_lane_table is not None) is tabled, point
     assert rs_code(ff_make(4), 15, 5).syndrome_tables is not None
     assert rs_code(ff_make(12), 4095, 5).syndrome_tables is None
 

@@ -8,6 +8,8 @@ from reference import clmul_bits, eea_inverse, rabin_find_irreducible, rabin_is_
 from thlrecon.gf2 import (
     CompositeField,
     FieldSpec,
+    comb_mul,
+    comb_table,
     ff_make,
     find_irreducible,
     poly_is_irreducible,
@@ -138,6 +140,18 @@ def test_poly_mul_matches_set_bit_product():
             for b in (0, 1, dense, other):
                 assert poly_mul(a, b) == clmul_bits(a, b), (w, a, b)
                 assert poly_mul(b, a) == clmul_bits(a, b), (w, a, b)
+
+
+_SPARSE = st.sets(st.integers(0, 1199), max_size=9).map(lambda bits: sum(1 << i for i in bits))
+
+
+@given(st.one_of(st.integers(0, 1 << 1200), _SPARSE), st.integers(0, 1 << 1200))
+@settings(max_examples=200, deadline=None)
+def test_comb_over_a_stored_table_is_poly_mul(a, b):
+    # the comb loop over b's table, as the t > 1 encoder runs it for one
+    # operand and many multipliers, is the product poly_mul gives on
+    # either of its paths: zero, sparse multipliers and unequal lengths
+    assert comb_mul(a, comb_table(b)) == poly_mul(a, b) == clmul_bits(a, b)
 
 
 @pytest.mark.parametrize("m", [11, 24, 120, 493])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -138,6 +140,17 @@ def test_fingerprint_deterministic_and_sensitive():
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != c.fingerprint
     assert len(a.fingerprint) == 32
+
+
+def test_fingerprint_follows_replace():
+    # the fingerprint is computed once per instance; replace builds a
+    # new instance, so a cached value never outlives its fields
+    p = params_build(63, 2, 2, 1)
+    before = p.fingerprint
+    q = dataclasses.replace(p, n=64)
+    assert p.fingerprint is before
+    assert q.fingerprint == hashlib.sha256(q.canonical_text().encode("ascii")).digest()
+    assert q.fingerprint != before
 
 
 def test_canonical_text():

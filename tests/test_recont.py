@@ -7,7 +7,8 @@ from reference import encode_t_reference, gamma_column, nullspace
 from thlrecon.bits import BitVector, project
 from thlrecon.codes import RsCode
 from thlrecon.errors import DecodingError, InconsistentDigests
-from thlrecon.maps_t import gamma, map_E, map_f, map_M
+from thlrecon.gf2 import comb_table
+from thlrecon.maps_t import f_lanes, gamma, map_E, map_f, map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import Digest, digest_cost_bits, params_build
 from thlrecon.protocol import decode_digests, encode_digest
@@ -208,14 +209,47 @@ def test_gamma_table_matches_the_chain(point):
             g = p.nbar_field.sqr(g)
 
 
+@pytest.mark.parametrize("point", [(127, 3, 2, 1), (63, 2, 2, 1), (63, 3, 2, 1), (127, 2, 4, 1)])
+def test_f_lane_table_matches_the_chain(point):
+    # the set-up table holds, for every I-projection v, map_f(v), its t
+    # Frobenius powers packed at 3nbar bits apart and their comb table;
+    # f_lanes reads it, and computes the same without it
+    p = params_build(*point)
+    chain = dataclasses.replace(p, f_lane_table=None)
+    m = len(p.I)
+    assert len(p.f_lane_table) == 1 << m <= p.N
+    for v in range(1 << m):
+        f = map_f(p, v)
+        lanes, g = 0, f
+        for k in range(p.t):
+            lanes |= g << (3 * p.nbar * k)
+            g = p.nbar_field.sqr(g)
+        want = (f, lanes, comb_table(lanes))
+        assert p.f_lane_table[v] == f_lanes(p, v) == f_lanes(chain, v) == want
+    for bad in (-1, 1 << m):
+        for params in (p, chain):
+            with pytest.raises(ValueError):
+                f_lanes(params, bad)
+
+
+def test_wide_index_set_builds_no_lane_table():
+    # 2^|I| = 256 I-projections against N = 64 positions: no lane
+    # table, and the per-call chain still round-trips
+    p = params_build(63, 2, 2, 1, I=range(1, 9))
+    assert p.gamma_powers is not None and p.f_lane_table is None
+    for seed in range(3):
+        SA, SB, delta = gen_instance(p, seed, 30)
+        assert decode_digests(p, encode_t(p, SA), encode_t(p, SB)) == delta
+
+
 def test_encode_and_decode_on_the_chain_match_the_tables():
     # the golden points now run on the tables; the same instances
-    # through per-call gamma powers, syndromes and discrete logs give
-    # the same digests and differences
+    # through per-call gamma powers, f lanes, syndromes and discrete
+    # logs give the same digests and differences
     p = params_build(127, 3, 2, 1)
     rs = RsCode(p.comp_field, p.N, p.comp_rs.distance)
     rs.syndrome_tables = rs.root_positions = None
-    chain = dataclasses.replace(p, comp_rs=rs, gamma_powers=None)
+    chain = dataclasses.replace(p, comp_rs=rs, gamma_powers=None, f_lane_table=None)
     for seed in range(3):
         SA, SB, delta = gen_instance(p, seed, 40)
         dA, dB = encode_t(p, SA), encode_t(p, SB)
