@@ -35,13 +35,10 @@ def entropy_q(q: int, x: float) -> float:
 
 
 def log2_big(x: int) -> float:
-    """log2 of a positive big integer, safe at thousands of bits."""
+    """log2 of a positive big integer (``math.log2`` takes any int)."""
     if x <= 0:
         raise ValueError("log2 of nonpositive value")
-    b = x.bit_length()
-    if b <= 900:
-        return math.log2(x)
-    return (b - 64) + math.log2(x >> (b - 64))
+    return math.log2(x)
 
 
 def _unpack(params):

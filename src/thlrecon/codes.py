@@ -14,7 +14,8 @@ Two code families are built here:
   bounded-distance decoder returning symbol positions and values.  At
   degrees 24 and 26 its arithmetic runs in GF((2^k)^2), converted only
   at the code's boundary, so symbols and positions stay standard.  Under
-  a cap it builds per-position syndrome tables and root positions once.
+  a cap it builds a comb table of each position's syndrome powers and the
+  root positions once.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain, each step written once: power sums unpacked as they were packed
@@ -28,7 +29,7 @@ come from the roots by discrete log (:func:`position`).
 from __future__ import annotations
 
 from .errors import DecodingError
-from .gf2 import FieldSpec, ff_make
+from .gf2 import FieldSpec, comb_mul, comb_table, ff_make
 from .linalg import BinaryMatrix, row_reduce, transpose
 
 # Up to this length a BCH code rank-reduces its parity matrix, which
@@ -36,10 +37,10 @@ from .linalg import BinaryMatrix, row_reduce, transpose
 # odd-power map, as reduction would touch every column.
 _DENSE_LIMIT = 4096
 
-# Up to this many entries (N positions x ceil(a/4) nibbles x 16, about
-# 1 MB) a Reed-Solomon code builds per-position tables, and t > 1 params
-# their gamma powers; above it each is computed per call.
-_POSITION_TABLE_LIMIT = 1 << 14
+# Up to this N * a (positions times symbol bits) a Reed-Solomon code
+# builds per-position comb tables, and t > 1 params their gamma powers;
+# above it each is computed per call.
+_POSITION_TABLE_LIMIT = 1 << 12
 
 # find_roots tries each point of an affine root space this small.
 _ROOT_SCAN_LIMIT = 1 << 5
@@ -389,7 +390,8 @@ class RsCode:
     Symbols are in the standard basis; the arithmetic runs in the work
     field of :meth:`FieldSpec.work_field`, entered and left at the
     boundary of :meth:`syndrome_sparse` and :meth:`decode`.  Set-up builds
-    ``syndrome_tables`` and ``root_positions`` under the cap, else logs."""
+    ``syndrome_tables`` and ``root_positions`` when N * a is under the
+    cap, else logs."""
 
     def __init__(self, field: FieldSpec, length: int, d: int):
         if d < 1 or d > length:
@@ -413,35 +415,26 @@ class RsCode:
         for _ in range((length - 1) >> b):
             self._hi.append(work.mul(self._hi[-1], step))
         self.syndrome_tables = self.root_positions = None
-        if length * -(-field.degree // 4) * 16 <= _POSITION_TABLE_LIMIT:
+        if length * field.degree <= _POSITION_TABLE_LIMIT:
             self._build_tables()
         else:
             field.ensure_tables()  # positions come from dlog
 
     def _build_tables(self):
-        """The dict root (g^j)^-1 -> j, and per position j, ceil(a/4)
-        nibble tables: entry 16k + v packs v x^(4k) x_j^(i+1) in lane i at
-        bit i(a+1).  A step by x shifts the lanes and folds their top bits
-        by an integer product, carry-free as the lanes' terms never overlap."""
-        work, a = self._work, self.field.degree
-        carries = sum(1 << (i * (a + 1) + a) for i in range(self.redundancy))
+        """The dict root (g^j)^-1 -> j, and per position j the
+        :func:`comb_table` of x_j^(i+1), i < d - 1, in the standard basis,
+        packed in lanes 2a bits apart: a product with a symbol below 2^a
+        has degree at most 2a - 2, so it never leaves its lane."""
+        work, w = self._work, 2 * self.field.degree
         self.syndrome_tables, self.root_positions = [], {}
         for j in range(self.length):
             xj = p = self.locator(j)
             self.root_positions[work.inv(xj)] = j
             packed = 0
             for i in range(self.redundancy):
-                packed |= self._from_work(p) << (i * (a + 1))
+                packed |= self._from_work(p) << (i * w)
                 p = work.mul(p, xj)
-            row = []
-            for _ in range(-(-a // 4)):
-                table = [0]
-                for _ in range(4):
-                    table += [e ^ packed for e in table]
-                    c = (packed << 1) & carries
-                    packed = (packed << 1) ^ c ^ (c >> a) * self.field._low
-                row += table
-            self.syndrome_tables.append(row)
+            self.syndrome_tables.append(comb_table(packed))
 
     def locator(self, j: int) -> int:
         """g^j in the work field: one product of two table entries."""
@@ -449,9 +442,10 @@ class RsCode:
         return self._work.mul(self._lo[j & ((1 << b) - 1)], self._hi[j >> b])
 
     def syndrome_sparse(self, values: dict) -> tuple:
-        """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector: a lookup
-        per nibble of v_j, or d - 1 work-field products above the table
-        cap.  ValueError for j outside [0, length) or v_j outside [0, 2^a)."""
+        """Syndromes S_i = sum_j v_j (g^j)^i of a sparse vector: one comb
+        product per symbol, summed unreduced and each lane folded once, or
+        d - 1 work-field products above the table cap.  ValueError for j
+        outside [0, length) or v_j outside [0, 2^a)."""
         spec, tables, a = self._work, self.syndrome_tables, self.field.degree
         acc, out = 0, [0] * self.redundancy
         for j, v in values.items():
@@ -460,10 +454,7 @@ class RsCode:
             if v < 0 or v >> a:
                 raise ValueError("symbol out of range")
             if tables is not None:
-                row, k = tables[j], 0
-                while v:
-                    acc ^= row[k | v & 15]
-                    v, k = v >> 4, k + 16
+                acc ^= comb_mul(v, tables[j])
             elif v:
                 xj, term = self.locator(j), self._to_work(v)
                 for i in range(self.redundancy):
@@ -471,7 +462,8 @@ class RsCode:
                     out[i] ^= term
         if tables is None:
             return tuple(map(self._from_work, out))
-        return tuple(acc >> i * (a + 1) & self.field.order for i in range(len(out)))
+        w, reduce = 2 * a, self.field.reduce
+        return tuple(reduce(acc >> i * w & (1 << w) - 1) for i in range(len(out)))
 
     def decode(self, syndromes) -> dict:
         """Error vector {position: value} of weight <= (d-1)/2 matching

@@ -287,10 +287,11 @@ class FieldSpec:
         return self._factors
 
     def generator(self) -> int:
-        """Smallest (by int pattern) primitive element."""
+        """Smallest (by int pattern) primitive element: 1 in GF(2), whose
+        group order has no prime factor to test."""
         if self._generator is None:
             fac = self.factors()
-            g = 2
+            g = 1
             while True:
                 if all(self.pow(g, self.order // p) != 1 for p in fac):
                     self._generator = g

@@ -32,19 +32,14 @@ from .maps_t import map_E, map_M
 from .params import Digest, Params
 
 
-def _w2_term(params: Params, j: int, x: BitVector) -> int:
-    """b_j * (Hbar x), unreduced: Hbar x is x's projection onto the
-    tail positions."""
-    return poly_mul(params.bh.element_value(j), project(x, params.tail))
-
-
 def encode1(params: Params, S) -> Digest:
     positions = []
     w2 = 0
     for x in S:
         j = map_M(params, x)
         positions.append(j)
-        w2 ^= _w2_term(params, j, x)
+        # b_j * (Hbar x), unreduced: Hbar x is x's projection onto the tail
+        w2 ^= poly_mul(params.bh.element_value(j), project(x, params.tail))
     return Digest((
         params.comp.syndrome_from_positions(positions),
         params.digest_field.reduce(w2),
@@ -71,8 +66,9 @@ def decode1(params: Params, d: Digest) -> tuple:
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
         offsets.append(e.value)
-        w2 ^= _w2_term(params, ki, e)
-        denom ^= params.bh.element_value(ki)
+        b = params.bh.element_value(ki)
+        w2 ^= poly_mul(b, project(e, params.tail))
+        denom ^= b
     if denom == 0:
         raise InconsistentDigests("zero B_h subset sum")
     s2 = params.digest_field.div(params.digest_field.reduce(w2), denom)

@@ -35,6 +35,10 @@ def test_log2_big():
     assert log2_big(1024) == pytest.approx(10.0)
     x = 3**2000
     assert log2_big(x) == pytest.approx(2000 * math.log2(3), rel=1e-12)
+    assert log2_big(1 << 100000) == 100000.0
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            log2_big(bad)
 
 
 def test_chromatic_bounds_basic():

@@ -437,11 +437,12 @@ def _outcome(decode, syndromes):
 
 
 def test_rs_position_tables_follow_the_cap():
-    # N * ceil(a/4) * 16 entries: 128 * 6 * 16 and 64 * 4 * 16 are under
-    # 2^14, 4096 * 4 * 16 is not; the gamma powers and the f lanes (2^|I|
-    # = N at the first two points) follow the same cap
+    # N * a: 128 * 24 and 64 * 14 are under 2^12, 4096 * 14 is not, and
+    # 256 * 16 sits on the cap, one field degree below 256 * 18; the gamma
+    # powers and the f lanes (2^|I| <= N at every tabled point) follow it
     for point, tabled in (((127, 3, 2, 1), True), ((63, 2, 2, 1), True),
-                          ((63, 2, 3, 2), False)):
+                          ((63, 2, 3, 2), False), ((128, 2, 2, 1), True),
+                          ((129, 2, 2, 1), False)):
         p = params_build(*point)
         code = p.comp_rs
         assert (code.syndrome_tables is not None) is tabled, point
@@ -478,6 +479,10 @@ def test_rs_table_syndromes_match_reference(point, I):
     for _ in range(40):
         values = _sparse_vector(rng, code, rng.randint(0, code.redundancy))
         assert code.syndrome_sparse(values) == rs_syndromes(code, values)
+    # the all-ones symbol gives the largest product in every lane
+    ones = (1 << code.field.degree) - 1
+    for j in range(code.length):
+        assert code.syndrome_sparse({j: ones}) == rs_syndromes(code, {j: ones}), j
 
 
 @pytest.mark.parametrize("point,I", TABLED)
