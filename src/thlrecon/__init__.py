@@ -6,7 +6,7 @@ distance ell, exchange fixed-size syndrome digests in a single round
 and each recovers the exact difference locally.
 """
 
-from .bits import BitVector, Positions, hamming, place, project
+from .bits import BitVector
 from .bounds import (
     asymptotic_rates,
     baseline_bits,
@@ -14,19 +14,13 @@ from .bounds import (
     entropy_q,
     sphere_size,
 )
-from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
 from .errors import (
-    DecodingError,
     FrameError,
     InconsistentDigests,
-    LinAlgError,
     ParamMismatch,
     ParamsError,
     ThlreconError,
 )
-from .gf2 import FieldSpec, ff_make
-from .linalg import BinaryMatrix, full_rank_completion
-from .maps_t import f_sum_decompose, gamma, map_E, map_M, map_f
 from .oracle import gen_instance, oracle_is_thl, oracle_symdiff
 from .params import (
     Digest,
@@ -49,19 +43,15 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitVector", "Positions", "hamming", "project", "place",
-    "FieldSpec", "ff_make",
-    "BinaryMatrix", "full_rank_completion",
-    "BchCode", "RsCode", "BhSequence", "bch_build", "rs_code", "bh_sequence",
+    "BitVector",
     "Params", "params_build", "params_from_text",
     "Digest", "digest_cost_bits",
-    "map_M", "map_E", "map_f", "f_sum_decompose", "gamma",
     "sphere_size", "entropy_q", "chromatic_bounds", "asymptotic_rates",
     "baseline_bits",
     "encode_digest", "decode_digests",
     "serialize_digest", "parse_digest", "session_run",
     "Transport", "TcpTransport", "SessionStats",
     "oracle_symdiff", "oracle_is_thl", "gen_instance",
-    "ThlreconError", "ParamsError", "LinAlgError", "DecodingError",
+    "ThlreconError", "ParamsError",
     "InconsistentDigests", "ParamMismatch", "FrameError",
 ]

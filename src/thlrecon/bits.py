@@ -9,34 +9,23 @@ finds its runs of consecutive positions once, when it is built, and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BitVector:
     """An immutable length-``n`` binary string backed by an int."""
 
-    __slots__ = ("value", "n")
+    value: int
+    n: int
 
-    def __init__(self, value: int, n: int):
-        if n <= 0:
+    def __post_init__(self):
+        if self.n <= 0:
             raise ValueError("length must be positive")
-        if value < 0 or value >> n:
-            raise ValueError("value does not fit in %d bits" % n)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitVector is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BitVector)
-            and self.value == other.value
-            and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.n))
+        if self.value < 0 or self.value >> self.n:
+            raise ValueError("value does not fit in %d bits" % self.n)
 
     def __repr__(self):
         return f"BitVector({self.bin()!r})"

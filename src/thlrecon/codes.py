@@ -260,14 +260,14 @@ def locate(spec: FieldSpec, sums, bound: int):
     roots.
 
     Returns (locator, roots) when the locator has degree L <= bound and
-    L distinct nonzero roots in the field; raises :class:`DecodingError`
-    otherwise.
+    L distinct roots in the field, all nonzero as C[0] = 1; raises
+    :class:`DecodingError` otherwise.
     """
     loc, L = berlekamp_massey(spec, sums)
     if L > bound or len(loc) - 1 != L:
         raise DecodingError("uncorrectable syndrome")
     roots = find_roots(spec, loc)
-    if roots is None or 0 in roots:
+    if roots is None:
         raise DecodingError("uncorrectable syndrome")
     return loc, roots
 

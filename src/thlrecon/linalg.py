@@ -16,12 +16,15 @@ parity H_l at 18x511, builds no tables and takes one parity of
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import LinAlgError
 
 # Columns per product table: one byte of the vector indexes it.
 _TABLE_BITS = 8
 
 
+@dataclass(slots=True, repr=False)
 class BinaryMatrix:
     """Immutable row-major bit matrix.
 
@@ -29,20 +32,19 @@ class BinaryMatrix:
     :meth:`ensure_tables`; a matrix that is never multiplied holds
     none, and one with fewer rows than tables an empty list."""
 
-    __slots__ = ("rows", "cols", "row_data", "_tables")
+    rows: int
+    cols: int
+    row_data: tuple
+    _tables: list | None = field(default=None, init=False, compare=False)
 
-    def __init__(self, rows: int, cols: int, row_data):
-        row_data = list(row_data)
-        if len(row_data) != rows:
+    def __post_init__(self):
+        self.row_data = tuple(self.row_data)
+        if len(self.row_data) != self.rows:
             raise ValueError("row count mismatch")
-        mask = (1 << cols) - 1
-        for r in row_data:
+        mask = (1 << self.cols) - 1
+        for r in self.row_data:
             if r < 0 or r & ~mask:
                 raise ValueError("row wider than column count")
-        self.rows = rows
-        self.cols = cols
-        self.row_data = tuple(row_data)
-        self._tables = None
 
     def ensure_tables(self):
         """The product tables, built once.  Table k holds at index b the
@@ -74,14 +76,6 @@ class BinaryMatrix:
         for t, b in zip(tables, x.to_bytes(len(tables), "little")):
             v ^= t[b]
         return v
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryMatrix)
-            and other.rows == self.rows
-            and other.cols == self.cols
-            and other.row_data == self.row_data
-        )
 
     def __repr__(self):
         return f"BinaryMatrix({self.rows}x{self.cols})"

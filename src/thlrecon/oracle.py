@@ -99,8 +99,6 @@ def gen_instance(params: Params, seed: int, common_size: int = 0):
 def _try_generate(params: Params, rng, common_size):
     n, t, h, ell = params.n, params.t, params.h, params.ell
     free_positions = list(params.ibar) if params.t > 1 else list(range(1, n + 1))
-    if len(free_positions) < 1:
-        return None
     nblocks = rng.randint(1, t)
     max_block = min(h, 1 << min(ell, len(free_positions)))
     blocks = []

@@ -138,14 +138,12 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         if n - r < 1:
             raise ParamsError("digest_width", "C_l leaves no free coordinates")
         width = BhSequence.packed_width(N, h)
-        if width > n - r:
+        if width > n - r:  # true whenever 2h+1 > N, as then h*r >= 2^r > n
             raise ParamsError(
                 "bh_width",
                 f"B_h column width {width} exceeds n-r={n - r} "
                 f"(n={n}, ell={ell}, h={h})",
             )
-        if 2 * h + 1 > N:
-            raise ParamsError("comp_distance", "2h+1 exceeds the position space")
         h_bar = full_rank_completion(h_l)
         hf_inv = invert(BinaryMatrix(n, n, h_l.row_data + h_bar.row_data))
         hf_inv.ensure_tables()  # the anchor of every decode

@@ -32,6 +32,21 @@ def test_immutable():
     x = BitVector(3, 4)
     with pytest.raises(AttributeError):
         x.value = 5
+    with pytest.raises(AttributeError):
+        del x.value
+    assert x.value == 3
+
+
+@pytest.mark.parametrize("value, n", [(0, 0), (-1, 4), (1 << 4, 4)])
+def test_rejects_a_value_outside_its_length(value, n):
+    with pytest.raises(ValueError):
+        BitVector(value, n)
+
+
+def test_equality_and_hash_follow_value_and_length():
+    x, y = BitVector(5, 4), BitVector(5, 4)
+    assert x == y and hash(x) == hash(y)
+    assert x != BitVector(5, 5)
 
 
 def test_hex_roundtrip():

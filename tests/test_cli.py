@@ -51,6 +51,24 @@ def test_end_to_end_local(tmp_path, params_file, capsys):
     assert got == expected
 
 
+def test_verify_rejects_a_pair_outside_the_promise(tmp_path, params_file, capsys):
+    # t=1: two differing elements at distance 63 form no cluster
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("0000000000000000\nfffffffffffffffe\n")
+    b.write_text("")
+    assert main(["verify", params_file, str(a), str(b)]) == 4
+    assert "invalid: difference is not a (t,h,ell) instance" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_wrong_delta_file(tmp_path, params_file, capsys):
+    a, b, d = _gen(tmp_path, params_file)
+    wrong = tmp_path / "wrong.txt"
+    wrong.write_text("\n".join((tmp_path / "d.txt").read_text().splitlines()[1:]))
+    capsys.readouterr()
+    assert main(["verify", params_file, a, b, "--delta", str(wrong)]) == 4
+    assert "invalid: ground-truth delta file does not match" in capsys.readouterr().out
+
+
 def test_end_to_end_t2(tmp_path, params_file_t2, capsys):
     a, b, d = _gen(tmp_path, params_file_t2, seed=4, common=3)
     dig_b = str(tmp_path / "b.digest")

@@ -519,11 +519,17 @@ def test_rs_table_decode_matches_reference(point, I):
     ],
 )
 def test_rs_rejects_a_symbol_outside_its_field(build):
-    # a symbol of 2^a or more, or below 0, is no field element: a
-    # nibble lookup would drop its high bits, log[-1] read the last
-    # table entry, and the basis change overflow
+    # a symbol of 2^a or more, or below 0, is no field element: its comb
+    # product would spill into the next syndrome's lane, log[-1] read the
+    # last table entry, and the basis change overflow.  A position outside
+    # the code and a syndrome vector of the wrong length are rejected too
     code = build()
     a, u = code.field.degree, code.redundancy
+    for j in (-1, code.length):
+        with pytest.raises(ValueError, match="position out of range"):
+            code.syndrome_sparse({j: 1})
+    with pytest.raises(ValueError, match="syndrome length mismatch"):
+        code.decode((0,) * (u - 1))
     assert code.syndrome_sparse({3: (1 << a) - 1})
     for bad in (-1, 1 << a, 1 << a | 1, 1 << 4 * a):
         with pytest.raises(ValueError, match="symbol out of range"):

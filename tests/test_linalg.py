@@ -151,3 +151,18 @@ def test_mul_vec_matches_row_products():
         for x in xs:
             assert m.mul_vec(x) == mul_vec_rows(m, x), (cols, height, x)
         assert bool(m.ensure_tables()) == (8 * height >= cols), (cols, height)
+
+
+def test_matrix_rejects_rows_that_do_not_fit():
+    with pytest.raises(ValueError, match="row count mismatch"):
+        BinaryMatrix(2, 4, [1])
+    with pytest.raises(ValueError, match="row wider than column count"):
+        BinaryMatrix(1, 4, [1 << 4])
+
+
+def test_matrix_equality_ignores_product_tables():
+    m = BinaryMatrix(3, 8, [1, 2, 3])
+    m.ensure_tables()
+    assert m == BinaryMatrix(3, 8, (1, 2, 3))
+    with pytest.raises(TypeError):
+        hash(m)

@@ -119,6 +119,15 @@ def test_f_sum_decompose(p63):
         f_sum_decompose(p63, 0)
 
 
+def test_f_sum_decompose_rejects_bits_above_the_f_values():
+    # with I=(1,2) the f-values have t(|I|+1) = 6 bits and the stage-1
+    # symbol field 12, so a digest can carry a sum with a bit above
+    # them; its locator still splits, and only the XOR check rejects it
+    p = params_build(63, 2, 2, 1, I=(1, 2))
+    with pytest.raises(DecodingError, match="undecodable"):
+        f_sum_decompose(p, map_f(p, 1) ^ map_f(p, 2) | 1 << 6)
+
+
 def test_f_sum_decompose_t3():
     p = params_build(63, 3, 2, 1)
     rng = random.Random(4)
