@@ -38,8 +38,9 @@ from .linalg import BinaryMatrix, row_reduce, transpose
 _DENSE_LIMIT = 4096
 
 # Up to this N * a (positions times symbol bits) a Reed-Solomon code
-# builds per-position comb tables, and t > 1 params their gamma powers;
-# above it each is computed per call.
+# builds per-position comb tables, and t > 1 params tabulate each
+# position's gamma rows and, when 2^|I| <= N, each I-projection's f
+# lanes; above it each is computed per call.
 _POSITION_TABLE_LIMIT = 1 << 12
 
 # find_roots tries each point of an affine root space this small.

@@ -24,9 +24,9 @@ from .errors import LinAlgError
 _TABLE_BITS = 8
 
 
-@dataclass(slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class BinaryMatrix:
-    """Immutable row-major bit matrix.
+    """Immutable row-major bit matrix, unhashable.
 
     Its product tables are built on the first product, or ahead of it by
     :meth:`ensure_tables`; a matrix that is never multiplied holds
@@ -37,8 +37,10 @@ class BinaryMatrix:
     row_data: tuple
     _tables: list | None = field(default=None, init=False, compare=False)
 
+    __hash__ = None
+
     def __post_init__(self):
-        self.row_data = tuple(self.row_data)
+        object.__setattr__(self, "row_data", tuple(self.row_data))
         if len(self.row_data) != self.rows:
             raise ValueError("row count mismatch")
         mask = (1 << self.cols) - 1
@@ -60,7 +62,7 @@ class BinaryMatrix:
                     for c in cols[k : k + _TABLE_BITS]:
                         t += [v ^ c for v in t]
                     tables.append(t)
-            self._tables = tables
+            object.__setattr__(self, "_tables", tables)
         return self._tables
 
     def mul_vec(self, x: int) -> int:

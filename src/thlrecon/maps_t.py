@@ -20,9 +20,9 @@ The rest serve the multi-cluster scheme:
   every I-projection.
 * ``f_sum_decompose``: inverts an xor of up to t distinct f-values
   (power-sum decoding).
-* ``gamma``: per-position columns over GF(2^nbar), any <= 2*s' of
-  which are F_2-linearly independent (the same packer); under the table
-  cap of :mod:`codes`, ``params_build`` tabulates them with their squares.
+* ``gamma``: a position's column over GF(2^nbar) and its squares, one
+  per grid row; any <= 2*s' columns are F_2-linearly independent (the
+  same packer).  Under the table cap of :mod:`codes`, set-up tabulates.
 """
 
 from __future__ import annotations
@@ -122,12 +122,13 @@ def f_lanes(params: Params, xI: int) -> tuple:
     return f, lanes, comb_table(lanes)
 
 
-def gamma(params: Params, i: int) -> int:
-    """Position column over GF(2^nbar): packed odd powers (delta, delta^3,
-    ..., delta^(2s'-1)) of delta = i with a forced leading bit in
-    GF(2^(r+1)), or row 0 of ``params.gamma_powers`` when it is built."""
-    if not 0 <= i < params.N:
+def gamma(params: Params, j: int) -> tuple:
+    """Position j's t grid rows g^(2^row) over GF(2^nbar), g the packed
+    odd powers (delta, delta^3, ..., delta^(2s'-1)) of delta = j with a
+    forced leading bit in GF(2^(r+1)): ``params.gamma_powers[j]`` if built."""
+    if not 0 <= j < params.N:
         raise IndexError("position index out of range")
     if params.gamma_powers is not None:
-        return params.gamma_powers[i][0]
-    return odd_powers(params.delta_field, i | (1 << params.r), params.s_prime)
+        return params.gamma_powers[j]
+    g = odd_powers(params.delta_field, j | (1 << params.r), params.s_prime)
+    return tuple(params.nbar_field.frob(g, k) for k in range(params.t))

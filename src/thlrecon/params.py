@@ -14,13 +14,11 @@ import operator
 from dataclasses import dataclass, field, replace
 
 from .bits import Positions, hamming, project
-from .codes import (
-    BchCode, BhSequence, RsCode, bch_build, bh_sequence, odd_powers, rs_code,
-)
+from .codes import BchCode, BhSequence, RsCode, bch_build, bh_sequence, rs_code
 from .errors import InconsistentDigests, ParamsError
 from .gf2 import DLOG_MAX_DEGREE, FieldSpec, ff_make
 from .linalg import BinaryMatrix, full_rank_completion, invert
-from .maps_t import f_lanes
+from .maps_t import f_lanes, gamma
 
 
 def default_index_set(n: int) -> tuple:
@@ -55,7 +53,6 @@ class Params:
     nbar: int = field(repr=False, default=0)
     ibar: tuple = field(repr=False, default=())
     beta_field: FieldSpec = field(repr=False, default=None)
-    comp_field: FieldSpec = field(repr=False, default=None)
     comp_rs: RsCode = field(repr=False, default=None)
     nbar_field: FieldSpec = field(repr=False, default=None)
     delta_field: FieldSpec = field(repr=False, default=None)
@@ -190,27 +187,22 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
             f"gamma column needs {(h + 1) // 2} odd powers of {r + 1} bits, "
             f"only {nbar // (r + 1)} fit in nbar={nbar}",
         )
-    comp_field = ff_make(a)
-    comp_rs = rs_code(comp_field, N, 2 * t * h + 1)
+    comp_rs = rs_code(ff_make(a), N, 2 * t * h + 1)
     beta_field, delta_field = ff_make(m + 1), ff_make(r + 1)
     for spec in (beta_field, delta_field):
         spec.ensure_tables()  # map_f and gamma multiply in them per element
-    nbar_field, gammas = ff_make(nbar), None
-    tabled = comp_rs.root_positions is not None  # N is under the position-table cap
-    if tabled:
-        columns = (odd_powers(delta_field, j | N, s_prime) for j in range(N))
-        gammas = tuple(tuple(nbar_field.frob(g, k) for k in range(t)) for g in columns)
     params = Params(
         n=n, t=t, h=h, ell=ell, I=I, r=r, N=N, cl=cl,
-        nbar=nbar, ibar=ibar, beta_field=beta_field,
-        comp_field=comp_field, comp_rs=comp_rs,
-        nbar_field=nbar_field, delta_field=delta_field,
-        s_prime=s_prime, gamma_powers=gammas,
+        nbar=nbar, ibar=ibar, beta_field=beta_field, comp_rs=comp_rs,
+        nbar_field=ff_make(nbar), delta_field=delta_field, s_prime=s_prime,
     )
-    if tabled and 1 << m <= N:  # at most N entries, as for the gamma powers
+    if comp_rs.root_positions is None:  # N is above the position-table cap
+        return params
+    gammas = tuple(gamma(params, j) for j in range(N))
+    lanes = None
+    if 1 << m <= N:  # at most N entries, as for the gamma rows
         lanes = tuple(f_lanes(params, v) for v in range(1 << m))
-        params = replace(params, f_lane_table=lanes)
-    return params
+    return replace(params, gamma_powers=gammas, f_lane_table=lanes)
 
 
 class Digest(tuple):
@@ -233,7 +225,7 @@ def digest_layout(params: Params) -> tuple:
     if params.t == 1:
         return ((params.comp.redundancy,), (params.n - params.r,))
     return (
-        (params.comp_field.degree,) * params.comp_rs.redundancy
+        (params.comp_rs.field.degree,) * params.comp_rs.redundancy
         + (params.nbar,) * (params.t * params.t),
     )
 

@@ -22,9 +22,9 @@ row products share one comb table.  Products stay unreduced: a lane
 sums products of at most three factors below 2^nbar, so with no
 carries it stays below 2^(3nbar) and never reaches the next lane.  Each
 lane of each row is folded once at the end, which gives the grid of
-reduced products.  Under the table cap of :mod:`codes`, gamma_j^(2^row),
-syndromes and, when 2^|I| <= N, each I-projection's packed f-powers
-with their comb table (:func:`maps_t.f_lanes`) come from set-up.
+reduced products.  Under the table cap of :mod:`codes`, the rows of
+:func:`maps_t.gamma`, syndromes and, when 2^|I| <= N, each
+I-projection's :func:`maps_t.f_lanes` come from set-up.
 
 :func:`decode_t` takes the xor of the two hosts' digests, recovers the
 per-position f-value sums (stage 1), decomposes each into block
@@ -41,7 +41,7 @@ from __future__ import annotations
 from .bits import BitVector, place, project
 from .codes import first_dependency
 from .errors import DecodingError, InconsistentDigests
-from .gf2 import comb_mul, comb_table, poly_mul
+from .gf2 import comb_mul, comb_table
 from .maps_t import (
     f_lanes, f_sum_decompose, gamma, map_E, map_M, pack_lanes, unpack_lanes,
 )
@@ -51,13 +51,10 @@ from .params import Digest, Params
 def _add_column(params: Params, grid, j: int, z: int):
     """grid[row] ^= gamma_j^(2^row) * z for packed lanes z (the t
     Frobenius powers of one grid column), the products left unreduced;
-    gamma_j^(2^row), read from ``params.gamma_powers`` or squared, is
-    reduced, so every lane stays below 2^(3nbar).  The rows share z's
-    comb table."""
-    g, table, comb = gamma(params, j), params.gamma_powers, comb_table(z)
-    for r in range(len(grid)):
-        if r:
-            g = params.nbar_field.sqr(g) if table is None else table[j][r]
+    each row of :func:`maps_t.gamma` is reduced, so every lane stays
+    below 2^(3nbar).  The rows share z's comb table."""
+    comb = comb_table(z)
+    for r, g in zip(range(len(grid)), gamma(params, j)):
         grid[r] ^= comb_mul(g, comb)
 
 
@@ -104,7 +101,7 @@ def decode_t(params: Params, d: Digest) -> tuple:
     gsums = {}  # sigma -> sum of its members' gamma columns
     for i in sorted(decomposed):
         for sigma in decomposed[i]:
-            gsums[sigma] = gsums.get(sigma, 0) ^ gamma(params, i)
+            gsums[sigma] = gsums.get(sigma, 0) ^ gamma(params, i)[0]
             block = members.setdefault(sigma, [])
             if not block:
                 block.append((i, BitVector(0, n)))
@@ -116,8 +113,8 @@ def decode_t(params: Params, d: Digest) -> tuple:
             block.append((i, e))
             ebar = project(e, params.ibar)
             if ebar:
-                lanes = f_lanes(params, sigma & xI_mask)[1]
-                _add_column(params, row0, i, poly_mul(ebar, lanes))
+                comb = f_lanes(params, sigma & xI_mask)[2]
+                _add_column(params, row0, i, comb_mul(ebar, comb))
 
     sigmas = sorted(members)
     # step 6: solve for the center Ibar-parts

@@ -306,8 +306,8 @@ def place_bits(n: int, positions, packed: int, other_positions=(), other_packed:
 
 
 def gamma_column(params, j: int) -> int:
-    """maps_t.gamma(params, j) computed, never read from the set-up
-    table: the odd powers of delta = j with a forced leading bit."""
+    """Row 0 of maps_t.gamma(params, j), computed, never read from the
+    set-up table: the odd powers of delta = j with a forced leading bit."""
     return odd_powers(params.delta_field, j | (1 << params.r), params.s_prime)
 
 

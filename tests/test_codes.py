@@ -22,7 +22,7 @@ from thlrecon.codes import (
     rs_code,
 )
 from thlrecon.errors import DecodingError
-from thlrecon.gf2 import TABLE_MAX_DEGREE, ff_make
+from thlrecon.gf2 import TABLE_MAX_DEGREE, FieldSpec, ff_make
 from thlrecon.params import params_build
 
 
@@ -453,13 +453,22 @@ def test_rs_position_tables_follow_the_cap():
     assert rs_code(ff_make(12), 4095, 5).syndrome_tables is None
 
 
-def test_rs_under_the_cap_builds_no_field_tables():
+def test_rs_under_the_cap_builds_no_field_tables(monkeypatch):
     # GF(2^21) exp/log tables would take 16.8 MB; under the cap the
-    # code's own tables give syndromes and root positions, so decoding
-    # matches the reference's dlog chain without them
+    # code's own tables give syndromes and root positions, so neither
+    # set-up nor decoding asks for them, and decoding matches the
+    # reference's dlog chain; the calls are recorded, as another test
+    # may have tabled the shared GF(2^21) already
+    tabled, ensure = [], FieldSpec.ensure_tables
+
+    def record(spec):
+        tabled.append(spec.degree)
+        return ensure(spec)
+
+    monkeypatch.setattr(FieldSpec, "ensure_tables", record)
     p = params_build(63, 3, 2, 1)
-    code, spec = p.comp_rs, p.comp_field
-    assert spec.degree == 21 and code.root_positions is not None
+    code = p.comp_rs
+    assert code.field.degree == 21 and code.root_positions is not None
     rng = random.Random(21)
     cases = [rs_syndromes(code, _sparse_vector(rng, code, w)) for w in (1, 2, 6, 7)]
     for _ in range(3):
@@ -468,7 +477,7 @@ def test_rs_under_the_cap_builds_no_field_tables():
         assert _outcome(code.decode, syndromes) == _outcome(
             lambda s: rs_decode(code, s), syndromes
         )
-    assert spec._exp is None and spec._log is None
+    assert tabled and 21 not in tabled
 
 
 @pytest.mark.parametrize("point,I", TABLED)
@@ -589,3 +598,21 @@ def test_bh_elements_are_packed_powers(m, h):
 def test_bh_width_rejected():
     with pytest.raises(ValueError):
         bh_sequence(1 << 10, 4, ff_make(16))
+
+
+def test_constructors_reject_arguments_out_of_range():
+    # BCH length and radius, Reed-Solomon distance, B_h length and
+    # order, and a B_h index, each checked before any work
+    for n, e in ((2, 1), (7, 0)):
+        with pytest.raises(ValueError, match="need n >= 3 and e >= 1"):
+            bch_build(n, e)
+    for d in (0, 16):
+        with pytest.raises(ValueError, match="need 1 <= d <= length"):
+            rs_code(ff_make(4), 15, d)
+    for m, h in ((0, 2), (16, 0)):
+        with pytest.raises(ValueError, match="need m >= 1 and h >= 1"):
+            bh_sequence(m, h, ff_make(64))
+    seq = bh_sequence(16, 2, ff_make(64))
+    for i in (-1, 16):
+        with pytest.raises(IndexError):
+            seq.element_value(i)

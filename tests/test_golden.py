@@ -84,7 +84,7 @@ def _fields(p):
     return {
         "cl": p.cl.field,
         "beta": p.beta_field,
-        "comp": p.comp_field,
+        "comp": p.comp_rs.field,
         "nbar": p.nbar_field,
         "delta": p.delta_field,
     }

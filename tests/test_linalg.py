@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -166,3 +167,17 @@ def test_matrix_equality_ignores_product_tables():
     assert m == BinaryMatrix(3, 8, (1, 2, 3))
     with pytest.raises(TypeError):
         hash(m)
+
+
+def test_matrix_fields_cannot_be_assigned():
+    # the product tables are built from the fields once, so assigning a
+    # field after them would leave them stale; assignment raises instead
+    rows = (0b1011, 0b0110, 0b1111)
+    m = BinaryMatrix(3, 4, rows)
+    assert m.ensure_tables()
+    for name, value in (("rows", 2), ("cols", 8), ("row_data", (1, 2, 3))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, value)
+    assert m.row_data == rows
+    for x in range(1 << 4):
+        assert m.mul_vec(x) == mul_vec_rows(BinaryMatrix(3, 4, rows), x)

@@ -140,7 +140,7 @@ def test_f_sum_decompose_t3():
 
 
 def test_gamma_distinct_nonzero(p63):
-    vals = [gamma(p63, i) for i in range(p63.N)]
+    vals = [gamma(p63, i)[0] for i in range(p63.N)]
     assert all(vals)
     assert len(set(vals)) == p63.N
 
@@ -150,7 +150,7 @@ def test_gamma_independence_exhaustive_small():
     # <= 4 distinct columns is nonzero, exhaustively
     p = params_build(15, 2, 2, 1)
     assert p.s_prime == 2
-    vals = [gamma(p, i) for i in range(p.N)]
+    vals = [gamma(p, i)[0] for i in range(p.N)]
     for size in (1, 2, 3, 4):
         for sub in combinations(vals, size):
             acc = 0
@@ -162,7 +162,7 @@ def test_gamma_independence_exhaustive_small():
 def test_gamma_independence_sampled(p63):
     # 2*s' = 6 here; sample subsets of size <= 6 out of N = 64
     rng = random.Random(5)
-    vals = [gamma(p63, i) for i in range(p63.N)]
+    vals = [gamma(p63, i)[0] for i in range(p63.N)]
     for _ in range(500):
         sub = rng.sample(vals, rng.randint(1, 6))
         acc = 0

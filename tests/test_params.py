@@ -33,7 +33,7 @@ def test_t1_infeasible_small_n():
 def test_t2_63_pinned():
     p = params_build(63, 2, 2, 1, I=range(1, 7))
     assert p.nbar == 57
-    assert p.comp_field.degree == 14
+    assert p.comp_rs.field.degree == 14
     assert p.ibar == tuple(range(7, 64))
 
 
@@ -212,7 +212,7 @@ def test_t_grid_builds(n, t, h, ell):
     p = params_build(n, t, h, ell)
     assert p.s_prime >= (h + 1) // 2
     assert p.s_prime * (p.r + 1) <= p.nbar
-    assert (1 << p.comp_field.degree) > p.N
+    assert (1 << p.comp_rs.field.degree) > p.N
 
 
 @pytest.mark.parametrize(

@@ -102,7 +102,7 @@ def test_field_one_bit_too_wide_rejected(p1, pt):
     grid = (1 << pt.nbar, 0, 0, 0)
     with pytest.raises(ValueError, match="value wider than field width"):
         serialize_digest(pt, Digest(d[: pt.comp_rs.redundancy] + grid))
-    w1 = (1 << pt.comp_field.degree,) + d[1:]
+    w1 = (1 << pt.comp_rs.field.degree,) + d[1:]
     with pytest.raises(ValueError, match="value wider than field width"):
         serialize_digest(pt, Digest(w1))
 
@@ -159,7 +159,7 @@ def test_section_table_sizes(point):
         layout = ((p.comp.redundancy,), (p.n - p.r,))
     else:
         layout = (
-            (p.comp_field.degree,) * p.comp_rs.redundancy
+            (p.comp_rs.field.degree,) * p.comp_rs.redundancy
             + (p.nbar,) * (p.t * p.t),
         )
     assert digest_layout(p) == layout

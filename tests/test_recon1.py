@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from reference import from_bits, from_lists
 from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests
-from thlrecon.gf2 import TABLE_MAX_DEGREE
+from thlrecon.gf2 import TABLE_MAX_DEGREE, FieldSpec
 from thlrecon.maps_t import map_M
 from thlrecon.oracle import gen_instance
 from thlrecon.params import Digest, digest_cost_bits, params_build
@@ -111,10 +112,13 @@ def test_roundtrip_without_field_tables(h):
 
 def test_roundtrip_with_tabled_digest_field():
     # GF(2^11) with exp/log tables reads only reduced operands, so w2
-    # and the decoder's sum must each be folded before they reach it
+    # and the decoder's sum must each be folded before they reach it;
+    # a fresh spec, so the shared GF(2^11) stays table-free
     p = params_build(15, 1, 2, 1)
     assert p.digest_field.degree == 11
-    p.digest_field.ensure_tables()
+    tabled = FieldSpec(11, p.digest_field.modulus)
+    tabled.ensure_tables()
+    p = dataclasses.replace(p, digest_field=tabled)
     for seed in range(20):
         SA, SB, delta = gen_instance(p, seed, 6)
         dA, dB = encode1(p, SA), encode1(p, SB)

@@ -96,7 +96,7 @@ def test_corrupted_digest_never_silent(p63):
     SA, SB, delta = gen_instance(p63, 9, 5)
     dA, dB = encode_t(p63, SA), encode_t(p63, SB)
     rng = random.Random(10)
-    a, u, t = p63.comp_field.degree, p63.comp_rs.redundancy, p63.t
+    a, u, t = p63.comp_rs.field.degree, p63.comp_rs.redundancy, p63.t
     for _ in range(30):
         bad = list(dA)
         if rng.getrandbits(1):
@@ -116,11 +116,11 @@ def test_corrupted_digest_never_silent(p63):
 def test_cost_bits():
     p = params_build(127, 2, 4, 1)
     bits = digest_cost_bits(p)
-    assert bits == p.comp_rs.redundancy * p.comp_field.degree + 4 * p.nbar
+    assert bits == p.comp_rs.redundancy * p.comp_rs.field.degree + 4 * p.nbar
     assert bits < 2 * 4 * 128  # beats per-element transfer
     # grid portion is exactly t^2 * nbar bits
     p2 = params_build(63, 3, 2, 1)
-    stage1 = p2.comp_rs.redundancy * p2.comp_field.degree
+    stage1 = p2.comp_rs.redundancy * p2.comp_rs.field.degree
     assert digest_cost_bits(p2) - stage1 == 9 * 57
 
 
@@ -195,18 +195,22 @@ def test_encode_matches_reduced_per_product_reference(point):
 
 @pytest.mark.parametrize("point", [(127, 3, 2, 1), (63, 2, 2, 1), (63, 3, 2, 1), (127, 2, 4, 1)])
 def test_gamma_table_matches_the_chain(point):
-    # the set-up table holds gamma_j squared row times for every j < N
-    # and row < t; gamma reads row 0, and computes the same without it
+    # the set-up table holds, for every j < N, gamma_j squared row
+    # times for each row < t; gamma reads it, and computes the same
+    # without it
     p = params_build(*point)
     chain = dataclasses.replace(p, gamma_powers=None)
     assert len(p.gamma_powers) == p.N
     for j in range(p.N):
-        g = gamma_column(p, j)
-        assert gamma(p, j) == gamma(chain, j) == g
-        assert len(p.gamma_powers[j]) == p.t
-        for row in range(p.t):
-            assert p.gamma_powers[j][row] == g
+        rows, g = [], gamma_column(p, j)
+        for _ in range(p.t):
+            rows.append(g)
             g = p.nbar_field.sqr(g)
+        assert p.gamma_powers[j] == gamma(p, j) == gamma(chain, j) == tuple(rows)
+    for bad in (-1, p.N):
+        for params in (p, chain):
+            with pytest.raises(IndexError):
+                gamma(params, bad)
 
 
 @pytest.mark.parametrize("point", [(127, 3, 2, 1), (63, 2, 2, 1), (63, 3, 2, 1), (127, 2, 4, 1)])
@@ -247,7 +251,7 @@ def test_encode_and_decode_on_the_chain_match_the_tables():
     # through per-call gamma powers, f lanes, syndromes and discrete
     # logs give the same digests and differences
     p = params_build(127, 3, 2, 1)
-    rs = RsCode(p.comp_field, p.N, p.comp_rs.distance)
+    rs = RsCode(p.comp_rs.field, p.N, p.comp_rs.distance)
     rs.syndrome_tables = rs.root_positions = None
     chain = dataclasses.replace(p, comp_rs=rs, gamma_powers=None, f_lane_table=None)
     for seed in range(3):
