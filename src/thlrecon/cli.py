@@ -65,13 +65,14 @@ def cmd_digest(args):
     return EXIT_OK
 
 
-def _print_outcome(delta, stats=None):
+def _print_outcome(delta, params, stats=None):
     for x in sorted(delta, key=lambda v: v.value):
         print(x.hex())
     if stats is not None:
         print(
             f"# sent={stats.bytes_sent}B received={stats.bytes_received}B "
-            f"digest={stats.digest_bits}b baseline={stats.baseline_bits}b "
+            f"digest={digest_cost_bits(params)}b "
+            f"baseline={bounds_mod.baseline_bits(params)}b "
             f"outcome={stats.outcome}",
             file=sys.stderr,
         )
@@ -85,7 +86,7 @@ def cmd_reconcile(args):
             peer = protocol.parse_digest(params, f.read())
         local = protocol.encode_digest(params, S)
         delta = protocol.decode_digests(params, local, peer)
-        _print_outcome(delta)
+        _print_outcome(delta, params)
         return EXIT_OK
     host, _, port = (args.connect or args.listen).rpartition(":")
     addr = (host or "127.0.0.1", int(port))
@@ -96,7 +97,7 @@ def cmd_reconcile(args):
             sock, _addr = srv.accept()
     with protocol.Transport(sock) as transport:
         delta, stats = protocol.session_run(transport, params, S)
-    _print_outcome(delta, stats)
+    _print_outcome(delta, params, stats)
     return EXIT_OK
 
 
@@ -131,11 +132,11 @@ def cmd_bounds(args):
                         log2s = f"{lo:.3f},{hi:.3f}"
                     except ValueError:
                         log2s = "error,error"
-                    lam = min(t * h / n, 0.49)
                     try:
+                        lam = min(t * h / n, 0.49)
                         rlo, rhi = bounds_mod.asymptotic_rates(2, lam, 0.0)
                         rates = f"{rlo:.6f},{rhi:.6f}"
-                    except ValueError:
+                    except (ValueError, ZeroDivisionError):
                         rates = "error,error"
                     base = bounds_mod.baseline_bits((n, t, h, ell))
                     try:
@@ -257,7 +258,3 @@ def main(argv=None) -> int:
     except (ThlreconError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -299,9 +299,7 @@ class BchCode:
             raise ValueError("designed distance 2e+1 exceeds length n")
         self.length = n
         self.design_errors = e
-        s = (n + 1).bit_length() - 1
-        if (1 << s) - 1 < n:
-            s += 1
+        s = n.bit_length()  # the least s with 2^s - 1 >= n
         self.field = ff_make(s)
         self.field.ensure_tables()
         self._g = self.field.generator()
@@ -518,32 +516,27 @@ def rs_code(field: FieldSpec, length: int, d: int) -> RsCode:
 
 
 class BhSequence:
-    """Sequence b_0..b_{m-1} over a target field in which every subset
-    of size 1..h has a nonzero exclusive-or.
+    """Sequence b_0..b_{m-1} of :meth:`packed_width`-bit integers in
+    which every subset of size 1..h has a nonzero exclusive-or.
 
     Elements are the bit-packed parity columns of an extended
     Reed-Solomon code over GF(2^w): column i holds the powers
     (x_i^0, x_i^1, ..., x_i^{h-1}) of the field element with bit
-    pattern i, w bits each, zero-padded into the target field.  Any h
-    such columns form a Vandermonde system, hence the subset property.
+    pattern i, w bits each.  Any h such columns form a Vandermonde
+    system, hence the subset property.  Whether they fit the digest
+    field is ``params_build``'s ``bh_width`` check.
     Elements are computed on demand; m may be in the millions.  Each
     even power is the square of a lower one, by the column field's
     squaring map kept as a :class:`BinaryMatrix` (squaring is linear
     over F_2), and each odd power is the power below it times x_i.
     """
 
-    def __init__(self, m: int, h: int, target: FieldSpec):
+    def __init__(self, m: int, h: int):
         if m < 1 or h < 1:
             raise ValueError("need m >= 1 and h >= 1")
         self.m = m
         self.order = h
-        total = self.packed_width(m, h)
-        self.width = total // h
-        if total > target.degree:
-            raise ValueError(
-                "packed column width %d exceeds target degree %d"
-                % (total, target.degree)
-            )
+        self.width = self.packed_width(m, h) // h
         w, self._col_field, self._square = self.width, None, None
         if h >= 3:  # element_value multiplies only from x^2 on
             self._col_field = spec = ff_make(w)
@@ -571,5 +564,5 @@ class BhSequence:
         return packed
 
 
-def bh_sequence(m: int, h: int, target: FieldSpec) -> BhSequence:
-    return BhSequence(m, h, target)
+def bh_sequence(m: int, h: int) -> BhSequence:
+    return BhSequence(m, h)

@@ -148,7 +148,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         # so H_bar x is the projection of x onto them
         tail = Positions(row.bit_length() for row in h_bar.row_data)
         digest_field = ff_make(n - r)
-        bh = bh_sequence(N, h, digest_field)
+        bh = bh_sequence(N, h)
         comp = bch_build(N, h)
         return Params(
             n=n, t=1, h=h, ell=ell, I=I,

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from .bits import BitVector
 from .errors import FrameError, InconsistentDigests, ParamMismatch, ThlreconError
 from .params import Digest, Params, accept, check_digest
-from .params import digest_cost_bits, digest_layout
+from .params import digest_layout
 from .recon1 import decode1, encode1
 from .recont import decode_t, encode_t
-from . import bounds
 
 MAGIC = b"THLR"
 VERSION = 0x01
@@ -203,8 +202,6 @@ def _expect(transport: Transport, limit: int, msg_type: int) -> bytes:
 class SessionStats:
     bytes_sent: int = 0
     bytes_received: int = 0
-    digest_bits: int = 0
-    baseline_bits: int = 0
     outcome: str = "success"
 
 
@@ -212,7 +209,8 @@ def session_run(transport: Transport, params: Params, local_set):
     """Symmetric one-round exchange: send HELLO, verify the peer's
     fingerprint, swap digests, decode locally.
 
-    Returns (symmetric difference, SessionStats).  Raises
+    Returns (symmetric difference, SessionStats): the bytes this host
+    sent and received, and the outcome.  Raises
     :class:`ParamMismatch` before any digest bytes when fingerprints
     differ, :class:`FrameError` when the peer's frames are malformed or
     stop, and :class:`InconsistentDigests` from decoding; each carries
@@ -221,10 +219,7 @@ def session_run(transport: Transport, params: Params, local_set):
     ``ValueError`` (with no stats) before anything is sent.
     """
     local_digest = encode_digest(params, local_set)
-    stats = SessionStats(
-        digest_bits=digest_cost_bits(params),
-        baseline_bits=bounds.baseline_bits(params),
-    )
+    stats = SessionStats()
     limit = max_payload(params)
     try:
         transport.send_frame(MSG_HELLO, params.fingerprint)

@@ -21,6 +21,10 @@ def test_hamming_example():
     assert hamming(x, x) == 0
 
 
+def test_repr_shows_positions_in_order():
+    assert repr(from_bits([1, 0, 1, 1, 1])) == "BitVector('10111')"
+
+
 def test_length_mismatch():
     with pytest.raises(ValueError):
         hamming(BitVector(0, 4), BitVector(0, 5))

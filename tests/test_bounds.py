@@ -29,6 +29,8 @@ def test_entropy():
     assert entropy_q(2, 0.11) == pytest.approx(0.4999, abs=5e-4)
     with pytest.raises(ValueError):
         entropy_q(2, 1.5)
+    with pytest.raises(ValueError, match="need q >= 2"):
+        entropy_q(1, 0.5)
 
 
 def test_log2_big():

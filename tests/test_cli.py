@@ -1,13 +1,16 @@
 import queue
+import runpy
 import socket
+import sys
 import threading
 import types
 
 import pytest
 
 from thlrecon import cli
+from thlrecon.bounds import baseline_bits
 from thlrecon.cli import main
-from thlrecon.params import params_build
+from thlrecon.params import digest_cost_bits, params_build
 from thlrecon.protocol import read_set_text
 
 
@@ -115,13 +118,16 @@ def test_reconcile_tcp(tmp_path, params_file, capsys, monkeypatch):
     )
     t.join(10)
     assert rcs == {"listen": 0, "connect": 0}
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     expected = read_set_text((tmp_path / "d.txt").read_text(), 63)
     # both sides printed the same delta, so the combined output holds
     # each element exactly twice
     lines = out.split()
     assert len(lines) == 2 * len(expected)
     assert read_set_text(out, 63) == expected
+    p = params_build(63, 1, 3, 2)
+    stats = f"digest={digest_cost_bits(p)}b baseline={baseline_bits(p)}b outcome=success"
+    assert err.count(stats) == 2
 
 
 def test_mismatch_exit_code(tmp_path, params_file, capsys, monkeypatch):
@@ -231,6 +237,32 @@ def test_bounds_curve_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "lambda,eta,rate_lower,rate_upper"
     assert len(lines) == 1 + 9 * 2
+    # an eta at or above H(lambda) leaves that row without rates
+    rc = main(["bounds", "--curve", "--eta", "0.9", "--steps", "3"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1] == "0.166667,0.9,error,error"
+    assert len(lines) == 1 + 2
+
+
+def test_bounds_degenerate_points_print_error_cells(capsys):
+    # n = 0 has no rate (t*h/n divides by zero) and t = 0 none either;
+    # neither has a bound, and both still exit 0
+    rc = main(["bounds", "--n", "0,63", "--t", "0,1", "--h", "2", "--ell", "1"])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+    assert [row[:2] for row in rows] == [["0", "0"], ["0", "1"], ["63", "0"], ["63", "1"]]
+    for row in rows[:3]:
+        assert row[4:8] == ["error"] * 4
+    assert "error" not in rows[3]
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["thlrecon", "bounds", "--n", "15"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("thlrecon", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("n,t,h,ell,")
 
 
 def test_bench(tmp_path, params_file, capsys):

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from reference import clmul_bits, eea_inverse, rabin_find_irreducible, rabin_is_irreducible
 from thlrecon.gf2 import (
+    DLOG_MAX_DEGREE,
     CompositeField,
     FieldSpec,
     comb_mul,
     comb_table,
+    factor_mersenne,
     ff_make,
     find_irreducible,
     poly_is_irreducible,
@@ -179,6 +181,12 @@ def test_ff_make_out_of_range():
         ff_make(4097)
 
 
+def test_factor_mersenne_stops_past_the_dlog_limit():
+    assert factor_mersenne(DLOG_MAX_DEGREE) == {3: 1, 2731: 1, 8191: 1}
+    with pytest.raises(ValueError, match="m <= 26 only"):
+        factor_mersenne(DLOG_MAX_DEGREE + 1)
+
+
 def test_gf8_pinned_arithmetic():
     spec = ff_make(3)
     # x * x^2 = x + 1 under x^3 + x + 1
@@ -195,6 +203,12 @@ def test_gf8_pinned_arithmetic():
     assert spec.frob(0b010, 1) == 0b100
     assert spec.frob(a, 0) == a
     assert spec.frob(0, 5) == 0
+    # a negative exponent is a power of the inverse; 0 has none
+    for a in range(1, 8):
+        assert spec.pow(a, -3) == spec.pow(spec.inv(a), 3)
+        assert spec.mul(spec.pow(a, -1), a) == 1
+    with pytest.raises(ZeroDivisionError):
+        spec.pow(0, -1)
 
 
 @pytest.mark.parametrize("m", [2, 5, 8, 13, 22, 61, 120, 256])

@@ -169,6 +169,10 @@ def test_matrix_equality_ignores_product_tables():
         hash(m)
 
 
+def test_matrix_repr_gives_its_shape():
+    assert repr(BinaryMatrix(3, 8, [1, 2, 3])) == "BinaryMatrix(3x8)"
+
+
 def test_matrix_fields_cannot_be_assigned():
     # the product tables are built from the fields once, so assigning a
     # field after them would leave them stale; assignment raises instead
