@@ -73,6 +73,8 @@ def chromatic_bounds(params):
 def asymptotic_rates(q: int, lam: float, eta: float):
     """(rate_lower, rate_upper) per t*n*h symbol, for difference
     density lambda and redundancy-rate slack eta."""
+    if not (math.isfinite(lam) and math.isfinite(eta)):
+        raise ValueError("lambda and eta must be finite")
     if not 0.0 < lam < 1.0 - 1.0 / q:
         raise ValueError("lambda outside (0, 1-1/q)")
     upper_h = entropy_q(q, lam)
@@ -84,4 +86,6 @@ def asymptotic_rates(q: int, lam: float, eta: float):
 def baseline_bits(params) -> int:
     """Naive per-element transfer cost: t * h * (n + 1) bits."""
     n, t, h, _ = _unpack(params)
+    if min(n, t, h) < 1:
+        raise ValueError("need n, t and h >= 1")
     return t * h * (n + 1)

@@ -138,7 +138,10 @@ def cmd_bounds(args):
                         rates = f"{rlo:.6f},{rhi:.6f}"
                     except (ValueError, ZeroDivisionError):
                         rates = "error,error"
-                    base = bounds_mod.baseline_bits((n, t, h, ell))
+                    try:
+                        base = bounds_mod.baseline_bits((n, t, h, ell))
+                    except ValueError:
+                        base = "error"
                     try:
                         params = params_build(n, t, h, ell)
                         dig = str(digest_cost_bits(params))

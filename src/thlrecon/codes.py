@@ -29,7 +29,7 @@ come from the roots by discrete log (:func:`position`).
 from __future__ import annotations
 
 from .errors import DecodingError
-from .gf2 import FieldSpec, comb_mul, comb_table, ff_make
+from .gf2 import FieldSpec, comb_mul, comb_table, ff_make, poly_exponents
 from .linalg import BinaryMatrix, row_reduce, transpose
 
 # Up to this length a BCH code rank-reduces its parity matrix, which
@@ -40,7 +40,8 @@ _DENSE_LIMIT = 4096
 # Up to this N * a (positions times symbol bits) a Reed-Solomon code
 # builds per-position comb tables, and t > 1 params tabulate each
 # position's gamma rows and, when 2^|I| <= N, each I-projection's f
-# lanes; above it each is computed per call.
+# lanes; above it each is computed per call.  A B_h sequence over at
+# most this many positions keeps exp/log tables of its column field.
 _POSITION_TABLE_LIMIT = 1 << 12
 
 # find_roots tries each point of an affine root space this small.
@@ -525,10 +526,24 @@ class BhSequence:
     pattern i, w bits each.  Any h such columns form a Vandermonde
     system, hence the subset property.  Whether they fit the digest
     field is ``params_build``'s ``bh_width`` check.
-    Elements are computed on demand; m may be in the millions.  Each
-    even power is the square of a lower one, by the column field's
-    squaring map kept as a :class:`BinaryMatrix` (squaring is linear
-    over F_2), and each odd power is the power below it times x_i.
+
+    Each b_i is F_2-affine in its :meth:`key`, the packed odd powers
+    (x_i, x_i^3, ...) below h: ``const`` XOR the ``basis`` entries at
+    the key's set bits.  Squaring is linear over F_2, so key bit k of
+    x_i^o adds (x^k)^(2^a) at each power o 2^a below h, and the basis
+    is sparse and fixed at set-up.  At h = 1 the key is i + 1, the
+    basis the unit vectors and ``const`` 0.  Only a key holding x_i^3
+    (h >= 4) multiplies: x_i^2 by the column field's squaring map, a
+    :class:`BinaryMatrix`, then one product per odd power, by exp/log
+    tables when m is within the position-table cap.  Elements are
+    computed on demand; m may be in the millions.
+
+    ``nibble_terms`` gathers the basis by key nibbles for sums of
+    products: entry 16 p + v holds the exponents of the XOR of
+    basis[4 p + k] over the set bits k of v, the multiplier of every
+    term whose key has nibble v at position p.  The entries at p = 0
+    also hold ``const``: a sum that takes each term once at position 0
+    multiplies their total by it.
     """
 
     def __init__(self, m: int, h: int):
@@ -536,13 +551,36 @@ class BhSequence:
             raise ValueError("need m >= 1 and h >= 1")
         self.m = m
         self.order = h
-        self.width = self.packed_width(m, h) // h
-        w, self._col_field, self._square = self.width, None, None
-        if h >= 3:  # element_value multiplies only from x^2 on
-            self._col_field = spec = ff_make(w)
-            squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
-            self._square = BinaryMatrix(w, w, transpose(squares, w))
-            self._square.ensure_tables()
+        self.width = w = self.packed_width(m, h) // h
+        self._col_field, self._square = None, None
+        if h == 1:
+            self.const, self.basis = 0, tuple(1 << k for k in range(w))
+        else:
+            spec, basis = ff_make(w), []
+            for o in range(1, h, 2):
+                for k in range(w):
+                    c, e, v = 0, o, 1 << k
+                    while e < h:  # x^k's image (x^k)^(2^a) at power e = o 2^a
+                        c |= v << (e * w)
+                        e, v = 2 * e, spec.sqr(v)
+                    basis.append(c)
+            self.const, self.basis = 1, tuple(basis)
+            if h >= 4:
+                self._col_field = spec
+                if m <= _POSITION_TABLE_LIMIT:
+                    spec.ensure_tables()
+                squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
+                self._square = BinaryMatrix(w, w, transpose(squares, w))
+                self._square.ensure_tables()
+        terms = []
+        for p in range(0, len(self.basis), 4):
+            # index v: the XOR of basis[p + k] over v's bits k, and const
+            # at p = 0, where every key has exactly one nibble
+            sums = [0 if p else self.const]
+            for b in self.basis[p : p + 4]:
+                sums += [c ^ b for c in sums]
+            terms += map(poly_exponents, sums + [0] * (16 - len(sums)))
+        self.nibble_terms = tuple(terms)
 
     @staticmethod
     def packed_width(m: int, h: int) -> int:
@@ -550,18 +588,28 @@ class BhSequence:
             return max(1, m.bit_length())
         return h * max(1, (m - 1).bit_length())
 
+    def key(self, i: int) -> int:
+        """The packed odd powers (x_i, x_i^3, ...) below h, w bits
+        apiece; i + 1 at h = 1.  i must lie in [0, m)."""
+        spec = self._col_field
+        if spec is None:
+            return i + 1 if self.order == 1 else i
+        w, x2 = self.width, self._square.mul_vec(i)
+        packed = p = i
+        for k in range(1, self.order // 2):
+            p = spec.mul(p, x2)  # next odd power
+            packed |= p << (k * w)
+        return packed
+
     def element_value(self, i: int) -> int:
         if not 0 <= i < self.m:
             raise IndexError("B_h index out of range")
-        if self.order == 1:
-            return i + 1  # distinct nonzero patterns
-        spec, square, w = self._col_field, self._square, self.width
-        powers, packed = [1, i], 1 | i << w  # x^0 and x^1 = i
-        for k in range(2, self.order):
-            p = spec.mul(powers[-1], i) if k & 1 else square.mul_vec(powers[k >> 1])
-            powers.append(p)
-            packed |= p << (k * w)
-        return packed
+        value, key = self.const, self.key(i)
+        for b in self.basis:
+            if key & 1:
+                value ^= b
+            key >>= 1
+        return value
 
 
 def bh_sequence(m: int, h: int) -> BhSequence:

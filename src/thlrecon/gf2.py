@@ -117,6 +117,11 @@ def poly_mul(a: int, b: int) -> int:
     return comb_mul(a, comb_table(b))
 
 
+def poly_exponents(f: int) -> tuple:
+    """The exponents of f's terms, ascending."""
+    return tuple(i for i in range(f.bit_length()) if f >> i & 1)
+
+
 def poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, poly_mod(a, b)
@@ -194,7 +199,7 @@ class FieldSpec:
         self.degree = degree
         self.modulus = modulus
         self.order = (1 << degree) - 1  # multiplicative group order
-        self._low = modulus ^ (1 << degree)  # the modulus is x^degree + low
+        self._low_exps = poly_exponents(modulus ^ (1 << degree))  # x^degree + low
         # tables and caches, filled on first use; plain attributes, as a
         # cached_property materializes the instance __dict__ on its first
         # read and slows every attribute read after it (a tabled
@@ -234,11 +239,14 @@ class FieldSpec:
         x^degree = low, one shift-xor per term of low, where
         ``poly_mod`` costs one per bit cleared.  Lex-least moduli have a
         sparse low part of small degree (at most 12 up to degree 299,
-        and at 493 and 2036).  Tables play no part, so it serves every
-        standard field."""
-        m, low = self.degree, self._low
+        and at 493 and 2036), whose exponents are kept as a tuple.
+        Tables play no part, so it serves every standard field."""
+        m, exps = self.degree, self._low_exps
         while a >> m:
-            a = (a & self.order) ^ poly_mul(low, a >> m)
+            high = a >> m
+            a &= self.order
+            for e in exps:
+                a ^= high << e
         return a
 
     def pow(self, a: int, e: int) -> int:

@@ -69,7 +69,9 @@ class BinaryMatrix:
         """Matrix-vector product; x holds component j in bit j and is
         below 2^cols.  XORs one table entry per byte of x, or, with no
         tables, sets bit k to the parity of row k AND x."""
-        tables = self.ensure_tables()
+        tables = self._tables
+        if tables is None:
+            tables = self.ensure_tables()
         v = 0
         if not tables:
             for row in reversed(self.row_data):

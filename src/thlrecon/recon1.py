@@ -11,10 +11,16 @@ projected onto ``params.tail``.
 1. w1 = syndrome, under a distance-(2h+1) binary code over the 2^r
    positions, of the multiset of positions (duplicates cancel mod 2).
 2. w2 = sum over elements of b_j * tail, where b is a B_h sequence
-   over the position space: unreduced products, XORed and then
-   reduced once.  b_j packs the powers j^0 .. j^(h-1) in GF(2^r),
-   found by a chain: each even power the square of a lower one, by a
-   squaring matrix, and each odd power the one below it times j.
+   over the position space, reduced once.  b_j packs the powers
+   j^0 .. j^(h-1) in GF(2^r), and is F_2-affine in the packed odd
+   powers key(j) (:class:`codes.BhSequence`): b_j = c0 XOR the basis
+   entries C_m at the key's set bits.  So the sum is gathered by
+   buckets, as Pippenger's method gathers a multi-exponentiation
+   (SIAM J. Comput., 1980): each tail is XORed into one of 16 buckets
+   per nibble of its key, and at the end each bucket is multiplied,
+   by the shifts of a few set bits, by the XOR of the C_m its nibble
+   selects (and c0 at the lowest nibble, which every key has).  No
+   product per element.
 
 Both parts are linear in the set, so xoring the two hosts' digests
 gives the digest of the difference (:func:`protocol.decode_digests`).
@@ -33,13 +39,23 @@ from .params import Digest, Params
 
 
 def encode1(params: Params, S) -> Digest:
-    positions = []
-    w2 = 0
+    bh, tail = params.bh, params.tail
+    terms, key = bh.nibble_terms, bh.key
+    positions, buckets = [], [0] * len(terms)
+    starts = range(0, len(terms), 16)
     for x in S:
         j = map_M(params, x)
         positions.append(j)
-        # b_j * (Hbar x), unreduced: Hbar x is x's projection onto the tail
-        w2 ^= poly_mul(params.bh.element_value(j), project(x, params.tail))
+        y = project(x, tail)  # Hbar x: x's projection onto the tail
+        k = key(j)
+        for i in starts:  # one bucket per key nibble, zero ones too
+            buckets[i | k & 15] ^= y
+            k >>= 4
+    w2 = 0
+    for y, shifts in zip(buckets, terms):
+        if y:
+            for e in shifts:
+                w2 ^= y << e
     return Digest((
         params.comp.syndrome_from_positions(positions),
         params.digest_field.reduce(w2),

@@ -311,6 +311,20 @@ def gamma_column(params, j: int) -> int:
     return odd_powers(params.delta_field, j | (1 << params.r), params.s_prime)
 
 
+def encode1_reference(params, S) -> Digest:
+    """encode1 with one carry-less product b_M(x) * Hbar x per element,
+    the sum reduced once."""
+    positions, w2 = [], 0
+    for x in S:
+        j = map_M(params, x)
+        positions.append(j)
+        w2 ^= poly_mul(params.bh.element_value(j), project_bits(x, params.tail))
+    return Digest((
+        params.comp.syndrome_from_positions(positions),
+        poly_mod(w2, params.digest_field.modulus),
+    ))
+
+
 def encode_t_reference(params, S) -> Digest:
     """recont.encode_t with every GF(2^nbar) product reduced on its own
     (spec.mul), per-bit projections and gamma columns squared row by

@@ -107,6 +107,9 @@ def test_asymptotic_rates():
         asymptotic_rates(2, 0.6, 0.0)
     with pytest.raises(ValueError):
         asymptotic_rates(2, 0.1, 0.9)
+    for lam, eta in ((0.25, math.nan), (0.25, -math.inf), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            asymptotic_rates(2, lam, eta)
 
 
 def test_rate_curves_shape():
@@ -146,3 +149,6 @@ def test_baseline_bits():
     assert baseline_bits((127, 1, 4, 1)) == 512
     assert baseline_bits((63, 2, 2, 1)) == 256
     assert baseline_bits(params_build(127, 1, 4, 1)) == 512
+    for point in ((0, 1, 4, 1), (127, -1, 4, 1), (127, 1, 0, 1)):
+        with pytest.raises(ValueError, match="need n, t and h >= 1"):
+            baseline_bits(point)

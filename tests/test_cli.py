@@ -245,6 +245,25 @@ def test_bounds_curve_csv(capsys):
     assert len(lines) == 1 + 2
 
 
+def test_bounds_curve_non_finite_eta_prints_error_cells(capsys):
+    rc = main(["bounds", "--curve", "--eta", "nan,inf,-inf", "--steps", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0.250000,nan,error,error",
+        "0.250000,inf,error,error",
+        "0.250000,-inf,error,error",
+    ]
+
+
+def test_bounds_baseline_out_of_range_prints_error_cell(capsys):
+    # t = -1 once gave a baseline of -128 bits
+    rc = main(["bounds", "--n", "63", "--t=-1,1", "--h", "2", "--ell", "1"])
+    assert rc == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+    assert [row[8] for row in rows] == ["error", str(baseline_bits((63, 1, 2, 1)))]
+    assert rows[0][9] == "infeasible(t_range)"
+
+
 def test_bounds_degenerate_points_print_error_cells(capsys):
     # n = 0 has no rate (t*h/n divides by zero) and t = 0 none either;
     # neither has a bound, and both still exit 0

@@ -595,6 +595,28 @@ def test_bh_elements_are_packed_powers(m, h):
         assert seq.element_value(i) == want, i
 
 
+@pytest.mark.parametrize(
+    "m,h,sampled",
+    [(20, 1, False), (16, 2, False), (300, 3, False), (4096, 4, False),
+     (1 << 18, 4, True), (1 << 18, 5, True), (1 << 12, 6, True)],
+)
+def test_bh_elements_are_affine_in_the_key(m, h, sampled):
+    # b_i = const XOR the basis entries at the set bits of key(i), and
+    # the key packs the odd powers below h (i + 1 at h = 1)
+    seq = bh_sequence(m, h)
+    spec, w = ff_make(seq.width), seq.width
+    rng = random.Random(m + h)
+    for i in rng.sample(range(m), 200) if sampled else range(m):
+        key = seq.key(i)
+        want = seq.const
+        for k, c in enumerate(seq.basis):
+            if key >> k & 1:
+                want ^= c
+        assert seq.element_value(i) == want, i
+        odd = sum(spec.pow(i, o) << (k * w) for k, o in enumerate(range(1, h, 2)))
+        assert key == (i + 1 if h == 1 else odd), i
+
+
 def test_constructors_reject_arguments_out_of_range():
     # BCH length and radius, Reed-Solomon distance, B_h length and
     # order, and a B_h index, each checked before any work

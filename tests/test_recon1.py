@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reference import from_bits, from_lists
+from reference import encode1_reference, from_bits, from_lists
 from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests
 from thlrecon.gf2 import TABLE_MAX_DEGREE, FieldSpec
@@ -47,6 +47,18 @@ def test_indicator_empty_and_cancel(p63):
     assert encode1(p63, [x, x]) == Digest((0, 0))
     s = p63.comp.decode_positions(encode1(p63, [x, y])[0])
     assert len(s) == 2 and s == sorted({map_M(p63, x), map_M(p63, y)})
+
+
+@pytest.mark.parametrize(
+    "point", [(511, 1, 4, 2), (63, 1, 4, 2), (127, 1, 2, 1), (63, 1, 3, 2), (63, 1, 1, 2)]
+)
+def test_encode_gathers_the_per_element_products(point):
+    # the nibble buckets and their fold give the sum of products
+    p = params_build(*point)
+    rng = random.Random(point[0] + point[2])
+    for size in (0, 1, 2, p.h, p.h + 1, 300):
+        S = [BitVector(rng.getrandbits(p.n), p.n) for _ in range(size)]
+        assert encode1(p, S) == encode1_reference(p, S), size
 
 
 def test_encode_empty_and_deterministic(p63):
