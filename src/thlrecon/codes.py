@@ -28,6 +28,9 @@ come from the roots by discrete log (:func:`position`).
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .errors import DecodingError
 from .gf2 import FieldSpec, comb_mul, comb_table, ff_make, poly_exponents
 from .linalg import BinaryMatrix, row_reduce, transpose
@@ -527,16 +530,23 @@ class BhSequence:
     system, hence the subset property.  Whether they fit the digest
     field is ``params_build``'s ``bh_width`` check.
 
-    Each b_i is F_2-affine in its :meth:`key`, the packed odd powers
-    (x_i, x_i^3, ...) below h: ``const`` XOR the ``basis`` entries at
-    the key's set bits.  Squaring is linear over F_2, so key bit k of
-    x_i^o adds (x^k)^(2^a) at each power o 2^a below h, and the basis
-    is sparse and fixed at set-up.  At h = 1 the key is i + 1, the
-    basis the unit vectors and ``const`` 0.  Only a key holding x_i^3
-    (h >= 4) multiplies: x_i^2 by the column field's squaring map, a
-    :class:`BinaryMatrix`, then one product per odd power, by exp/log
-    tables when m is within the position-table cap.  Elements are
-    computed on demand; m may be in the millions.
+    Each b_i is F_2-affine in its key, the packed odd powers (x_i,
+    x_i^3, ...) below h: ``const`` XOR the ``basis`` entries at the
+    key's set bits.  Squaring is linear over F_2, so key bit k of x_i^o
+    adds (x^k)^(2^a) at each power o 2^a below h, and the basis is
+    sparse and fixed at set-up.  At h = 1 the key is i + 1, the basis
+    the unit vectors and ``const`` 0.  Only a key holding x_i^3 (h >= 4)
+    multiplies, and :meth:`keys` computes a whole batch at once.  When m
+    is within the position-table cap, the column field has exp/log
+    tables and x^o = exp[o log x].  Above it, position e sits in lane e
+    of one int (SIMD within a register: Fisher & Dietz, LCPC 1998).  x^2
+    is x's bits spread to the even places, so each next odd power p x^2
+    is w masked shift-XORs: p << 2j in every lane where x has bit j, the
+    mask being that bit times an all-ones lane, an integer multiply with
+    no carry as each lane holds 0 or 1.  Every lane's product is folded
+    through the modulus at once.  A lane is whole 64-bit words, wide
+    enough for the unreduced product (3w - 2 bits) and for the key.
+    Elements are computed on demand; m may be in the millions.
 
     ``nibble_terms`` gathers the basis by key nibbles for sums of
     products: entry 16 p + v holds the exponents of the XOR of
@@ -552,7 +562,7 @@ class BhSequence:
         self.m = m
         self.order = h
         self.width = w = self.packed_width(m, h) // h
-        self._col_field, self._square = None, None
+        self._col_field = None
         if h == 1:
             self.const, self.basis = 0, tuple(1 << k for k in range(w))
         else:
@@ -569,9 +579,10 @@ class BhSequence:
                 self._col_field = spec
                 if m <= _POSITION_TABLE_LIMIT:
                     spec.ensure_tables()
-                squares = [spec.sqr(1 << j) for j in range(w)]  # column j: (x^j)^2
-                self._square = BinaryMatrix(w, w, transpose(squares, w))
-                self._square.ensure_tables()
+                else:
+                    self._lane_words = size = -(-max(3 * w - 2, h // 2 * w) // 64)
+                    # a lane's low word: its first little-endian, its last big-endian
+                    self._low_word = 0 if sys.byteorder == "little" else size - 1
         terms = []
         for p in range(0, len(self.basis), 4):
             # index v: the XOR of basis[p + k] over v's bits k, and const
@@ -588,28 +599,66 @@ class BhSequence:
             return max(1, m.bit_length())
         return h * max(1, (m - 1).bit_length())
 
-    def key(self, i: int) -> int:
-        """The packed odd powers (x_i, x_i^3, ...) below h, w bits
-        apiece; i + 1 at h = 1.  i must lie in [0, m)."""
-        spec = self._col_field
+    def keys(self, positions) -> list:
+        """The key of each position i: the packed odd powers (x_i, x_i^3,
+        ...) below h, w bits apiece; i + 1 at h = 1.  Raises IndexError
+        for a position outside [0, m)."""
+        positions = list(positions)
+        if positions and not 0 <= min(positions) <= max(positions) < self.m:
+            raise IndexError("B_h index out of range")
+        spec, w = self._col_field, self.width
         if spec is None:
-            return i + 1 if self.order == 1 else i
-        w, x2 = self.width, self._square.mul_vec(i)
-        packed = p = i
-        for k in range(1, self.order // 2):
-            p = spec.mul(p, x2)  # next odd power
-            packed |= p << (k * w)
-        return packed
+            return [i + 1 for i in positions] if self.order == 1 else positions
+        odd = range(3, self.order, 2)
+        if self.m <= _POSITION_TABLE_LIMIT:
+            exp, log, q = spec._exp, spec._log, spec.order
+            keys = []
+            for i in positions:
+                key, li = i, log[i]
+                for k, o in enumerate(odd, 1):
+                    key |= exp[o * li % q] << k * w
+                keys.append(key if i else 0)
+            return keys
+        n, size = len(positions), self._lane_words
+        words = array("Q", bytes(8 * size * n))  # x's 64-bit digits, size per lane
+        words[self._low_word :: size] = array("Q", positions)
+        x = int.from_bytes(words, sys.byteorder)
+        ones = int.from_bytes((b"\1" + bytes(8 * size - 1)) * n, "little")
+        full, high_bits = (1 << 64 * size) - 1, ~(ones * spec.order)
+        key = p = x
+        for k in range(1, len(odd) + 1):
+            prod = 0
+            for j in range(w):  # p x^2: x^2 unreduced has x's bit j at 2j
+                prod ^= (x >> j & ones) * full & p << 2 * j
+            high = prod & high_bits
+            while high:  # fold each lane's bits at x^w and up
+                prod ^= high
+                high >>= w
+                for e in spec._low_exps:
+                    prod ^= high << e
+                high = prod & high_bits
+            key |= prod << k * w
+            p = prod
+        words = array("Q", key.to_bytes(8 * len(words), sys.byteorder))
+        if size == 1:
+            return words.tolist()
+        lanes = range(0, len(words), size)
+        return [int.from_bytes(words[e : e + size], sys.byteorder) for e in lanes]
+
+    def element_values(self, positions) -> list:
+        """b_i for each position i; IndexError outside [0, m)."""
+        values = []
+        for key in self.keys(positions):
+            value = self.const
+            for b in self.basis:
+                if key & 1:
+                    value ^= b
+                key >>= 1
+            values.append(value)
+        return values
 
     def element_value(self, i: int) -> int:
-        if not 0 <= i < self.m:
-            raise IndexError("B_h index out of range")
-        value, key = self.const, self.key(i)
-        for b in self.basis:
-            if key & 1:
-                value ^= b
-            key >>= 1
-        return value
+        return self.element_values((i,))[0]
 
 
 def bh_sequence(m: int, h: int) -> BhSequence:

@@ -12,9 +12,11 @@ projected onto ``params.tail``.
    positions, of the multiset of positions (duplicates cancel mod 2).
 2. w2 = sum over elements of b_j * tail, where b is a B_h sequence
    over the position space, reduced once.  b_j packs the powers
-   j^0 .. j^(h-1) in GF(2^r), and is F_2-affine in the packed odd
-   powers key(j) (:class:`codes.BhSequence`): b_j = c0 XOR the basis
-   entries C_m at the key's set bits.  So the sum is gathered by
+   j^0 .. j^(h-1) in GF(2^r), and is F_2-affine in its key, the packed
+   odd powers of j (:class:`codes.BhSequence`): b_j = c0 XOR the basis
+   entries C_m at the key's set bits.  All keys come from one
+   :meth:`~codes.BhSequence.keys` call, which computes them together
+   (by exp/log tables, or in lanes of one int).  The sum is gathered by
    buckets, as Pippenger's method gathers a multi-exponentiation
    (SIAM J. Comput., 1980): each tail is XORed into one of 16 buckets
    per nibble of its key, and at the end each bucket is multiplied,
@@ -39,15 +41,13 @@ from .params import Digest, Params
 
 
 def encode1(params: Params, S) -> Digest:
-    bh, tail = params.bh, params.tail
-    terms, key = bh.nibble_terms, bh.key
-    positions, buckets = [], [0] * len(terms)
-    starts = range(0, len(terms), 16)
+    bh, tail, terms = params.bh, params.tail, params.bh.nibble_terms
+    positions, tails = [], []
     for x in S:
-        j = map_M(params, x)
-        positions.append(j)
-        y = project(x, tail)  # Hbar x: x's projection onto the tail
-        k = key(j)
+        positions.append(map_M(params, x))
+        tails.append(project(x, tail))  # Hbar x: x's projection onto the tail
+    buckets, starts = [0] * len(terms), range(0, len(terms), 16)
+    for k, y in zip(bh.keys(positions), tails):
         for i in starts:  # one bucket per key nibble, zero ones too
             buckets[i | k & 15] ^= y
             k >>= 4
@@ -75,14 +75,14 @@ def decode1(params: Params, d: Digest) -> tuple:
 
     k1 = support[0]
     offsets = [0]  # anchor's offset to itself
-    denom = params.bh.element_value(k1)
-    for ki in support[1:]:
+    values = params.bh.element_values(support)
+    denom = values[0]
+    for ki, b in zip(support[1:], values[1:]):
         try:
             e = map_E(params, k1, ki)
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
         offsets.append(e.value)
-        b = params.bh.element_value(ki)
         w2 ^= poly_mul(b, project(e, params.tail))
         denom ^= b
     if denom == 0:

@@ -598,23 +598,34 @@ def test_bh_elements_are_packed_powers(m, h):
 @pytest.mark.parametrize(
     "m,h,sampled",
     [(20, 1, False), (16, 2, False), (300, 3, False), (4096, 4, False),
-     (1 << 18, 4, True), (1 << 18, 5, True), (1 << 12, 6, True)],
+     (1 << 18, 4, True), (1 << 18, 5, True), (1 << 12, 6, True),
+     (1 << 18, 8, True), (1 << 12, 8, True)],
 )
 def test_bh_elements_are_affine_in_the_key(m, h, sampled):
-    # b_i = const XOR the basis entries at the set bits of key(i), and
-    # the key packs the odd powers below h (i + 1 at h = 1)
+    # b_i = const XOR the basis entries at the set bits of i's key, and
+    # the key packs the odd powers below h (i + 1 at h = 1).  A batch of
+    # any size gives each position its own key, from exp/log tables
+    # (m <= 4096) or from lanes of one int, 72-bit keys at (2^18, 8)
     seq = bh_sequence(m, h)
     spec, w = ff_make(seq.width), seq.width
     rng = random.Random(m + h)
-    for i in rng.sample(range(m), 200) if sampled else range(m):
-        key = seq.key(i)
-        want = seq.const
-        for k, c in enumerate(seq.basis):
-            if key >> k & 1:
-                want ^= c
-        assert seq.element_value(i) == want, i
+    positions = [0] + (rng.sample(range(1, m), 200) if sampled else list(range(1, m)))
+    want = {}
+    for i in positions:
         odd = sum(spec.pow(i, o) << (k * w) for k, o in enumerate(range(1, h, 2)))
-        assert key == (i + 1 if h == 1 else odd), i
+        want[i] = i + 1 if h == 1 else odd
+    keys = dict(zip(positions, seq.keys(positions)))
+    assert keys == want
+    for i, value in zip(positions, seq.element_values(positions)):
+        expect = seq.const
+        for k, c in enumerate(seq.basis):
+            if keys[i] >> k & 1:
+                expect ^= c
+        assert value == expect, i
+    for size in (0, 1, 4, 300):
+        batch = [0] + rng.choices(positions, k=size - 1) if size else []
+        assert seq.keys(batch) == [want[i] for i in batch], size
+        assert seq.element_values(batch) == [seq.element_value(i) for i in batch], size
 
 
 def test_constructors_reject_arguments_out_of_range():
@@ -633,6 +644,10 @@ def test_constructors_reject_arguments_out_of_range():
     for i in (-1, 16):
         with pytest.raises(IndexError):
             seq.element_value(i)
+    for m, h in ((16, 2), (1 << 12, 4), (1 << 18, 4)):  # no key, tables, lanes
+        for bad in ([0, m], [-1, 0]):
+            with pytest.raises(IndexError, match="B_h index out of range"):
+                bh_sequence(m, h).element_values(bad)
 
 
 def test_code_reprs():

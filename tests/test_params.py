@@ -7,7 +7,8 @@ import pytest
 from reference import cond4_violation_prob, mul_vec_rows
 from thlrecon.bits import BitVector, project
 from thlrecon.errors import InconsistentDigests, ParamsError
-from thlrecon.linalg import full_rank_completion
+from thlrecon.gf2 import FieldSpec
+from thlrecon.linalg import BinaryMatrix, full_rank_completion
 from thlrecon.params import (
     accept,
     default_index_set,
@@ -37,7 +38,16 @@ def test_t2_63_pinned():
     assert p.ibar == tuple(range(7, 64))
 
 
-def test_tables_only_for_multiplied_matrices():
+def test_tables_only_for_multiplied_matrices(monkeypatch):
+    # field tables are recorded as they are built, as another test may
+    # have tabled a shared field already
+    tabled, ensure = [], FieldSpec.ensure_tables
+
+    def record(spec):
+        tabled.append(spec.degree)
+        return ensure(spec)
+
+    monkeypatch.setattr(FieldSpec, "ensure_tables", record)
     p, p511 = params_build(63, 1, 4, 2), params_build(511, 1, 4, 2)
     # encodes and the decode anchor multiply by these: set-up builds
     # their product tables, so no encode state is left to first use
@@ -48,15 +58,16 @@ def test_tables_only_for_multiplied_matrices():
     assert p.cl.parity._tables  # H_l at 12x63: tables beat 12 row parities
     # H_l at 18x511 has fewer rows than byte tables: row parities, no tables
     assert p511.cl.parity._tables == [] and p511.hf_inv._tables
-    # the B_h key multiplies from x^3 on, x^2 from the squaring matrix;
-    # with h <= 3 it multiplies nothing, and no column field is kept.
-    # Over N = 4096 positions the column field GF(2^12) has exp/log
-    # tables.
-    assert p.bh._square._tables and p511.bh._square._tables
-    assert p.bh._col_field._exp is not None
+    # the B_h keys multiply from x^3 on, with no squaring matrix: over
+    # N = 4096 positions the column field GF(2^12) has exp/log tables,
+    # over 2^18 GF(2^18) gets none and keys are computed in lanes; with
+    # h <= 3 they multiply nothing, and no column field is kept
+    assert p.bh._col_field._exp is not None and 12 in tabled
+    assert p511.bh._col_field.degree == 18 and 18 not in tabled
+    for bh in (p.bh, p511.bh):
+        assert not any(isinstance(v, BinaryMatrix) for v in vars(bh).values())
     for h in (2, 3):
-        bh = params_build(63, 1, h, 1).bh
-        assert bh._col_field is None and bh._square is None
+        assert params_build(63, 1, h, 1).bh._col_field is None
     # t > 1: map_f and gamma multiply in the beta and delta fields per
     # element; the grid field GF(2^120) is past the table limit
     p = params_build(127, 3, 2, 1)

@@ -122,6 +122,16 @@ def test_roundtrip_without_field_tables(h):
         assert decode_digests(p, encode1(p, SA), encode1(p, SB)) == delta
 
 
+def test_roundtrip_with_keys_wider_than_a_word():
+    # h = 8 over GF(2^18): four odd powers make 72-bit B_h keys, each
+    # computed in a lane of two 64-bit words
+    p = params_build(511, 1, 8, 2)
+    assert p.bh.width * (p.h // 2) == 72
+    for seed in range(5):
+        SA, SB, delta = gen_instance(p, seed, 20)
+        assert decode_digests(p, encode1(p, SA), encode1(p, SB)) == delta
+
+
 def test_roundtrip_with_tabled_digest_field():
     # GF(2^11) with exp/log tables reads only reduced operands, so w2
     # and the decoder's sum must each be folded before they reach it;
