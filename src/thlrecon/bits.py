@@ -70,8 +70,8 @@ def hamming(x: BitVector, y: BitVector) -> int:
 
 
 class Positions(tuple):
-    """A selection of 1-based positions, such as I, Ibar or the t=1
-    tail, that compares and hashes as the tuple of its positions.
+    """A selection of 1-based positions, such as I or Ibar, that
+    compares and hashes as the tuple of its positions.
     ``runs`` holds (shift in x, shift in the packed int, mask) per run
     of entries that name consecutive positions, in order."""
 

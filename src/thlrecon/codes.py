@@ -321,15 +321,14 @@ class BchCode:
     def _build_reduced(self):
         n = self.length
         full = transpose([self._column(i) for i in range(n)], self.redundancy)
-        pivots, reduced = row_reduce(full)
-        self.redundancy = len(reduced)
-        self.parity = BinaryMatrix(self.redundancy, n, reduced)
-        # lift matrix: full row i as combination of reduced rows (rref
-        # coefficients are just the bits at the pivot columns)
-        lift = [
-            sum(((row >> p) & 1) << k for k, p in enumerate(pivots)) for row in full
-        ]
-        self._lift = BinaryMatrix(len(full), self.redundancy, lift)
+        # a codeword is a multiple of the generator g, so no nonzero one
+        # has degree below deg g: the rank rho = min(n, deg g) sits in the
+        # first rho columns, the parity reduces to [I_rho | P] and the lift
+        # of full row i is its low rho bits (MacWilliams & Sloane, ch. 7)
+        _, reduced = row_reduce(full)
+        self.redundancy = rho = len(reduced)
+        self.parity = BinaryMatrix(rho, n, reduced)
+        self._lift = BinaryMatrix(len(full), rho, [r & (1 << rho) - 1 for r in full])
         self._cols = transpose(reduced, n)
 
     # -- syndromes -------------------------------------------------------

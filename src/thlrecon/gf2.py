@@ -104,9 +104,9 @@ def comb_mul(a: int, table: tuple) -> int:
 
 
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product.  A multiplier ``a`` with few set bits (a
-    sparse modulus, the generator x) costs one shift-and-xor per bit;
-    any other runs :func:`comb_mul` over b's :func:`comb_table`."""
+    """Carry-less product.  A multiplier ``a`` with few set bits (the
+    modulus search's first x^(2^k) - x products) costs one shift-and-xor
+    per bit; any other runs :func:`comb_mul` over b's :func:`comb_table`."""
     if a.bit_count() <= _SPARSE_BITS:
         r = 0
         while a:

@@ -9,9 +9,8 @@ bytes in a vector reads per-byte tables of its columns (Method of Four
 Russians; Albrecht, Bard & Hart, ACM TOMS 2010): one lookup and XOR
 per byte of the vector.  A shorter, wider one, such as the t=1 C_l
 parity H_l at 18x511, builds no tables and takes one parity of
-``row & x`` per row.  A selection matrix, such as the t=1 tail H_bar
-(unit rows at H_l's non-pivot columns), is never multiplied:
-:func:`bits.project` reads the runs of the ``params.tail`` selection.
+``row & x`` per row.  The t=1 tail H_bar, the unit rows at H_l's
+non-pivot columns r..n-1, is never multiplied: H_bar x is x >> r.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ class Params:
     cl: BchCode = field(repr=False, default=None)  # cl.parity is H_l
 
     # single-cluster (t = 1) scheme
-    tail: tuple = field(repr=False, default=())  # H_l's non-pivot columns, 1-based
     hf_inv: BinaryMatrix = field(repr=False, default=None)
     digest_field: FieldSpec = field(repr=False, default=None)
     bh: BhSequence = field(repr=False, default=None)
@@ -144,15 +143,12 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         h_bar = full_rank_completion(h_l)
         hf_inv = invert(BinaryMatrix(n, n, h_l.row_data + h_bar.row_data))
         hf_inv.ensure_tables()  # the anchor of every decode
-        # H_bar's rows are the unit vectors at H_l's non-pivot columns,
-        # so H_bar x is the projection of x onto them
-        tail = Positions(row.bit_length() for row in h_bar.row_data)
         digest_field = ff_make(n - r)
         bh = bh_sequence(N, h)
         comp = bch_build(N, h)
         return Params(
             n=n, t=1, h=h, ell=ell, I=I,
-            r=r, N=N, cl=cl, tail=tail, hf_inv=hf_inv,
+            r=r, N=N, cl=cl, hf_inv=hf_inv,
             digest_field=digest_field, bh=bh, comp=comp,
         )
 

@@ -5,8 +5,8 @@ pairwise within Hamming distance ell.
 Encoding (per host) is one pass over the set, and the digest is the
 pair (w1, w2).  Each element x has a position j = M(x), its syndrome
 under the distance-(2*ell+1) code C_l, and a tail Hbar * x in
-GF(2^(n-r)): Hbar selects H_l's non-pivot columns, so the tail is x
-projected onto ``params.tail``.
+GF(2^(n-r)): H_l reduces to [I_r | P] (:class:`codes.BchCode`), so
+Hbar, the unit rows completing it, is [0 | I] and the tail is x >> r.
 
 1. w1 = syndrome, under a distance-(2h+1) binary code over the 2^r
    positions, of the multiset of positions (duplicates cancel mod 2).
@@ -33,7 +33,7 @@ anchor element exactly (the sum it divides is again folded once).
 
 from __future__ import annotations
 
-from .bits import BitVector, project
+from .bits import BitVector
 from .errors import DecodingError, InconsistentDigests
 from .gf2 import poly_mul
 from .maps_t import map_E, map_M
@@ -41,11 +41,11 @@ from .params import Digest, Params
 
 
 def encode1(params: Params, S) -> Digest:
-    bh, tail, terms = params.bh, params.tail, params.bh.nibble_terms
+    bh, r, terms = params.bh, params.r, params.bh.nibble_terms
     positions, tails = [], []
     for x in S:
         positions.append(map_M(params, x))
-        tails.append(project(x, tail))  # Hbar x: x's projection onto the tail
+        tails.append(x.value >> r)  # Hbar x
     buckets, starts = [0] * len(terms), range(0, len(terms), 16)
     for k, y in zip(bh.keys(positions), tails):
         for i in starts:  # one bucket per key nibble, zero ones too
@@ -83,7 +83,7 @@ def decode1(params: Params, d: Digest) -> tuple:
         except DecodingError as exc:
             raise InconsistentDigests("cluster offset undecodable") from exc
         offsets.append(e.value)
-        w2 ^= poly_mul(b, project(e, params.tail))
+        w2 ^= poly_mul(b, e.value >> params.r)
         denom ^= b
     if denom == 0:
         raise InconsistentDigests("zero B_h subset sum")

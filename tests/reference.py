@@ -5,7 +5,7 @@ from thlrecon.codes import (
     locate, odd_powers, poly_eval, poly_gcd_ff, poly_mul_ff, poly_rem, poly_trim,
 )
 from thlrecon.errors import DecodingError, LinAlgError
-from thlrecon.gf2 import poly_gcd, poly_mod, poly_mul, poly_square
+from thlrecon.gf2 import ff_make, poly_gcd, poly_mod, poly_mul, poly_square
 from thlrecon.linalg import BinaryMatrix, row_reduce
 from thlrecon.maps_t import map_f, map_M
 from thlrecon.params import Digest, default_index_set
@@ -84,6 +84,30 @@ def greedy_completion(h: BinaryMatrix) -> BinaryMatrix:
             chosen.append(1 << j)
     chosen.sort()
     return BinaryMatrix(len(chosen), h.cols, chosen)
+
+
+def bch_odd_power_columns(n: int, e: int) -> list:
+    """The n columns (a, a^3, .., a^(2e-1)), a = g^i, of a BCH code of
+    designed distance 2e+1 shortened to n, each power by spec.pow."""
+    spec = ff_make(n.bit_length())
+    g, s = spec.generator(), spec.degree
+    return [
+        sum(spec.pow(spec.pow(g, i), 2 * k + 1) << (k * s) for k in range(e))
+        for i in range(n)
+    ]
+
+
+def vector_rank(vectors) -> int:
+    """Rank over F_2 of a list of ints, by a basis kept by leading bit."""
+    basis = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 def nullspace(m: BinaryMatrix):
@@ -313,12 +337,14 @@ def gamma_column(params, j: int) -> int:
 
 def encode1_reference(params, S) -> Digest:
     """encode1 with one carry-less product b_M(x) * Hbar x per element,
-    the sum reduced once."""
+    the sum reduced once, and Hbar the rows of :func:`greedy_completion`,
+    multiplied row by row."""
+    h_bar = greedy_completion(params.cl.parity)
     positions, w2 = [], 0
     for x in S:
         j = map_M(params, x)
         positions.append(j)
-        w2 ^= poly_mul(params.bh.element_value(j), project_bits(x, params.tail))
+        w2 ^= poly_mul(params.bh.element_value(j), mul_vec_rows(h_bar, x.value))
     return Digest((
         params.comp.syndrome_from_positions(positions),
         poly_mod(w2, params.digest_field.modulus),

@@ -102,13 +102,24 @@ GOLDEN_POINTS = [
 ]
 
 
+def _completion_units(p):
+    """The 1-based columns of the unit rows completing H_l, by
+    greedy_completion's scan."""
+    return tuple(row.bit_length() for row in greedy_completion(p.cl.parity).row_data)
+
+
 @pytest.mark.parametrize("point", GOLDEN_POINTS)
 def test_project_place_match_per_bit_at_golden_points(point):
+    # I and Ibar at t > 1; at t = 1 the completion's unit rows, whose
+    # columns are the single run r+1..n
     p = params_build(*point)
-    sel = p.tail if p.t == 1 else p.I
+    sel = _completion_units(p) if p.t == 1 else p.I
     rest = tuple(q for q in range(1, p.n + 1) if q not in sel)
     if p.t > 1:
         assert rest == p.ibar
+    else:
+        assert sel == tuple(range(p.r + 1, p.n + 1))
+        assert Positions(sel).runs == ((p.r, 0, (1 << (p.n - p.r)) - 1),)
     _check_selections(p.n, [sel, rest], random.Random(point[0] + point[1]))
 
 
@@ -156,15 +167,15 @@ def _runs_per_bit(sel):
 @pytest.mark.parametrize("point", GOLDEN_POINTS)
 def test_params_selections_are_positions(point):
     # the plain tuples params_build made before selections carried
-    # their runs: the default I (empty at t=1), Ibar its complement and
-    # the t=1 tail, the unit rows of H_l's completion
+    # their runs: the default I (empty at t=1) and, at t > 1, Ibar its
+    # complement; at t = 1 the tail is no selection, as H_bar's unit
+    # rows are the run r+1..n
     p = params_build(*point)
     plain = {"I": tuple(range(1, (p.n - 1).bit_length() + 1)) if p.t > 1 else ()}
     if p.t > 1:
         plain["ibar"] = tuple(q for q in range(1, p.n + 1) if q not in plain["I"])
     else:
-        h_bar = greedy_completion(p.cl.parity)
-        plain["tail"] = tuple(row.bit_length() for row in h_bar.row_data)
+        assert _completion_units(p) == tuple(range(p.r + 1, p.n + 1))
     for name, want in plain.items():
         sel = getattr(p, name)
         assert type(sel) is Positions, name

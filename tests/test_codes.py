@@ -4,11 +4,13 @@ from itertools import combinations, product
 import pytest
 
 from reference import (
+    bch_odd_power_columns,
     decode_syndrome_exhaustive,
     find_roots_trace,
     rs_decode,
     rs_syndromes,
     roots_by_search,
+    vector_rank,
 )
 from thlrecon import codes
 from thlrecon.codes import (
@@ -220,9 +222,11 @@ def test_decode_zero():
 
 # (4096, 4) is the longest rank-reduced code; with (63, 2) and (127, 1) it
 # covers the BCH codes that the t1-limit and tT-limit benchmark workloads
-# decode.
+# decode.  (32, 5) and (64, 9), of rank 27 of 30 and 56 of 63, lift
+# through a deficient reduction.
 @pytest.mark.parametrize(
-    "n,e", [(63, 3), (127, 2), (200, 2), (4096, 4), (63, 2), (127, 1)]
+    "n,e",
+    [(63, 3), (127, 2), (200, 2), (4096, 4), (63, 2), (127, 1), (32, 5), (64, 9)],
 )
 def test_bch_random_roundtrip(n, e):
     code = bch_build(n, e)
@@ -231,6 +235,43 @@ def test_bch_random_roundtrip(n, e):
         pos = sorted(rng.sample(range(n), rng.randint(0, e)))
         s = code.syndrome_from_positions(pos)
         assert code.decode_positions(s) == pos
+
+
+# rank-deficient codes, (63, 5) of rank 27 of 30 among them, the t1-limit
+# comp code (4096, 4) and C_l of each benchmark workload
+BCH_LAYOUT_CODES = [
+    (63, 5), (63, 9), (32, 5), (7, 3), (16, 7), (64, 9),
+    (4096, 4), (511, 2), (63, 2), (127, 1),
+]
+
+
+def _check_reduced_layout(n, e, rng):
+    code = bch_build(n, e)
+    rho, columns = code.redundancy, bch_odd_power_columns(n, e)
+    # rho is the rank of all n columns, and the first rho are the pivots
+    assert rho == vector_rank(columns) <= e * code.field.degree
+    assert [r & (1 << rho) - 1 for r in code.parity.row_data] == [
+        1 << k for k in range(rho)
+    ]
+    # the lift takes a reduced syndrome to the full odd-power one
+    for _ in range(10):
+        pos = rng.sample(range(n), rng.randint(1, min(n, 2 * e + 2)))
+        full = 0
+        for i in pos:
+            full ^= columns[i]
+        assert code._lift.mul_vec(code.syndrome_from_positions(pos)) == full
+
+
+@pytest.mark.parametrize("n,e", BCH_LAYOUT_CODES)
+def test_reduced_parity_is_identity_then_rest(n, e):
+    _check_reduced_layout(n, e, random.Random(n * 100 + e))
+
+
+def test_reduced_parity_layout_over_every_short_code():
+    rng = random.Random(7)
+    for n in range(3, 41):
+        for e in range(1, (n - 1) // 2 + 1):
+            _check_reduced_layout(n, e, rng)
 
 
 def test_bch_long_unreduced_path():

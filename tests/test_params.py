@@ -5,7 +5,7 @@ import random
 import pytest
 
 from reference import cond4_violation_prob, mul_vec_rows
-from thlrecon.bits import BitVector, project
+from thlrecon.bits import BitVector
 from thlrecon.errors import InconsistentDigests, ParamsError
 from thlrecon.gf2 import FieldSpec
 from thlrecon.linalg import BinaryMatrix, full_rank_completion
@@ -77,13 +77,18 @@ def test_tables_only_for_multiplied_matrices(monkeypatch):
 
 @pytest.mark.parametrize("point", [(63, 1, 4, 2), (127, 1, 2, 1), (511, 1, 4, 2)])
 def test_tail_projection_is_h_bar_product(point):
+    # H_l = [I_r | P], so H_bar is [0 | I] and [H_l; H_bar] squares to
+    # the identity: hf_inv is the stack itself
     p = params_build(*point)
-    assert len(p.tail) == p.n - p.r
     h_bar = full_rank_completion(p.cl.parity)
+    units = tuple(1 << j for j in range(p.r, p.n))
+    assert h_bar.row_data == units
+    assert p.hf_inv.row_data == p.cl.parity.row_data + units
     rng = random.Random(point[0])
     for _ in range(30):
         x = BitVector(rng.getrandbits(p.n), p.n)
-        assert project(x, p.tail) == mul_vec_rows(h_bar, x.value)
+        assert x.value >> p.r == mul_vec_rows(h_bar, x.value)
+        assert p.hf_inv.mul_vec(p.hf_inv.mul_vec(x.value)) == x.value
 
 
 def test_default_index_set():

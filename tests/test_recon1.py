@@ -104,7 +104,11 @@ def test_indicator_of_difference_recovered(p63):
     assert p63.comp.decode_positions(w1) == sorted(map_M(p63, x) for x in delta)
 
 
-@pytest.mark.parametrize("n,h,ell", [(31, 4, 1), (63, 3, 2), (127, 2, 3)])
+# (31, 5, 1) and (63, 9, 1): comp codes BCH(32, 5) and BCH(64, 9) of rank
+# 27 of 30 and 56 of 63, whose w1 lifts through a deficient reduction
+@pytest.mark.parametrize(
+    "n,h,ell", [(31, 4, 1), (63, 3, 2), (127, 2, 3), (31, 5, 1), (63, 9, 1)]
+)
 def test_roundtrip_random(n, h, ell):
     p = params_build(n, 1, h, ell)
     for seed in range(100):
