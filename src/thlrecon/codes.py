@@ -14,8 +14,8 @@ Two code families are built here:
   bounded-distance decoder returning symbol positions and values.  At
   degrees 24 and 26 its arithmetic runs in GF((2^k)^2), converted only
   at the code's boundary, so symbols and positions stay standard.  Under
-  a cap it builds a comb table of each position's syndrome powers and the
-  root positions once.
+  a cap it builds comb tables of the positions' powers once, and finds a
+  locator's roots at every position in one lane scan.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
 chain, each step written once: power sums unpacked as they were packed
@@ -23,7 +23,8 @@ chain, each step written once: power sums unpacked as they were packed
 (:func:`locate`), its roots, sought in the affine space its minimal
 affine multiple gives (:func:`find_roots`, None unless it splits), then
 a re-encode check.  BCH positions, and Reed-Solomon ones above the cap,
-come from the roots by discrete log (:func:`position`).
+come from the roots by discrete log (:func:`position`); under the cap a
+Reed-Solomon decode scans its positions for the roots instead.
 """
 
 from __future__ import annotations
@@ -152,17 +153,17 @@ def first_dependency(spec, columns):
     """(j, c) for the first of ``columns`` (equal-length vectors over
     ``spec``) with columns[j] = sum_(i<j) c[i] columns[i], or None: a
     system's unique solution, with its right-hand side placed last."""
-    basis = []  # (pivot, reduced column and its coefficients)
+    basis = []  # (pivot, its one inverse, reduced column and its coefficients)
     for j, v in enumerate(columns):
         n, v = len(v), list(v) + [0] * j + [1]
-        for p, w in basis:
+        for p, inv, w in basis:
             if v[p]:
-                c = spec.div(v[p], w[p])
+                c = spec.mul(v[p], inv)
                 v = [a ^ spec.mul(c, b) if b else a for a, b in zip(v, w)] + v[len(w):]
         p = next((i for i in range(n) if v[i]), None)
         if p is None:
             return j, v[n:-1]
-        basis.append((p, v))
+        basis.append((p, spec.inv(v[p]), v))
     return None
 
 
@@ -392,8 +393,8 @@ class RsCode:
     Symbols are in the standard basis; the arithmetic runs in the work
     field of :meth:`FieldSpec.work_field`, entered and left at the
     boundary of :meth:`syndrome_sparse` and :meth:`decode`.  Set-up builds
-    ``syndrome_tables`` and ``root_positions`` when N * a is under the
-    cap, else logs."""
+    ``syndrome_tables``, ``locator_lanes`` and ``inverse_locators`` when
+    N * a is under the cap, else logs."""
 
     def __init__(self, field: FieldSpec, length: int, d: int):
         if d < 1 or d > length:
@@ -416,27 +417,35 @@ class RsCode:
         self._hi = [1]
         for _ in range((length - 1) >> b):
             self._hi.append(work.mul(self._hi[-1], step))
-        self.syndrome_tables = self.root_positions = None
+        self.syndrome_tables = self.locator_lanes = self.inverse_locators = None
         if length * field.degree <= _POSITION_TABLE_LIMIT:
             self._build_tables()
         else:
             field.ensure_tables()  # positions come from dlog
 
     def _build_tables(self):
-        """The dict root (g^j)^-1 -> j, and per position j the
-        :func:`comb_table` of x_j^(i+1), i < d - 1, in the standard basis,
-        packed in lanes 2a bits apart: a product with a symbol below 2^a
-        has degree at most 2a - 2, so it never leaves its lane."""
-        work, w = self._work, 2 * self.field.degree
-        self.syndrome_tables, self.root_positions = [], {}
+        """Per position j the :func:`comb_table` of x_j^(i+1), i < d - 1,
+        in the standard basis, packed in lanes 2a bits apart: a product
+        with a symbol below 2^a has degree at most 2a - 2, so it never
+        leaves its lane.  Per power p <= (d-1)/2, ``locator_lanes`` holds
+        the comb table of one int with x_j^p in lane j, from the same
+        powers; ``inverse_locators`` holds each x_j^-1 in the work field."""
+        work, w, e = self._work, 2 * self.field.degree, self.max_errors
+        ones = ((1 << self.length * w) - 1) // ((1 << w) - 1)  # 1 in each lane
+        self.syndrome_tables, inverses, lanes = [], [], [ones] + [0] * e
         for j in range(self.length):
             xj = p = self.locator(j)
-            self.root_positions[work.inv(xj)] = j
+            inverses.append(work.inv(xj))
             packed = 0
             for i in range(self.redundancy):
-                packed |= self._from_work(p) << (i * w)
+                s = self._from_work(p)
+                packed |= s << (i * w)
+                if i < e:
+                    lanes[i + 1] |= s << j * w
                 p = work.mul(p, xj)
             self.syndrome_tables.append(comb_table(packed))
+        self.locator_lanes = tuple(map(comb_table, lanes))
+        self.inverse_locators = tuple(inverses)
 
     def locator(self, j: int) -> int:
         """g^j in the work field: one product of two table entries."""
@@ -479,24 +488,47 @@ class RsCode:
             return {}
         spec = self._work
         sums = list(map(self._to_work, syndromes))
-        loc, roots = locate(spec, sums, self.max_errors)
+        if self.locator_lanes is None:
+            loc, roots = locate(spec, sums, self.max_errors)
+            found = [(position(spec, root, self.length), root) for root in roots]
+        else:
+            loc, found = self._scan(sums)
         # Forney: error evaluator for syndromes starting at power one,
         # over the formal derivative, which in characteristic two keeps
         # the odd terms; it is nonzero at the locator's simple roots
         omega = poly_mul_ff(spec, sums, loc)[: self.redundancy]
         dloc = loc[1::2]
         errors = {}
-        table = self.root_positions
-        for root in roots:
-            j = position(spec, root, self.length) if table is None else table.get(root)
-            if j is None:  # a root beyond the length
-                raise DecodingError("uncorrectable syndrome")
+        for j, root in found:
             num = poly_eval(spec, omega, root)
             value = spec.div(num, poly_eval(spec, dloc, spec.sqr(root)))
             errors[j] = self._from_work(value)
         if 0 in errors.values() or self.syndrome_sparse(errors) != syndromes:
             raise DecodingError("uncorrectable syndrome")
         return errors
+
+    def _scan(self, sums):
+        """The locator as :func:`locate` checks it and its roots (j, x_j^-1),
+        sought at every position at once (Chien, IEEE Trans. IT 1964): lane
+        j of sum_i C_i x_j^(L-i) is x_j^L C(x_j^-1), zero exactly at a root;
+        fewer than L zero lanes mean no split over the positions."""
+        loc, L = berlekamp_massey(self._work, sums)
+        if L > self.max_errors or len(loc) - 1 != L:
+            raise DecodingError("uncorrectable syndrome")
+        acc, lanes = 0, self.locator_lanes
+        for i, c in enumerate(loc):
+            acc ^= comb_mul(self._from_work(c), lanes[L - i])
+        spec, ones = self.field, lanes[0][1]  # entry 1: 1 in every lane
+        low = ones * spec.order  # adding it sets bit a of each nonzero lane
+        zero = ones & ~((spec.reduce_lanes(acc, ~low) + low) >> spec.degree)
+        if zero.bit_count() < L:
+            raise DecodingError("uncorrectable syndrome")
+        found, w = [], 2 * spec.degree
+        while zero:
+            j = (zero.bit_length() - 1) // w
+            found.append((j, self.inverse_locators[j]))
+            zero ^= 1 << j * w
+        return loc, found
 
     def __repr__(self):
         return f"RsCode({self.field!r}, n={self.length}, d={self.distance})"
@@ -542,8 +574,8 @@ class BhSequence:
     is x's bits spread to the even places, so each next odd power p x^2
     is w masked shift-XORs: p << 2j in every lane where x has bit j, the
     mask being that bit times an all-ones lane, an integer multiply with
-    no carry as each lane holds 0 or 1.  Every lane's product is folded
-    through the modulus at once.  A lane is whole 64-bit words, wide
+    no carry as each lane holds 0 or 1.  One :meth:`FieldSpec.reduce_lanes`
+    folds every lane's product.  A lane is whole 64-bit words, wide
     enough for the unreduced product (3w - 2 bits) and for the key.
     Elements are computed on demand; m may be in the millions.
 
@@ -629,15 +661,8 @@ class BhSequence:
             prod = 0
             for j in range(w):  # p x^2: x^2 unreduced has x's bit j at 2j
                 prod ^= (x >> j & ones) * full & p << 2 * j
-            high = prod & high_bits
-            while high:  # fold each lane's bits at x^w and up
-                prod ^= high
-                high >>= w
-                for e in spec._low_exps:
-                    prod ^= high << e
-                high = prod & high_bits
-            key |= prod << k * w
-            p = prod
+            p = spec.reduce_lanes(prod, high_bits)
+            key |= p << k * w
         words = array("Q", key.to_bytes(8 * len(words), sys.byteorder))
         if size == 1:
             return words.tolist()
@@ -655,9 +680,6 @@ class BhSequence:
                 key >>= 1
             values.append(value)
         return values
-
-    def element_value(self, i: int) -> int:
-        return self.element_values((i,))[0]
 
 
 def bh_sequence(m: int, h: int) -> BhSequence:

@@ -17,10 +17,11 @@ carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
 bit of a sparse multiplier; :func:`comb_table` and :func:`comb_mul`
 split the comb for callers with several products by one operand)
 reduced by :meth:`FieldSpec.reduce`, a fold over the sparse modulus,
-a quotient-free extended Euclid for inverses
-and Pohlig-Hellman logs (one baby-step giant-step table per prime
-power of the group order).  ``reduce`` is linear, so a sum of unreduced
-products needs one fold: the digest encoders accumulate that way.
+a quotient-free extended Euclid for inverses and Pohlig-Hellman logs
+(one baby-step giant-step table per prime power of the group order).
+``reduce`` is linear, so a sum of unreduced products needs one fold:
+the digest encoders accumulate that way.  ``reduce_lanes`` folds every
+lane of an int at once.
 Reed-Solomon arithmetic over an even degree 2k above the table limit
 (24 or 26) runs in a :class:`CompositeField`, GF((2^k)^2) over a tabled
 GF(2^k), reached from the standard basis and back by two binary
@@ -247,6 +248,17 @@ class FieldSpec:
             a &= self.order
             for e in exps:
                 a ^= high << e
+        return a
+
+    def reduce_lanes(self, a: int, high: int) -> int:
+        """Every lane of ``a`` reduced at once, as :meth:`reduce` reduces
+        one: ``high`` masks each lane's bits at x^degree and up, which
+        fold back down within a lane wide enough for their first fold."""
+        while top := a & high:
+            a ^= top
+            top >>= self.degree
+            for e in self._low_exps:
+                a ^= top << e
         return a
 
     def pow(self, a: int, e: int) -> int:

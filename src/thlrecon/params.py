@@ -192,7 +192,7 @@ def params_build(n: int, t: int, h: int, ell: int, I=None) -> Params:
         nbar=nbar, ibar=ibar, beta_field=beta_field, comp_rs=comp_rs,
         nbar_field=ff_make(nbar), delta_field=delta_field, s_prime=s_prime,
     )
-    if comp_rs.root_positions is None:  # N is above the position-table cap
+    if comp_rs.syndrome_tables is None:  # N is above the position-table cap
         return params
     gammas = tuple(gamma(params, j) for j in range(N))
     lanes = None

@@ -134,18 +134,19 @@ def _solve_centers(params: Params, sigmas, gsums, row0):
     """Recover each block center's Ibar-part from the collapsed grid's
     row 0.
 
-    Row 0 is a Moore system in the signatures over GF(2^nbar), with
-    unknowns gamma-sum times center: row 0's dependency on the signature
+    Row 0 is a Moore system over GF(2^nbar) in the signature columns,
+    each scaled by its gamma sum (one :func:`comb_mul` over its f lanes'
+    comb table), with the centers as unknowns: row 0's dependency on the
     columns (:func:`codes.first_dependency`).  On a valid instance they
     are independent, as any <= 2t distinct f-values are F_2-linearly,
-    and every gamma sum is nonzero, as a block's <= h <= 2s' gamma
-    columns are independent.  More than t signatures are dependent.
-    The other rows need no check here: :func:`params.accept`
-    re-encodes the whole digest, so decoding never collapses them.
+    and no gamma sum is zero, as a block's <= h <= 2s' gamma columns are
+    independent; a zero sum gives a dependent zero column, and more than
+    t signatures are dependent.  The other rows need no check here:
+    :func:`params.accept` re-encodes the whole digest.
     """
-    spec, xI_mask = params.nbar_field, (1 << len(params.I)) - 1
-    cols = [unpack_lanes(params, f_lanes(params, s & xI_mask)[1]) for s in sigmas]
-    dep = first_dependency(spec, cols + [row0])
-    if dep is None or dep[0] < len(sigmas) or not all(gsums[s] for s in sigmas):
+    combs = (f_lanes(params, s & ((1 << len(params.I)) - 1))[2] for s in sigmas)
+    cols = [unpack_lanes(params, comb_mul(gsums[s], c)) for s, c in zip(sigmas, combs)]
+    dep = first_dependency(params.nbar_field, cols + [row0])
+    if dep is None or dep[0] < len(sigmas):
         raise InconsistentDigests("center recovery failed")
-    return {s: spec.div(d, gsums[s]) for s, d in zip(sigmas, dep[1])}
+    return dict(zip(sigmas, dep[1]))

@@ -344,7 +344,7 @@ def encode1_reference(params, S) -> Digest:
     for x in S:
         j = map_M(params, x)
         positions.append(j)
-        w2 ^= poly_mul(params.bh.element_value(j), mul_vec_rows(h_bar, x.value))
+        w2 ^= poly_mul(params.bh.element_values((j,))[0], mul_vec_rows(h_bar, x.value))
     return Digest((
         params.comp.syndrome_from_positions(positions),
         poly_mod(w2, params.digest_field.modulus),

@@ -216,7 +216,7 @@ def test_criterion_7_property_suites(report):
         # subset sums of the division sequence are nonzero (exhaustive)
         for m, h, degree in ((16, 2, 64), (32, 3, 120)):
             seq = bh_sequence(m, h)
-            vals = [seq.element_value(i) for i in range(m)]
+            vals = seq.element_values(range(m))
             for size in range(1, h + 1):
                 for sub in combinations(vals, size):
                     acc = 0

@@ -487,7 +487,8 @@ def test_rs_position_tables_follow_the_cap():
         p = params_build(*point)
         code = p.comp_rs
         assert (code.syndrome_tables is not None) is tabled, point
-        assert (code.root_positions is not None) is tabled, point
+        assert (code.locator_lanes is not None) is tabled, point
+        assert (code.inverse_locators is not None) is tabled, point
         assert (p.gamma_powers is not None) is tabled, point
         assert (p.f_lane_table is not None) is tabled, point
     assert rs_code(ff_make(4), 15, 5).syndrome_tables is not None
@@ -509,7 +510,7 @@ def test_rs_under_the_cap_builds_no_field_tables(monkeypatch):
     monkeypatch.setattr(FieldSpec, "ensure_tables", record)
     p = params_build(63, 3, 2, 1)
     code = p.comp_rs
-    assert code.field.degree == 21 and code.root_positions is not None
+    assert code.field.degree == 21 and code.locator_lanes is not None
     rng = random.Random(21)
     cases = [rs_syndromes(code, _sparse_vector(rng, code, w)) for w in (1, 2, 6, 7)]
     for _ in range(3):
@@ -537,26 +538,39 @@ def test_rs_table_syndromes_match_reference(point, I):
 
 @pytest.mark.parametrize("point,I", TABLED)
 def test_rs_table_decode_matches_reference(point, I):
-    # within the radius, one past it, random syndromes, and errors at
-    # positions from the length to the group order, which the shortened
-    # code lacks: the decode and its error, type and text, match the
-    # reference's dlog chain in the standard field
+    # the lane scan against the reference's locate and dlog chain in the
+    # standard field: every weight up to one past the radius, with and
+    # without the end positions 0 and N - 1, sparse vectors with zero
+    # and repeated symbols, 200 random syndromes, and locators with roots
+    # off the N positions (errors from the length up to the group order,
+    # alone or beside errors within it); each case gives the same errors,
+    # or the same exception type and text
     code = params_build(*point, I=I).comp_rs
-    spec = code.field
-    rng = random.Random(point[1] * spec.degree + 1)
+    assert code.locator_lanes is not None
+    a, n, e = code.field.degree, code.length, code.max_errors
+    rng = random.Random(point[1] * a + 1)
+    inner = range(1, n - 1)
     cases = []
-    for weight in (1, code.max_errors, code.max_errors + 1):
-        cases.append(rs_syndromes(code, _sparse_vector(rng, code, weight)))
-    for _ in range(3):
-        cases.append(tuple(rng.randrange(1 << spec.degree) for _ in range(code.redundancy)))
-        beyond = {rng.randrange(code.length, spec.order): rng.randrange(1, 1 << spec.degree)}
-        cases.append(rs_syndromes(code, beyond))
-        beyond[rng.randrange(code.length)] = rng.randrange(1, 1 << spec.degree)
-        cases.append(rs_syndromes(code, beyond))
+    for weight in range(e + 2):
+        for ends in ((), (0,), (n - 1,), (0, n - 1)):
+            if len(ends) <= weight:
+                positions = ends + tuple(rng.sample(inner, weight - len(ends)))
+                cases.append({j: rng.randrange(1, 1 << a) for j in positions})
+        cases.append(_sparse_vector(rng, code, weight))
+    for weight in range(1, e + 2):
+        for beyond in range(1, weight + 1):
+            positions = rng.sample(range(n, code.field.order), beyond)
+            positions += rng.sample(inner, weight - beyond)
+            cases.append({j: rng.randrange(1, 1 << a) for j in positions})
+    cases = [rs_syndromes(code, values) for values in cases]
+    for _ in range(200):
+        cases.append(tuple(rng.randrange(1 << a) for _ in range(code.redundancy)))
+    decoded = 0
     for syndromes in cases:
-        assert _outcome(code.decode, syndromes) == _outcome(
-            lambda s: rs_decode(code, s), syndromes
-        )
+        got = _outcome(code.decode, syndromes)
+        assert got == _outcome(lambda s: rs_decode(code, s), syndromes), syndromes
+        decoded += isinstance(got, dict)
+    assert decoded >= 4 * e  # every case within the radius with nonzero symbols
 
 
 @pytest.mark.parametrize(
@@ -603,14 +617,14 @@ def xor_all(values):
 
 def test_bh_h1_distinct_nonzero():
     seq = bh_sequence(20, 1)
-    vals = [seq.element_value(i) for i in range(20)]
+    vals = seq.element_values(range(20))
     assert len(set(vals)) == 20
     assert all(v for v in vals)
 
 
 def test_bh_m16_h2_exhaustive():
     seq = bh_sequence(16, 2)
-    vals = [seq.element_value(i) for i in range(16)]
+    vals = seq.element_values(range(16))
     assert all(v for v in vals)
     for pair in combinations(vals, 2):
         assert xor_all(pair) != 0
@@ -618,7 +632,7 @@ def test_bh_m16_h2_exhaustive():
 
 def test_bh_m32_h3_exhaustive():
     seq = bh_sequence(32, 3)
-    vals = [seq.element_value(i) for i in range(32)]
+    vals = seq.element_values(range(32))
     for size in (1, 2, 3):
         for sub in combinations(vals, size):
             assert xor_all(sub) != 0
@@ -633,7 +647,7 @@ def test_bh_elements_are_packed_powers(m, h):
     rng = random.Random(m)
     for i in list(range(6)) + [rng.randrange(m) for _ in range(20)]:
         want = sum(spec.pow(i, k) << (k * w) for k in range(h))
-        assert seq.element_value(i) == want, i
+        assert seq.element_values((i,))[0] == want, i
 
 
 @pytest.mark.parametrize(
@@ -666,7 +680,7 @@ def test_bh_elements_are_affine_in_the_key(m, h, sampled):
     for size in (0, 1, 4, 300):
         batch = [0] + rng.choices(positions, k=size - 1) if size else []
         assert seq.keys(batch) == [want[i] for i in batch], size
-        assert seq.element_values(batch) == [seq.element_value(i) for i in batch], size
+        assert seq.element_values(batch) == [seq.element_values((i,))[0] for i in batch], size
 
 
 def test_constructors_reject_arguments_out_of_range():
@@ -684,7 +698,7 @@ def test_constructors_reject_arguments_out_of_range():
     seq = bh_sequence(16, 2)
     for i in (-1, 16):
         with pytest.raises(IndexError):
-            seq.element_value(i)
+            seq.element_values((i,))
     for m, h in ((16, 2), (1 << 12, 4), (1 << 18, 4)):  # no key, tables, lanes
         for bad in ([0, m], [-1, 0]):
             with pytest.raises(IndexError, match="B_h index out of range"):

@@ -12,7 +12,7 @@ from thlrecon.maps_t import f_lanes, gamma, map_E, map_f, map_M
 from thlrecon.oracle import gen_instance, oracle_symdiff
 from thlrecon.params import Digest, digest_cost_bits, params_build
 from thlrecon.protocol import decode_digests, encode_digest
-from thlrecon.recont import encode_t
+from thlrecon.recont import decode_t, encode_t
 
 
 @pytest.fixture(scope="module")
@@ -252,13 +252,39 @@ def test_encode_and_decode_on_the_chain_match_the_tables():
     # logs give the same digests and differences
     p = params_build(127, 3, 2, 1)
     rs = RsCode(p.comp_rs.field, p.N, p.comp_rs.distance)
-    rs.syndrome_tables = rs.root_positions = None
+    rs.syndrome_tables = rs.locator_lanes = rs.inverse_locators = None
     chain = dataclasses.replace(p, comp_rs=rs, gamma_powers=None, f_lane_table=None)
     for seed in range(3):
         SA, SB, delta = gen_instance(p, seed, 40)
         dA, dB = encode_t(p, SA), encode_t(p, SB)
         assert (encode_t(chain, SA), encode_t(chain, SB)) == (dA, dB)
         assert decode_digests(p, dA, dB) == decode_digests(chain, dA, dB) == delta
+
+
+def test_decode_t_inverts_once_per_center_pivot(monkeypatch):
+    # the center solve scales each signature's column by its gamma sum
+    # and inverts each pivot once, so a decode of up to t blocks takes
+    # at most t inverses in GF(2^nbar)
+    p = params_build(127, 3, 2, 1)
+    spec, calls = p.nbar_field, []
+    inv = spec.inv
+
+    def counted(a):
+        calls.append(a)
+        return inv(a)
+
+    full = 0
+    for seed in (4, 5, 6, 7):  # 1, 3, 3 and 2 blocks
+        SA, SB, delta = gen_instance(p, seed, 40)
+        d = encode_t(p, SA) ^ encode_t(p, SB)
+        calls.clear()
+        monkeypatch.setattr(spec, "inv", counted)
+        blocks = decode_t(p, d)
+        monkeypatch.undo()
+        assert frozenset(x for block in blocks for x in block) == delta
+        assert len(calls) <= p.t, seed
+        full += len(blocks) == p.t
+    assert full
 
 
 def test_decode_digests_rejects_the_other_schemes_digest():
