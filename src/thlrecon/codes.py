@@ -18,13 +18,15 @@ Two code families are built here:
   locator's roots at every position in one lane scan.
 
 Every decoder here, and the f-value decoder in :mod:`maps_t`, runs one
-chain, each step written once: power sums unpacked as they were packed
-(:func:`power_sums`), Berlekamp-Massey for the locator polynomial
-(:func:`locate`), its roots, sought in the affine space its minimal
-affine multiple gives (:func:`find_roots`, None unless it splits), then
-a re-encode check.  BCH positions, and Reed-Solomon ones above the cap,
-come from the roots by discrete log (:func:`position`); under the cap a
-Reed-Solomon decode scans its positions for the roots instead.
+chain, each step written once and each raising :class:`DecodingError`
+for itself: power sums unpacked as they were packed
+(:func:`power_sums`), Berlekamp-Massey for a locator polynomial of
+degree L within the radius (:func:`berlekamp_massey`), its roots, sought
+in the affine space its minimal affine multiple gives (:func:`find_roots`,
+which rejects a locator that does not split), then a re-encode check.
+BCH positions, and Reed-Solomon ones above the cap, come from the roots
+by discrete log (:func:`position`); under the cap a Reed-Solomon decode
+scans its positions for the roots instead.
 """
 
 from __future__ import annotations
@@ -69,16 +71,6 @@ def poly_eval(spec, a, x):
     return r
 
 
-def poly_mul_ff(spec, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= spec.mul(ai, bj)
-    return poly_trim(out)
-
-
 def poly_rem(spec, a, b):
     """a mod b for a monic b: each leading term is cancelled by its own
     coefficient times b, with no quotient kept and no inverse taken."""
@@ -103,12 +95,10 @@ def poly_gcd_ff(spec, a, b):
     return a
 
 
-def berlekamp_massey(spec, syndromes):
-    """Minimal connection polynomial C (C[0]=1) for the given sequence.
-
-    Returns (C, L).  A valid bounded-distance decode requires
-    deg C == L, which callers must check.
-    """
+def berlekamp_massey(spec, syndromes, bound: int):
+    """Minimal connection polynomial C (C[0]=1) of the sequence, of
+    length L.  A bounded-distance decode needs deg C == L <= ``bound``:
+    returns C, else raises :class:`DecodingError`."""
     C = [1]
     B = [1]
     L = 0
@@ -137,7 +127,10 @@ def berlekamp_massey(spec, syndromes):
             m = 1
         else:
             m += 1
-    return poly_trim(C), L
+    C = poly_trim(C)
+    if L > bound or len(C) - 1 != L:
+        raise DecodingError("uncorrectable syndrome")
+    return C
 
 
 def _linearized(spec, coeffs, y):
@@ -169,7 +162,7 @@ def first_dependency(spec, columns):
 
 def find_roots(spec: FieldSpec, poly):
     """Roots in GF(2^m) of ``poly`` if it is a product of distinct
-    linear factors, else None.
+    linear factors, else raises :class:`DecodingError`.
 
     T[i] = x^(2^i) mod P (P made monic, of degree d) is squared
     coefficient-wise and reduced by :func:`poly_rem` until the first
@@ -192,7 +185,7 @@ def find_roots(spec: FieldSpec, poly):
         table.append(t + [0] * (d - len(t)))
     dep = first_dependency(spec, [[1] + [0] * (d - 1)] + table)
     if dep is None:
-        return None
+        raise DecodingError("uncorrectable syndrome")
     c, coeffs = dep[1][0], dep[1][1:]
     images = (_linearized(spec, coeffs, 1 << j) | 1 << (m + j) for j in range(m))
     x0, image, kernel = 0, 0, []  # a row with no image bits holds a kernel vector
@@ -202,7 +195,7 @@ def find_roots(spec: FieldSpec, poly):
         elif c >> p & 1:
             x0, image = x0 ^ r >> m, image ^ r
     if image & spec.order != c or 1 << len(kernel) < d:  # no solution, or too few
-        return None
+        raise DecodingError("uncorrectable syndrome")
     if 1 << len(kernel) > _ROOT_SCAN_LIMIT:
         roots = _split(spec, poly, table, x0, kernel)
     else:
@@ -210,7 +203,9 @@ def find_roots(spec: FieldSpec, poly):
         for v in kernel:
             points += [y ^ v for y in points]
         roots = [y for y in points if not poly_eval(spec, poly, y)]
-    return roots if len(roots) == d else None
+    if len(roots) != d:
+        raise DecodingError("uncorrectable syndrome")
+    return roots
 
 
 def _split(spec, poly, table, x0, kernel):
@@ -259,23 +254,6 @@ def position(spec: FieldSpec, root: int, length: int) -> int:
     if j >= length:
         raise DecodingError("uncorrectable syndrome")
     return j
-
-
-def locate(spec: FieldSpec, sums, bound: int):
-    """Locator polynomial of the power sums S_1 .. S_2bound and its
-    roots.
-
-    Returns (locator, roots) when the locator has degree L <= bound and
-    L distinct roots in the field, all nonzero as C[0] = 1; raises
-    :class:`DecodingError` otherwise.
-    """
-    loc, L = berlekamp_massey(spec, sums)
-    if L > bound or len(loc) - 1 != L:
-        raise DecodingError("uncorrectable syndrome")
-    roots = find_roots(spec, loc)
-    if roots is None:
-        raise DecodingError("uncorrectable syndrome")
-    return loc, roots
 
 
 def odd_powers(spec: FieldSpec, x: int, k: int) -> int:
@@ -378,7 +356,7 @@ class BchCode:
         spec, e = self.field, self.design_errors
         # a rank-reduced syndrome lifts to the full odd-power one
         full = synd if self.parity is None else self._lift.mul_vec(synd)
-        _, roots = locate(spec, power_sums(spec, full, e), e)
+        roots = find_roots(spec, berlekamp_massey(spec, power_sums(spec, full, e), e))
         positions = sorted(position(spec, root, self.length) for root in roots)
         if self.syndrome_from_positions(positions) != synd:
             raise DecodingError("uncorrectable syndrome")
@@ -488,15 +466,22 @@ class RsCode:
             return {}
         spec = self._work
         sums = list(map(self._to_work, syndromes))
+        loc = berlekamp_massey(spec, sums, self.max_errors)
         if self.locator_lanes is None:
-            loc, roots = locate(spec, sums, self.max_errors)
+            roots = find_roots(spec, loc)
             found = [(position(spec, root, self.length), root) for root in roots]
         else:
-            loc, found = self._scan(sums)
+            found = self._scan(loc)
         # Forney: error evaluator for syndromes starting at power one,
         # over the formal derivative, which in characteristic two keeps
-        # the odd terms; it is nonzero at the locator's simple roots
-        omega = poly_mul_ff(spec, sums, loc)[: self.redundancy]
+        # the odd terms; it is nonzero at the locator's simple roots.
+        # S(x) C(x) has no terms from x^L to x^(d-2), as C generates the
+        # sums, so the evaluator is its L low terms
+        L = len(loc) - 1
+        omega = [0] * L
+        for i, c in enumerate(loc[:L]):
+            for k in range(i, L):
+                omega[k] ^= spec.mul(c, sums[k - i])
         dloc = loc[1::2]
         errors = {}
         for j, root in found:
@@ -507,15 +492,13 @@ class RsCode:
             raise DecodingError("uncorrectable syndrome")
         return errors
 
-    def _scan(self, sums):
-        """The locator as :func:`locate` checks it and its roots (j, x_j^-1),
-        sought at every position at once (Chien, IEEE Trans. IT 1964): lane
-        j of sum_i C_i x_j^(L-i) is x_j^L C(x_j^-1), zero exactly at a root;
-        fewer than L zero lanes mean no split over the positions."""
-        loc, L = berlekamp_massey(self._work, sums)
-        if L > self.max_errors or len(loc) - 1 != L:
-            raise DecodingError("uncorrectable syndrome")
-        acc, lanes = 0, self.locator_lanes
+    def _scan(self, loc):
+        """The roots (j, x_j^-1) of a locator of degree L that
+        :func:`berlekamp_massey` has checked, sought at every position at
+        once (Chien, IEEE Trans. IT 1964): lane j of sum_i C_i x_j^(L-i) is
+        x_j^L C(x_j^-1), zero exactly at a root; fewer than L zero lanes
+        mean no split over the positions."""
+        L, acc, lanes = len(loc) - 1, 0, self.locator_lanes
         for i, c in enumerate(loc):
             acc ^= comb_mul(self._from_work(c), lanes[L - i])
         spec, ones = self.field, lanes[0][1]  # entry 1: 1 in every lane
@@ -528,7 +511,7 @@ class RsCode:
             j = (zero.bit_length() - 1) // w
             found.append((j, self.inverse_locators[j]))
             zero ^= 1 << j * w
-        return loc, found
+        return found
 
     def __repr__(self):
         return f"RsCode({self.field!r}, n={self.length}, d={self.distance})"

@@ -13,12 +13,11 @@ Elements are plain ints: every ``FieldSpec`` method takes and returns
 ints.  Fields of small degree lazily build exp/log tables which also
 make discrete logarithms O(1), stepping the exp table by two lookups
 (a -> g a is linear over the halves of a); larger fields fall back to the
-carry-less product :func:`poly_mul` (a 4-bit comb, or a shift-xor per
-bit of a sparse multiplier; :func:`comb_table` and :func:`comb_mul`
-split the comb for callers with several products by one operand)
-reduced by :meth:`FieldSpec.reduce`, a fold over the sparse modulus,
-a quotient-free extended Euclid for inverses and Pohlig-Hellman logs
-(one baby-step giant-step table per prime power of the group order).
+carry-less product :func:`poly_mul` (a 4-bit comb; :func:`comb_table`
+and :func:`comb_mul` split it for callers with several products by one
+operand) reduced by :meth:`FieldSpec.reduce`, a fold over the sparse
+modulus, a quotient-free extended Euclid for inverses and Pohlig-Hellman
+logs (one baby-step giant-step table per prime power of the group order).
 ``reduce`` is linear, so a sum of unreduced products needs one fold:
 the digest encoders accumulate that way.  ``reduce_lanes`` folds every
 lane of an int at once.
@@ -54,11 +53,6 @@ for _v in range(256):
         if (_v >> _i) & 1:
             _s |= 1 << (2 * _i)
     _SPREAD[_v] = _s
-
-
-# Up to this many set bits in the multiplier, poly_mul shifts and xors
-# once per bit; above it the comb's table pays for itself.
-_SPARSE_BITS = 8
 
 
 def poly_square(f: int) -> int:
@@ -105,16 +99,8 @@ def comb_mul(a: int, table: tuple) -> int:
 
 
 def poly_mul(a: int, b: int) -> int:
-    """Carry-less product.  A multiplier ``a`` with few set bits (the
-    modulus search's first x^(2^k) - x products) costs one shift-and-xor
-    per bit; any other runs :func:`comb_mul` over b's :func:`comb_table`."""
-    if a.bit_count() <= _SPARSE_BITS:
-        r = 0
-        while a:
-            lsb = a & -a
-            r ^= b << (lsb.bit_length() - 1)
-            a ^= lsb
-        return r
+    """Carry-less product: :func:`comb_mul` of ``a`` over b's
+    :func:`comb_table`."""
     return comb_mul(a, comb_table(b))
 
 

@@ -13,9 +13,9 @@ The rest serve the multi-cluster scheme:
   have the property that any 1..2t distinct values xor to nonzero
   (odd-power packing by ``codes.odd_powers``, the binary BCH
   designed-distance argument).
-* ``f_lanes``: an I-projection's f-value, its t Frobenius powers as
-  lanes of one int (``pack_lanes``, ``unpack_lanes``: lane k at bit
-  k * 3nbar) and that int's comb table; under the table cap of
+* ``f_lanes``: an I-projection's f-value and the comb table of its t
+  Frobenius powers as lanes of one int (``pack_lanes``,
+  ``unpack_lanes``: lane k at bit k * 3nbar); under the table cap of
   :mod:`codes`, with 2^|I| <= N, ``params_build`` tabulates them for
   every I-projection.
 * ``f_sum_decompose``: inverts an xor of up to t distinct f-values
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .bits import BitVector
-from .codes import locate, odd_powers, power_sums
+from .codes import berlekamp_massey, find_roots, odd_powers, power_sums
 from .errors import DecodingError
 from .gf2 import comb_table
 
@@ -76,9 +76,8 @@ def f_sum_decompose(params: Params, zeta: int):
     """
     if zeta == 0:
         raise DecodingError("undecodable")
-    m = len(params.I)
-    spec = params.beta_field
-    _, roots = locate(spec, power_sums(spec, zeta, params.t), params.t)
+    m, t, spec = len(params.I), params.t, params.beta_field
+    roots = find_roots(spec, berlekamp_massey(spec, power_sums(spec, zeta, t), t))
     values = []
     for root in roots:
         beta = spec.inv(root)
@@ -111,15 +110,15 @@ def unpack_lanes(params: Params, packed: int) -> tuple:
 
 
 def f_lanes(params: Params, xI: int) -> tuple:
-    """(f, F, comb_table(F)) for f = map_f(xI) and F its Frobenius
-    powers f^(2^k), k < t, in GF(2^nbar), packed as lanes: entry xI of
+    """(f, comb_table(F)) for f = map_f(xI) and F its Frobenius powers
+    f^(2^k), k < t, in GF(2^nbar), packed as lanes: entry xI of
     ``params.f_lane_table`` when it is built, else computed."""
     table = params.f_lane_table
     if table is not None and 0 <= xI < len(table):
         return table[xI]
     f = map_f(params, xI)  # raises for xI outside |I| bits
     lanes = pack_lanes(params, [params.nbar_field.frob(f, k) for k in range(params.t)])
-    return f, lanes, comb_table(lanes)
+    return f, comb_table(lanes)
 
 
 def gamma(params: Params, j: int) -> tuple:

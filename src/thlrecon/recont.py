@@ -65,7 +65,7 @@ def encode_t(params: Params, S) -> Digest:
     z2 = {}  # position -> packed f^(2^k) * embed(x_Ibar) summed, unreduced
     for x in S:
         j = map_M(params, x)
-        fx, _, comb = f_lanes(params, project(x, params.I))
+        fx, comb = f_lanes(params, project(x, params.I))
         z1[j] = z1.get(j, 0) ^ fx
         z2[j] = z2.get(j, 0) ^ comb_mul(project(x, params.ibar), comb)
     grid = [0] * params.t
@@ -113,7 +113,7 @@ def decode_t(params: Params, d: Digest) -> tuple:
             block.append((i, e))
             ebar = project(e, params.ibar)
             if ebar:
-                comb = f_lanes(params, sigma & xI_mask)[2]
+                comb = f_lanes(params, sigma & xI_mask)[1]
                 _add_column(params, row0, i, comb_mul(ebar, comb))
 
     sigmas = sorted(members)
@@ -144,7 +144,7 @@ def _solve_centers(params: Params, sigmas, gsums, row0):
     t signatures are dependent.  The other rows need no check here:
     :func:`params.accept` re-encodes the whole digest.
     """
-    combs = (f_lanes(params, s & ((1 << len(params.I)) - 1))[2] for s in sigmas)
+    combs = (f_lanes(params, s & ((1 << len(params.I)) - 1))[1] for s in sigmas)
     cols = [unpack_lanes(params, comb_mul(gsums[s], c)) for s, c in zip(sigmas, combs)]
     dep = first_dependency(params.nbar_field, cols + [row0])
     if dep is None or dep[0] < len(sigmas):

@@ -2,7 +2,7 @@
 
 from thlrecon.bits import BitVector
 from thlrecon.codes import (
-    locate, odd_powers, poly_eval, poly_gcd_ff, poly_mul_ff, poly_rem, poly_trim,
+    berlekamp_massey, find_roots, odd_powers, poly_eval, poly_gcd_ff, poly_rem, poly_trim,
 )
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import ff_make, poly_gcd, poly_mod, poly_mul, poly_square
@@ -124,6 +124,17 @@ def nullspace(m: BinaryMatrix):
                 v |= 1 << p
         basis.append(v)
     return basis
+
+
+def poly_mul_ff(spec, a, b):
+    """Product of two polynomials over ``spec``, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] ^= spec.mul(ai, bj)
+    return poly_trim(out)
 
 
 def roots_by_search(spec, poly):
@@ -389,12 +400,14 @@ def rs_syndromes(code, values) -> tuple:
 
 def rs_decode(code, syndromes) -> dict:
     """RsCode.decode in the code's standard field: the locator and its
-    roots, Forney's values, then the re-encode check."""
+    roots, Forney's values from the whole product S(x) C(x) below
+    x^(d-1), then the re-encode check."""
     spec = code.field
     syndromes = list(syndromes)
     if not any(syndromes):
         return {}
-    loc, roots = locate(spec, syndromes, code.max_errors)
+    loc = berlekamp_massey(spec, syndromes, code.max_errors)
+    roots = find_roots(spec, loc)
     omega = poly_mul_ff(spec, syndromes, loc)[: code.redundancy]
     dloc = loc[1::2]
     errors = {}

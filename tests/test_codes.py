@@ -7,6 +7,7 @@ from reference import (
     bch_odd_power_columns,
     decode_syndrome_exhaustive,
     find_roots_trace,
+    poly_mul_ff,
     rs_decode,
     rs_syndromes,
     roots_by_search,
@@ -15,12 +16,12 @@ from reference import (
 from thlrecon import codes
 from thlrecon.codes import (
     _ROOT_SCAN_LIMIT,
+    berlekamp_massey,
     bch_build,
     bh_sequence,
     find_roots,
     first_dependency,
     odd_powers,
-    poly_mul_ff,
     rs_code,
 )
 from thlrecon.errors import DecodingError
@@ -31,6 +32,15 @@ from thlrecon.params import params_build
 # -- root finding -----------------------------------------------------------
 
 
+def _found(spec, poly):
+    """find_roots' sorted roots, or None where it raises DecodingError."""
+    try:
+        return sorted(find_roots(spec, poly))
+    except DecodingError as exc:
+        assert str(exc) == "uncorrectable syndrome"
+        return None
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_find_roots_every_small_polynomial(m):
     spec = ff_make(m)
@@ -38,9 +48,9 @@ def test_find_roots_every_small_polynomial(m):
         for low in product(range(1 << m), repeat=degree):
             poly = list(low) + [1]
             want = roots_by_search(spec, poly)
-            got = find_roots(spec, poly)
+            got = _found(spec, poly)
             if len(want) == degree:  # a product of distinct linear factors
-                assert sorted(got) == want, poly
+                assert got == want, poly
             else:
                 assert got is None, poly
 
@@ -73,10 +83,10 @@ def test_find_roots_large_fields(m, work):
     assert len(set(roots)) == 4
     poly = _from_roots(spec, roots)
     assert sorted(find_roots(spec, poly)) == sorted(roots)
-    assert find_roots(spec, _from_roots(spec, roots + roots[:1])) is None
+    assert _found(spec, _from_roots(spec, roots + roots[:1])) is None
     # x^2 + x + a is irreducible when the trace of a is 1
     a = next(c for c in (1 << i for i in range(m)) if _trace(spec, c) == 1)
-    assert find_roots(spec, poly_mul_ff(spec, poly, [a, 1, 1])) is None
+    assert _found(spec, poly_mul_ff(spec, poly, [a, 1, 1])) is None
 
 
 def _outcome_roots(roots):
@@ -118,7 +128,7 @@ def test_find_roots_matches_trace_oracle(m, work):
     for d in range(1, 7):
         for _ in range(6):
             for kind, poly in _locators(spec, rng, d):
-                got = _outcome_roots(find_roots(spec, poly))
+                got = _found(spec, poly)
                 assert got == _outcome_roots(find_roots_trace(spec, poly)), (kind, poly)
                 if kind != "random":
                     assert (got is None) == (kind != "split"), (kind, poly)
@@ -141,7 +151,7 @@ def test_find_roots_splits_large_root_spaces(monkeypatch):
         assert sorted(find_roots(spec, poly)) == sorted(roots)
         assert find_roots_trace(spec, poly) is not None
         bad = poly_mul_ff(spec, poly, _quadratic(spec))
-        assert find_roots(spec, bad) is None and find_roots_trace(spec, bad) is None
+        assert _found(spec, bad) is None and find_roots_trace(spec, bad) is None
     assert calls and all(1 << len(a[-1]) > _ROOT_SCAN_LIMIT for a in calls)
 
 
@@ -153,11 +163,9 @@ def test_find_roots_degree_above_the_field_degree():
         roots = rng.sample(range(1 << 6), d)
         assert sorted(find_roots(spec, _from_roots(spec, roots))) == sorted(roots)
         bad = poly_mul_ff(spec, _from_roots(spec, roots[:-2]), _quadratic(spec))
-        assert find_roots(spec, bad) is None and find_roots_trace(spec, bad) is None
+        assert _found(spec, bad) is None and find_roots_trace(spec, bad) is None
         rand = [rng.randrange(64) for _ in range(d)] + [1]
-        assert _outcome_roots(find_roots(spec, rand)) == _outcome_roots(
-            find_roots_trace(spec, rand)
-        )
+        assert _found(spec, rand) == _outcome_roots(find_roots_trace(spec, rand))
 
 
 def test_first_dependency():
@@ -213,6 +221,13 @@ def test_bch_uncorrectable():
         assert len(got) == 1 and code.syndrome_from_positions(got) == s
     except DecodingError:
         pass
+    # Berlekamp-Massey rejects for itself: a locator of degree below its
+    # length L ([1, 0] gives C = 1, L = 1), or L above the bound
+    spec = ff_make(8)
+    for sums, bound in (([1, 0], 1), ([0, 0, 1, 0], 1)):
+        with pytest.raises(DecodingError, match="uncorrectable syndrome"):
+            berlekamp_massey(spec, sums, bound)
+    assert berlekamp_massey(spec, [0, 0, 1, 0], 3) == [1, 0, 0, 1]
 
 
 def test_decode_zero():
@@ -536,17 +551,20 @@ def test_rs_table_syndromes_match_reference(point, I):
         assert code.syndrome_sparse({j: ones}) == rs_syndromes(code, {j: ones}), j
 
 
-@pytest.mark.parametrize("point,I", TABLED)
+@pytest.mark.parametrize("point,I", TABLED + [((63, 2, 3, 2), None)])
 def test_rs_table_decode_matches_reference(point, I):
-    # the lane scan against the reference's locate and dlog chain in the
-    # standard field: every weight up to one past the radius, with and
-    # without the end positions 0 and N - 1, sparse vectors with zero
-    # and repeated symbols, 200 random syndromes, and locators with roots
-    # off the N positions (errors from the length up to the group order,
-    # alone or beside errors within it); each case gives the same errors,
-    # or the same exception type and text
+    # the decode, by the lane scan under the cap and by find_roots and
+    # dlog above it at (63,2,3,2), with Forney's evaluator from the
+    # locator's L live terms, against the reference's chain and whole
+    # product S(x) C(x) in the standard field: every weight up to one
+    # past the radius, with and without the end positions 0 and N - 1,
+    # sparse vectors with zero and repeated symbols, 200 random
+    # syndromes, and locators with roots off the N positions (errors
+    # from the length up to the group order, alone or beside errors
+    # within it); each case gives the same errors, or the same exception
+    # type and text
     code = params_build(*point, I=I).comp_rs
-    assert code.locator_lanes is not None
+    assert (code.locator_lanes is not None) is ((point, I) in TABLED)
     a, n, e = code.field.degree, code.length, code.max_errors
     rng = random.Random(point[1] * a + 1)
     inner = range(1, n - 1)

@@ -130,8 +130,8 @@ def test_table_free_product_matches_poly_mod(m):
 
 
 def test_poly_mul_matches_set_bit_product():
-    # both branches (sparse multipliers up to the comb's threshold and
-    # past it), byte-boundary widths, and the zero and one operands
+    # sparse and dense multipliers through the one comb path,
+    # byte-boundary widths, and the zero and one operands
     rng = random.Random(5)
     for w in range(1, 601):
         dense = rng.getrandbits(w) | 1 << (w - 1)
@@ -151,8 +151,8 @@ _SPARSE = st.sets(st.integers(0, 1199), max_size=9).map(lambda bits: sum(1 << i 
 @settings(max_examples=200, deadline=None)
 def test_comb_over_a_stored_table_is_poly_mul(a, b):
     # the comb loop over b's table, as the t > 1 encoder runs it for one
-    # operand and many multipliers, is the product poly_mul gives on
-    # either of its paths: zero, sparse multipliers and unequal lengths
+    # operand and many multipliers, is the product poly_mul gives:
+    # zero, sparse multipliers and unequal lengths
     assert comb_mul(a, comb_table(b)) == poly_mul(a, b) == clmul_bits(a, b)
 
 
