@@ -47,7 +47,7 @@ _DENSE_LIMIT = 4096
 # builds per-position comb tables, and t > 1 params tabulate each
 # position's gamma rows and, when 2^|I| <= N, each I-projection's f
 # lanes; above it each is computed per call.  A B_h sequence over at
-# most this many positions keeps exp/log tables of its column field.
+# most this many positions keeps the key of every position.
 _POSITION_TABLE_LIMIT = 1 << 12
 
 # find_roots tries each point of an affine root space this small.
@@ -350,7 +350,10 @@ class BchCode:
 
     def decode_positions(self, synd: int):
         """Error positions (sorted, 0-based) of the unique weight <= e
-        pattern with this syndrome.  Raises DecodingError if none."""
+        pattern with this syndrome.  Raises DecodingError if none, and
+        ValueError for a syndrome outside [0, 2^redundancy)."""
+        if synd < 0 or synd >> self.redundancy:
+            raise ValueError("syndrome out of range")
         if synd == 0:
             return []
         spec, e = self.field, self.design_errors
@@ -550,17 +553,17 @@ class BhSequence:
     adds (x^k)^(2^a) at each power o 2^a below h, and the basis is
     sparse and fixed at set-up.  At h = 1 the key is i + 1, the basis
     the unit vectors and ``const`` 0.  Only a key holding x_i^3 (h >= 4)
-    multiplies, and :meth:`keys` computes a whole batch at once.  When m
-    is within the position-table cap, the column field has exp/log
-    tables and x^o = exp[o log x].  Above it, position e sits in lane e
-    of one int (SIMD within a register: Fisher & Dietz, LCPC 1998).  x^2
-    is x's bits spread to the even places, so each next odd power p x^2
-    is w masked shift-XORs: p << 2j in every lane where x has bit j, the
-    mask being that bit times an all-ones lane, an integer multiply with
-    no carry as each lane holds 0 or 1.  One :meth:`FieldSpec.reduce_lanes`
-    folds every lane's product.  A lane is whole 64-bit words, wide
-    enough for the unreduced product (3w - 2 bits) and for the key.
-    Elements are computed on demand; m may be in the millions.
+    multiplies, and :meth:`keys` computes a whole batch at once:
+    position e sits in lane e of one int (SIMD within a register: Fisher
+    & Dietz, LCPC 1998).  x^2 is x's bits spread to the even places, so
+    each next odd power p x^2 is w masked shift-XORs: p << 2j in every
+    lane where x has bit j, the mask being that bit times an all-ones
+    lane, an integer multiply with no carry as each lane holds 0 or 1.
+    One :meth:`FieldSpec.reduce_lanes` folds every lane's product.  A
+    lane is whole 64-bit words, wide enough for the unreduced product
+    (3w - 2 bits) and for the key.  When m is within the position-table
+    cap, set-up computes all m keys in one batch and :meth:`keys` reads
+    them; above it each call computes its own, as m may be in the millions.
 
     ``nibble_terms`` gathers the basis by key nibbles for sums of
     products: entry 16 p + v holds the exponents of the XOR of
@@ -576,7 +579,8 @@ class BhSequence:
         self.m = m
         self.order = h
         self.width = w = self.packed_width(m, h) // h
-        self._col_field = None
+        self._col_field = None  # set at h >= 4, where keys multiply
+        self._key_table = range(1, m + 1) if h == 1 else range(m) if h < 4 else None
         if h == 1:
             self.const, self.basis = 0, tuple(1 << k for k in range(w))
         else:
@@ -591,12 +595,11 @@ class BhSequence:
             self.const, self.basis = 1, tuple(basis)
             if h >= 4:
                 self._col_field = spec
+                self._lane_words = size = -(-max(3 * w - 2, h // 2 * w) // 64)
+                # a lane's low word: its first little-endian, its last big-endian
+                self._low_word = 0 if sys.byteorder == "little" else size - 1
                 if m <= _POSITION_TABLE_LIMIT:
-                    spec.ensure_tables()
-                else:
-                    self._lane_words = size = -(-max(3 * w - 2, h // 2 * w) // 64)
-                    # a lane's low word: its first little-endian, its last big-endian
-                    self._low_word = 0 if sys.byteorder == "little" else size - 1
+                    self._key_table = self.keys(range(m))
         terms = []
         for p in range(0, len(self.basis), 4):
             # index v: the XOR of basis[p + k] over v's bits k, and const
@@ -620,19 +623,9 @@ class BhSequence:
         positions = list(positions)
         if positions and not 0 <= min(positions) <= max(positions) < self.m:
             raise IndexError("B_h index out of range")
+        if self._key_table is not None:
+            return list(map(self._key_table.__getitem__, positions))
         spec, w = self._col_field, self.width
-        if spec is None:
-            return [i + 1 for i in positions] if self.order == 1 else positions
-        odd = range(3, self.order, 2)
-        if self.m <= _POSITION_TABLE_LIMIT:
-            exp, log, q = spec._exp, spec._log, spec.order
-            keys = []
-            for i in positions:
-                key, li = i, log[i]
-                for k, o in enumerate(odd, 1):
-                    key |= exp[o * li % q] << k * w
-                keys.append(key if i else 0)
-            return keys
         n, size = len(positions), self._lane_words
         words = array("Q", bytes(8 * size * n))  # x's 64-bit digits, size per lane
         words[self._low_word :: size] = array("Q", positions)
@@ -640,7 +633,7 @@ class BhSequence:
         ones = int.from_bytes((b"\1" + bytes(8 * size - 1)) * n, "little")
         full, high_bits = (1 << 64 * size) - 1, ~(ones * spec.order)
         key = p = x
-        for k in range(1, len(odd) + 1):
+        for k in range(1, self.order // 2):  # x^(2k+1) below h
             prod = 0
             for j in range(w):  # p x^2: x^2 unreduced has x's bit j at 2j
                 prod ^= (x >> j & ones) * full & p << 2 * j

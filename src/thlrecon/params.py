@@ -27,7 +27,7 @@ def default_index_set(n: int) -> tuple:
     return tuple(range(1, k + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
     """Agreed configuration plus all derived structure (immutable)."""
 
@@ -61,12 +61,19 @@ class Params:
 
     # SHA-256 of canonical_text(), set by __post_init__, so replace()
     # recomputes it; a cached_property would give the instance a
-    # materialized __dict__ and slow every other attribute read
-    fingerprint: bytes = field(init=False, repr=False, compare=False)
+    # materialized __dict__ and slow every other attribute read.  It
+    # names the configuration, so Params compare and hash by it
+    fingerprint: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         text = self.canonical_text().encode("ascii")
         object.__setattr__(self, "fingerprint", hashlib.sha256(text).digest())
+
+    def __eq__(self, other):
+        return isinstance(other, Params) and self.fingerprint == other.fingerprint
+
+    def __hash__(self):
+        return hash(self.fingerprint)
 
     def canonical_text(self) -> str:
         return (

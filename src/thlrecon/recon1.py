@@ -15,14 +15,14 @@ Hbar, the unit rows completing it, is [0 | I] and the tail is x >> r.
    j^0 .. j^(h-1) in GF(2^r), and is F_2-affine in its key, the packed
    odd powers of j (:class:`codes.BhSequence`): b_j = c0 XOR the basis
    entries C_m at the key's set bits.  All keys come from one
-   :meth:`~codes.BhSequence.keys` call, which computes them together
-   (by exp/log tables, or in lanes of one int).  The sum is gathered by
-   buckets, as Pippenger's method gathers a multi-exponentiation
-   (SIAM J. Comput., 1980): each tail is XORed into one of 16 buckets
-   per nibble of its key, and at the end each bucket is multiplied,
-   by the shifts of a few set bits, by the XOR of the C_m its nibble
-   selects (and c0 at the lowest nibble, which every key has).  No
-   product per element.
+   :meth:`~codes.BhSequence.keys` call, which reads a table kept at
+   set-up (under the position-table cap) or computes them together in
+   lanes of one int.  The sum is gathered by buckets, as Pippenger's
+   method gathers a multi-exponentiation (SIAM J. Comput., 1980): each
+   tail is XORed into one of 16 buckets per nibble of its key, and at
+   the end each bucket is multiplied, by the shifts of a few set bits,
+   by the XOR of the C_m its nibble selects (and c0 at the lowest
+   nibble, which every key has).  No product per element.
 
 Both parts are linear in the set, so xoring the two hosts' digests
 gives the digest of the difference (:func:`protocol.decode_digests`).

@@ -348,6 +348,20 @@ def test_syndrome_positions_out_of_range_rejected(n, e, bad):
         code.syndrome_from_positions([3, i, 5])
 
 
+# short codes, whose syndrome lifts through the reduced parity, and a
+# long one, which decodes the raw odd-power syndrome
+@pytest.mark.parametrize("n,e", [(63, 2), (4096, 4), (1 << 13, 2)])
+def test_decode_rejects_a_syndrome_out_of_range(n, e):
+    code = bch_build(n, e)
+    for synd in (1 << code.redundancy, -1):
+        with pytest.raises(ValueError, match="syndrome out of range"):
+            code.decode_positions(synd)
+    try:  # the widest syndrome in range decodes or is uncorrectable
+        code.decode_positions((1 << code.redundancy) - 1)
+    except DecodingError:
+        pass
+
+
 def test_syndrome_op_and_linearity():
     code = bch_build(15, 2)
     rng = random.Random(5)
@@ -672,13 +686,15 @@ def test_bh_elements_are_packed_powers(m, h):
     "m,h,sampled",
     [(20, 1, False), (16, 2, False), (300, 3, False), (4096, 4, False),
      (1 << 18, 4, True), (1 << 18, 5, True), (1 << 12, 6, True),
-     (1 << 18, 8, True), (1 << 12, 8, True)],
+     (1 << 18, 8, True), (1 << 12, 8, True),
+     (4097, 4, False), (4096, 8, False), (4097, 8, False)],
 )
 def test_bh_elements_are_affine_in_the_key(m, h, sampled):
     # b_i = const XOR the basis entries at the set bits of i's key, and
     # the key packs the odd powers below h (i + 1 at h = 1).  A batch of
-    # any size gives each position its own key, from exp/log tables
-    # (m <= 4096) or from lanes of one int, 72-bit keys at (2^18, 8)
+    # any size gives each position its own key, from lanes of one int:
+    # kept for every position at set-up when m <= 4096, the
+    # position-table cap, else computed per call, 72-bit keys at (2^18, 8)
     seq = bh_sequence(m, h)
     spec, w = ff_make(seq.width), seq.width
     rng = random.Random(m + h)

@@ -58,12 +58,13 @@ def test_tables_only_for_multiplied_matrices(monkeypatch):
     assert p.cl.parity._tables  # H_l at 12x63: tables beat 12 row parities
     # H_l at 18x511 has fewer rows than byte tables: row parities, no tables
     assert p511.cl.parity._tables == [] and p511.hf_inv._tables
-    # the B_h keys multiply from x^3 on, with no squaring matrix: over
-    # N = 4096 positions the column field GF(2^12) has exp/log tables,
-    # over 2^18 GF(2^18) gets none and keys are computed in lanes; with
-    # h <= 3 they multiply nothing, and no column field is kept
-    assert p.bh._col_field._exp is not None and 12 in tabled
+    # the B_h keys multiply from x^3 on, in lanes, with no squaring
+    # matrix and no field tables: over N = 4096 positions set-up computes
+    # every key once and keeps them, over 2^18 each call computes its
+    # own; with h <= 3 they multiply nothing, and no column field is kept
+    assert len(p.bh._key_table) == 4096 and 12 not in tabled
     assert p511.bh._col_field.degree == 18 and 18 not in tabled
+    assert p511.bh._key_table is None
     for bh in (p.bh, p511.bh):
         assert not any(isinstance(v, BinaryMatrix) for v in vars(bh).values())
     for h in (2, 3):
@@ -160,6 +161,18 @@ def test_fingerprint_deterministic_and_sensitive():
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != c.fingerprint
     assert len(a.fingerprint) == 32
+
+
+@pytest.mark.parametrize(
+    "point,other", [((63, 1, 4, 2), (63, 1, 4, 1)), ((127, 3, 2, 1), (127, 2, 2, 1))]
+)
+def test_params_compare_and_hash_by_configuration(point, other):
+    # the derived codes and matrices are rebuilt per call and a t = 1
+    # BinaryMatrix is unhashable: Params compare and hash by fingerprint
+    a, b, c = params_build(*point), params_build(*point), params_build(*other)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != c and len({a, b, c}) == 2
+    assert a != point and dataclasses.replace(a) == a
 
 
 def test_fingerprint_follows_replace():
