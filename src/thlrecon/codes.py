@@ -6,10 +6,11 @@ Two code families are built here:
   shortened to any length n, whose parity-check columns are the packed
   odd powers of :func:`odd_powers` (the packer behind the f-values and
   gamma columns of :mod:`maps_t` too).  Short codes keep a rank-reduced
-  parity matrix (smaller syndromes, hence smaller position spaces) and
-  take a word's syndrome as its product with it; long codes keep the
-  raw odd-power map, with or without exp/log tables, and never
-  materialize a dense matrix.
+  parity matrix (smaller syndromes, hence smaller position spaces),
+  read off the code's generator polynomial g with column i the bits of
+  X^i mod g, and take a word's syndrome as its product with it; long
+  codes keep the raw odd-power map, with or without exp/log tables, and
+  never materialize a dense matrix.
 * :class:`RsCode` -- Reed-Solomon codes over an extension field with a
   bounded-distance decoder returning symbol positions and values.  At
   degrees 24 and 26 its arithmetic runs in GF((2^k)^2), converted only
@@ -38,9 +39,10 @@ from .errors import DecodingError
 from .gf2 import FieldSpec, comb_mul, comb_table, ff_make, poly_exponents
 from .linalg import BinaryMatrix, row_reduce, transpose
 
-# Up to this length a BCH code rank-reduces its parity matrix, which
-# narrows the syndrome (and so the digest); longer codes keep the raw
-# odd-power map, as reduction would touch every column.
+# Up to this length a BCH code keeps a rank-reduced parity matrix, built
+# from its generator polynomial, which narrows the syndrome (and so the
+# digest); longer codes keep the raw odd-power map.  The limit fixes the
+# width of w1, so it stays whatever the build costs.
 _DENSE_LIMIT = 4096
 
 # Up to this N * a (positions times symbol bits) a Reed-Solomon code
@@ -298,17 +300,38 @@ class BchCode:
         return odd_powers(spec, spec.pow(self._g, i), self.design_errors)
 
     def _build_reduced(self):
-        n = self.length
-        full = transpose([self._column(i) for i in range(n)], self.redundancy)
-        # a codeword is a multiple of the generator g, so no nonzero one
-        # has degree below deg g: the rank rho = min(n, deg g) sits in the
-        # first rho columns, the parity reduces to [I_rho | P] and the lift
-        # of full row i is its low rho bits (MacWilliams & Sloane, ch. 7)
-        _, reduced = row_reduce(full)
-        self.redundancy = rho = len(reduced)
-        self.parity = BinaryMatrix(rho, n, reduced)
-        self._lift = BinaryMatrix(len(full), rho, [r & (1 << rho) - 1 for r in full])
-        self._cols = transpose(reduced, n)
+        # a codeword is a multiple of the generator polynomial g, so no
+        # nonzero one has degree below deg g: the rank rho = min(n, deg g)
+        # sits in the first rho columns, the parity reduces to [I_rho | P]
+        # with column i the bits of X^i mod g, and the lift of full row k
+        # is its low rho bits (MacWilliams & Sloane, ch. 7 and 9).  The
+        # words among the first full + 1 columns are the g h of degree at
+        # most full, so the reduced row of the highest pivot X^j is X^j g.
+        n, full = self.length, self.redundancy
+        heads = [self._column(i) for i in range(min(n, full + 1))]
+        pivots, reduced = row_reduce(v | 1 << (full + i) for i, v in enumerate(heads))
+        rho = sum(p < full for p in pivots)
+        g = reduced[-1] >> pivots[-1] if rho < len(heads) else 0  # 0: n <= deg g
+        self.redundancy = rho
+        self._lift = BinaryMatrix(full, rho, transpose(heads[:rho], full))
+        # X^i mod g by an LFSR, one shift and one conditional XOR apiece;
+        # bit i of wrapped says whether X^i wrapped past degree rho
+        cols, wrapped, x = [1], 0, 1
+        for i in range(1, n):
+            x <<= 1
+            if x >> rho:
+                x ^= g
+                wrapped |= 1 << i
+            cols.append(x)
+        # bit i of row k is bit k-1 of column i-1, XOR g_k where X^i wrapped
+        rows, row, mask = [], 1, (1 << n) - 1
+        for k in range(rho):
+            if g >> k & 1:
+                row ^= wrapped
+            rows.append(row)
+            row = row << 1 & mask
+        self.parity = BinaryMatrix(rho, n, rows)
+        self._cols = cols
 
     # -- syndromes -------------------------------------------------------
 

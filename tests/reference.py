@@ -6,7 +6,7 @@ from thlrecon.codes import (
 )
 from thlrecon.errors import DecodingError, LinAlgError
 from thlrecon.gf2 import ff_make, poly_gcd, poly_mod, poly_mul, poly_square
-from thlrecon.linalg import BinaryMatrix, row_reduce
+from thlrecon.linalg import BinaryMatrix, row_reduce, transpose
 from thlrecon.maps_t import map_f, map_M
 from thlrecon.params import Digest, default_index_set
 
@@ -95,6 +95,17 @@ def bch_odd_power_columns(n: int, e: int) -> list:
         sum(spec.pow(spec.pow(g, i), 2 * k + 1) << (k * s) for k in range(e))
         for i in range(n)
     ]
+
+
+def bch_reduced_by_elimination(n: int, e: int):
+    """BchCode's rank-reduced parity by elimination: the n odd-power
+    columns, as rows, reduce to [I_rho | P], and the lift is each full
+    row's low rho bits.  Returns (rho, the reduced rows, their n
+    columns, the lift's rows)."""
+    full = transpose(bch_odd_power_columns(n, e), e * n.bit_length())
+    _, reduced = row_reduce(full)
+    rho = len(reduced)
+    return rho, reduced, transpose(reduced, n), [r & (1 << rho) - 1 for r in full]
 
 
 def vector_rank(vectors) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from reference import (
     bch_odd_power_columns,
+    bch_reduced_by_elimination,
     decode_syndrome_exhaustive,
     find_roots_trace,
     poly_mul_ff,
@@ -252,16 +253,24 @@ def test_bch_random_roundtrip(n, e):
         assert code.decode_positions(s) == pos
 
 
-# rank-deficient codes, (63, 5) of rank 27 of 30 among them, the t1-limit
-# comp code (4096, 4) and C_l of each benchmark workload
+# rank-deficient codes, (63, 5) of rank 27 of 30 among them, codes no
+# longer than deg g, such as (16, 7), the t1-limit comp code (4096, 4),
+# C_l of each benchmark workload, the longest code at the dense limit
+# with e = 8 and a perfect Hamming code
 BCH_LAYOUT_CODES = [
     (63, 5), (63, 9), (32, 5), (7, 3), (16, 7), (64, 9),
-    (4096, 4), (511, 2), (63, 2), (127, 1),
+    (4096, 4), (511, 2), (63, 2), (127, 1), (4096, 8), (2047, 1),
 ]
 
 
 def _check_reduced_layout(n, e, rng):
     code = bch_build(n, e)
+    # the parity read off the generator polynomial is the one elimination
+    # gives, bit for bit
+    assert (
+        code.redundancy, list(code.parity.row_data), code._cols, list(code._lift.row_data)
+    ) == bch_reduced_by_elimination(n, e)
+    assert code._lift.cols == code.redundancy == code.parity.rows
     rho, columns = code.redundancy, bch_odd_power_columns(n, e)
     # rho is the rank of all n columns, and the first rho are the pivots
     assert rho == vector_rank(columns) <= e * code.field.degree
